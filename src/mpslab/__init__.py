@@ -21,9 +21,8 @@ from .model import (ContractSpec, CostModel, GridError, PositionSeries,
                     Strategy, Tick, positions_to_strategy,
                     strategy_to_positions, validate_membership)
 from .mps import MpsResult, MpsTrade, mps0, trades_of
-from .oracle import (BudgetExceeded, UniverseIterator, brute_force_mls,
-                     brute_force_mps, decode, empirical_action_counts,
-                     iter_strategies, iter_universe)
+from .oracle import (BudgetExceeded, brute_force_mls, brute_force_mps, decode,
+                     empirical_action_counts, iter_strategies, iter_universe)
 from .ote import (AttachedSamples, OteExtractor, OteRecord, OteStats, OteType,
                   Scenario, Tolerances, birth_threshold, classify_scenario,
                   extract_otes, head_and_shoulders, on_permitted_grid,

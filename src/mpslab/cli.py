@@ -20,9 +20,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__, distribution as dist, ingest, magma, mps as mps_mod
 from . import ote as ote_mod, vectors, verify as verify_mod
@@ -34,56 +33,22 @@ from .distribution import UniverseParams
 CONFIG_ENV = "MPSLAB_CONFIG"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated view of the parsed command line, built before dispatch."""
-
-    subcommand: str
-    contract: Optional[str] = None
-    config_path: Optional[str] = None
-    fc: Optional[Fraction] = None
-    cost: Optional[Fraction] = None
-    limit: Optional[int] = None
-    n: Optional[int] = None
-    fmt: str = "tsv"
-    budget: int = verify_mod.DEFAULT_MAX_UNIVERSE
-    bins: Optional[int] = None
-    tolerances: ote_mod.Tolerances = ote_mod.Tolerances()
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.bins is not None and self.bins < 1:
-            raise ValueError("bin count must be >= 1")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("position limit W must be >= 1")
-        if self.n is not None and self.n < 2:
-            raise ValueError("tick count n must be >= 2")
-        if self.fmt not in ("tsv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.fc is not None and self.fc < 0:
-            raise ValueError("filtering cost must be non-negative")
-        if self.cost is not None and self.cost < 0:
-            raise ValueError("cost must be non-negative")
-        if self.tolerances.eq_deltas < 0 or self.tolerances.lt_deltas < 0:
-            raise ValueError("tolerances must be non-negative")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        get = lambda name, default=None: getattr(args, name, default)
-        return cls(
-            subcommand=args.command,
-            contract=get("contract"),
-            config_path=get("config") or os.environ.get(CONFIG_ENV),
-            fc=as_fraction(args.fc) if get("fc") is not None else None,
-            cost=as_fraction(args.cost) if get("cost") is not None else None,
-            limit=get("W"),
-            n=get("n"),
-            fmt=get("format", "tsv"),
-            budget=get("max_universe", verify_mod.DEFAULT_MAX_UNIVERSE),
-            bins=get("bins"),
-            tolerances=ote_mod.Tolerances(get("eq_tol", 0), get("lt_tol", 0)),
-        )
+def _check_args(args) -> None:
+    """Cross-field validation of the parsed command line, before dispatch."""
+    get = lambda name, default=None: getattr(args, name, default)
+    fc, cost = (as_fraction(get(name)) if get(name) is not None else None
+                for name in ("fc", "cost"))
+    for failed, message in [
+        (get("max_universe", 1) <= 0, "budget must be positive"),
+        (get("bins") is not None and args.bins < 1, "bin count must be >= 1"),
+        (get("W") is not None and args.W < 1, "position limit W must be >= 1"),
+        (get("n") is not None and args.n < 2, "tick count n must be >= 2"),
+        (fc is not None and fc < 0, "filtering cost must be non-negative"),
+        (cost is not None and cost < 0, "cost must be non-negative"),
+        (get("eq_tol", 0) < 0 or get("lt_tol", 0) < 0, "tolerances must be non-negative"),
+    ]:
+        if failed:
+            raise ValueError(message)
 
 
 def _emit(args, text: str, plot_stub: str | None = None) -> None:
@@ -102,21 +67,28 @@ def _contract(args) -> ingest.ContractSpec:
     return ingest.contract_for(args.contract, config)
 
 
-def _read_ticks(args, spec):
+def _read_ticks(args, spec) -> ingest.TickColumns:
     if args.file == "-":
-        ticks = ingest.parse_ticks(sys.stdin, spec)
+        ticks = ingest.read_ticks(sys.stdin, spec)
     else:
         with open(args.file) as fh:
-            ticks = ingest.parse_ticks(fh, spec)
+            ticks = ingest.read_ticks(fh, spec)
     return ingest.trade_ticks(ticks)
 
 
-def _sessions(args, spec, ticks):
+def _session_trades(args, spec) -> list[tuple[ingest.Session, list[ote_mod.OteRecord]]]:
+    """The tick -> trade pipeline of ``ote`` and ``pattern``: read, drop
+    indicative ticks, split into sessions, extract each session's trades."""
+    ticks = _read_ticks(args, spec)
     try:
         window = ingest.session_window_of(spec)
     except ValueError:
-        return [ingest.Session(ticks[0].timestamp.date() if ticks else None, tuple(ticks))]
-    return list(ingest.sessionize(ticks, window).sessions)
+        sessions = [ingest.Session(ticks[0].timestamp.date() if ticks else None, ticks)]
+    else:
+        sessions = ingest.sessionize(ticks, window).sessions
+    fc, cost = as_fraction(args.fc), as_fraction(args.cost)
+    return [(session, ote_mod.extract_otes(session.ticks, fc, cost, spec))
+            for session in sessions]
 
 
 def cmd_counts(args) -> int:
@@ -196,7 +168,7 @@ def cmd_mps(args) -> int:
         if not args.file:
             raise ValueError("provide --prices or a tick file")
         ticks = _read_ticks(args, spec)
-        prices = [t.price for t in ticks]
+        prices = [ticks.price(i) for i in range(len(ticks))]
     result = mps_mod.mps0(prices, as_fraction(args.cost), args.W, spec)
     lines = [f"pl={fmt_dollars(result.pl)}"]
     if len(result.strategy) <= 60:
@@ -240,15 +212,8 @@ plot '{data}' index 1 using 1:2 with steps title 'ECDF'
 
 def cmd_ote(args) -> int:
     spec = _contract(args)
-    ticks = _read_ticks(args, spec)
-    sessions = _sessions(args, spec, ticks)
-    lines = []
-    records = []
-    for session in sessions:
-        found = ote_mod.extract_otes(session.ticks, as_fraction(args.fc),
-                                     as_fraction(args.cost), spec)
-        records.extend(found)
-    lines.append("#\tt_start\tP_start\tt_end\tP_end\tdt_s\tPL\tType")
+    records = [r for _, found in _session_trades(args, spec) for r in found]
+    lines = ["#\tt_start\tP_start\tt_end\tP_end\tdt_s\tPL\tType"]
     for idx, r in enumerate(records, start=1):
         lines.append("\t".join([
             str(idx),
@@ -258,12 +223,12 @@ def cmd_ote(args) -> int:
         ]))
     used = [r for r in records if r.closed or args.include_open]
     if len(used) >= 2:
+        profit_stats = ote_mod.ote_stats(used, "profit", True, args.bins)
         lines.append("")
-        lines.extend(_stats_block(ote_mod.ote_stats(used, "profit", True, args.bins), "PL"))
+        lines.extend(_stats_block(profit_stats, "PL"))
         lines.append("")
         lines.extend(_stats_block(ote_mod.ote_stats(used, "duration", True, args.bins),
                                   "Trade time"))
-        profit_stats = ote_mod.ote_stats(used, "profit", True, args.bins)
         lines.append("")
         lines.append("# EPMF")
         lines.append("profit\tcount")
@@ -292,15 +257,11 @@ def cmd_stats(args) -> int:
 
 def cmd_pattern(args) -> int:
     spec = _contract(args)
-    ticks = _read_ticks(args, spec)
-    sessions = _sessions(args, spec, ticks)
     tol = ote_mod.Tolerances(args.eq_tol, args.lt_tol)
     lines = ["session\twindow_end\tmatched_at\tprice"]
     hits = 0
-    for session in sessions:
-        records = ote_mod.extract_otes(session.ticks, as_fraction(args.fc),
-                                       as_fraction(args.cost), spec)
-        by_time = {t.timestamp: t for t in session.ticks}
+    for session, records in _session_trades(args, spec):
+        ticks = session.ticks
         for end in range(6, len(records) + 1):
             window = records[end - 6:end]
             try:
@@ -309,16 +270,18 @@ def cmd_pattern(args) -> int:
                 continue
             if not monitor.fixed_ok:
                 continue
+            # ticks from the last trade's birth to its end, by time: the
+            # bisection takes in ticks sharing the birth's or the end's time
             current = window[-1]
-            span = [t for t in session.ticks
-                    if current.t_birth <= t.timestamp <= current.t_end]
-            for tick in span:
-                if monitor.check(tick.price):
+            lo = bisect_left(ticks.times, ingest.to_micros(current.t_birth))
+            hi = bisect_right(ticks.times, ingest.to_micros(current.t_end))
+            for i in range(lo, hi):
+                if monitor.check(ticks.price(i)):
                     hits += 1
                     lines.append("\t".join([
                         str(session.day), str(end),
-                        tick.timestamp.strftime("%Y-%m-%d %H:%M:%S"),
-                        fmt_price(tick.price, spec.delta)]))
+                        ingest.from_micros(ticks.times[i]).strftime("%Y-%m-%d %H:%M:%S"),
+                        fmt_price(ticks.price(i), spec.delta)]))
                     break
     lines.append(f"# {hits} matches")
     _emit(args, "\n".join(lines) + "\n")
@@ -415,7 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        RunConfig.from_args(args)   # cross-field validation before dispatch
+        _check_args(args)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}", file=sys.stderr)

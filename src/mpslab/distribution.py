@@ -105,10 +105,15 @@ def action_distribution(p: UniverseParams) -> ActionDistribution:
 
 
 def action_pmf(p: UniverseParams) -> dict[int, Fraction]:
-    """Exact PMF of action sizes; p(0) = 1/(2W+1) independently of n."""
-    total = p.n * p.size
-    return {m: Fraction(action_count(m, p), total)
-            for m in range(-2 * p.limit, 2 * p.limit + 1)}
+    """Exact PMF of action sizes; p(0) = 1/(2W+1) independently of n.
+
+    Count / (n (2W+1)^(n-1)) with the common power cancelled, in O(1) per m:
+    (bn - (n-2)|m|) / (n b^2), less 2 / (n b) for |m| > W, where b = 2W+1.
+    """
+    w, n, b = p.limit, p.n, p.base
+    return {m: Fraction(b * n - (n - 2) * abs(m), n * b * b)
+            - (Fraction(2, n * b) if abs(m) > w else 0)
+            for m in range(-2 * w, 2 * w + 1)}
 
 
 def limit_pmf(p: UniverseParams) -> dict[int, Fraction]:

@@ -10,8 +10,11 @@ Timestamps are naive exchange-local clock times throughout.
 from __future__ import annotations
 
 import configparser
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
@@ -90,69 +93,161 @@ def _parse_time(text: str) -> time:
     return time(*parts)
 
 
-_DATE_SEPARATORS = ("/", "-")
+_DAY_US = 86_400_000_000
+_EPOCH = datetime(1, 1, 1)
+_US = timedelta(microseconds=1)
 
 
-def _parse_timestamp(date_text: str, time_text: str, line_no: int) -> datetime:
-    for sep in _DATE_SEPARATORS:
-        if sep in date_text:
-            try:
-                y, m, d = (int(p) for p in date_text.split(sep))
-                hh, mm, ss = (int(p) for p in time_text.split(":"))
-                return datetime(y, m, d, hh, mm, ss)
-            except ValueError:
-                break
-    raise ParseError(f"line {line_no}: bad timestamp {date_text!r} {time_text!r}")
+def to_micros(ts: datetime) -> int:
+    """Timestamp -> integer microseconds since 0001-01-01 00:00."""
+    return (ts - _EPOCH) // _US
+
+
+def from_micros(t: int) -> datetime:
+    """Inverse of ``to_micros``."""
+    return _EPOCH + timedelta(microseconds=t)
+
+
+class TickColumns(Sequence[Tick]):
+    """Ticks of one contract held column-wise as integers.
+
+    ``times`` are microseconds (see ``to_micros``), ``deltas`` the grid
+    counts N of the prices (price = N * spec.delta), ``sizes`` the traded
+    sizes.  A ``Tick`` is built only when one is indexed, and each distinct
+    price Fraction once.
+    """
+
+    __slots__ = ("spec", "times", "deltas", "sizes", "conditions", "_prices")
+
+    def __init__(self, spec: ContractSpec):
+        self.spec = spec
+        self.times: list[int] = []
+        self.deltas: list[int] = []
+        self.sizes: list[int] = []
+        self.conditions: list[Optional[str]] = []
+        self._prices: dict[int, Fraction] = {}
+
+    @classmethod
+    def of(cls, ticks: Iterable[Tick], spec: ContractSpec) -> "TickColumns":
+        cols = cls(spec)
+        for tick in ticks:
+            cols.append(tick)
+        return cols
+
+    def append(self, tick: Tick) -> None:
+        n = self.spec.to_deltas(tick.price)
+        self.times.append(to_micros(tick.timestamp))
+        self.deltas.append(n)
+        self.sizes.append(tick.size)
+        self.conditions.append(tick.condition)
+
+    def take(self, indices: Iterable[int]) -> "TickColumns":
+        """The ticks at the given positions, as new columns."""
+        idx, out = list(indices), TickColumns(self.spec)
+        for name in ("times", "deltas", "sizes", "conditions"):
+            setattr(out, name, list(map(getattr(self, name).__getitem__, idx)))
+        return out
+
+    def price(self, i: int) -> Fraction:
+        n = self.deltas[i]
+        price = self._prices.get(n)
+        if price is None:
+            price = self._prices[n] = self.spec.delta * n
+        return price
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i: int) -> Tick:
+        return Tick(from_micros(self.times[i]), self.price(i), self.sizes[i], self.conditions[i])
 
 
 class ParseError(ValueError):
     """Malformed tick line; the message carries the line number."""
 
 
-@dataclass(frozen=True)
-class TickFormat:
-    """Column layout of a tick file: date time price size [condition]."""
-
-    delimiter: Optional[str] = None     # None: any whitespace
-
-    def split(self, line: str) -> list[str]:
-        return line.split(self.delimiter) if self.delimiter else line.split()
+def _day_micros(text: str) -> int:
+    """Start of the day 'YYYY/MM/DD' or 'YYYY-MM-DD' in microseconds."""
+    y, m, d = (int(p) for p in text.split("/" if "/" in text else "-"))
+    return to_micros(datetime(y, m, d))
 
 
-DEFAULT_FORMAT = TickFormat()
+def _clock_micros(text: str) -> int:
+    """Time of day 'HH:MM:SS' in microseconds."""
+    h, m, s = map(int, text.split(":"))
+    if not (0 <= h < 24 and 0 <= m < 60 and 0 <= s < 60):
+        raise ValueError(text)
+    return ((h * 60 + m) * 60 + s) * 1_000_000
 
 
-def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec,
-                fmt: TickFormat = DEFAULT_FORMAT) -> list[Tick]:
-    """Parse a tick stream in file order, validating prices on the grid."""
-    ticks = []
+def _grid_deltas(fields: list[str], spec: ContractSpec, line_no: int) -> int:
+    """Grid count of a line's price text, checked in the order ticks are:
+    price and size syntax, the grid, then a positive price."""
+    try:
+        price = as_fraction(fields[2])
+        int(fields[3])
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"line {line_no}: {exc}") from exc
+    try:
+        n = spec.to_deltas(price)
+    except GridError as exc:
+        raise GridError(f"line {line_no}: {exc}") from exc
+    if n <= 0:
+        raise ParseError(f"line {line_no}: tick price must be positive")
+    return n
+
+
+def read_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> TickColumns:
+    """Parse a tick stream in file order into columns, validating prices on
+    the grid.  Each distinct date and price text is converted once."""
+    cols = TickColumns(spec)
+    add_time, add_delta = cols.times.append, cols.deltas.append
+    add_size, add_condition = cols.sizes.append, cols.conditions.append
+    days: dict[str, int] = {}
+    grid: dict[str, int] = {}
+    clock: dict[str, int] = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        fields = fmt.split(line)
+        fields = line.split()
         if len(fields) not in (4, 5):
             raise ParseError(f"line {line_no}: expected 4 or 5 fields, got {len(fields)}")
-        ts = _parse_timestamp(fields[0], fields[1], line_no)
         try:
-            price = as_fraction(fields[2])
+            day = days.get(fields[0])
+            if day is None:
+                day = days[fields[0]] = _day_micros(fields[0])
+            tod = clock.get(fields[1])
+            if tod is None:
+                tod = clock[fields[1]] = _clock_micros(fields[1])
+        except (ValueError, OverflowError):
+            raise ParseError(f"line {line_no}: bad timestamp {fields[0]!r} {fields[1]!r}") \
+                from None
+        n = grid.get(fields[2])
+        if n is None:
+            n = grid[fields[2]] = _grid_deltas(fields, spec, line_no)
+        try:
             size = int(fields[3])
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
-        try:
-            spec.to_deltas(price)
-        except GridError as exc:
-            raise GridError(f"line {line_no}: {exc}") from exc
-        condition = fields[4] if len(fields) == 5 else None
-        try:
-            ticks.append(Tick(ts, price, size, condition))
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from exc
-    return ticks
+        if size < 0:
+            raise ParseError(f"line {line_no}: tick size must be non-negative")
+        add_time(day + tod)
+        add_delta(n)
+        add_size(size)
+        add_condition(fields[4] if len(fields) == 5 else None)
+    return cols
 
 
-def trade_ticks(ticks: Sequence[Tick]) -> list[Tick]:
-    """Drop indicative (size 0) ticks."""
+def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> list[Tick]:
+    """Parse a tick stream in file order, validating prices on the grid."""
+    return list(read_ticks(source, spec))
+
+
+def trade_ticks(ticks: Sequence[Tick]) -> Sequence[Tick]:
+    """Drop indicative (size 0) ticks; columns stay columns."""
+    if isinstance(ticks, TickColumns):
+        return ticks.take(compress(range(len(ticks)), ticks.sizes))
     return [t for t in ticks if not t.indicative]
 
 
@@ -173,7 +268,7 @@ class Session:
     """Ticks of one trading session, labeled by the closing calendar day."""
 
     day: date
-    ticks: tuple[Tick, ...]
+    ticks: Sequence[Tick]
 
 
 @dataclass(frozen=True)
@@ -182,33 +277,35 @@ class SessionizeResult:
     dropped: int
 
 
-def _session_day(ts: datetime, window: SessionWindow) -> Optional[date]:
-    tod = ts.time()
-    if window.overnight:
-        if tod >= window.open:
-            return (ts + timedelta(days=1)).date()
-        if tod <= window.close:
-            return ts.date()
-        return None
-    if window.open <= tod <= window.close:
-        return ts.date()
-    return None
-
-
 def sessionize(ticks: Sequence[Tick], window: SessionWindow) -> SessionizeResult:
     """Partition ticks into [open, close] sessions, dropping the rest.
 
     Ticks are stably sorted by timestamp first, which preserves arrival
-    order for equal times.
+    order for equal times.  Columns give column sessions, other sequences
+    tuples of their own ticks.
     """
-    ordered = sorted(ticks, key=lambda t: t.timestamp)
-    buckets: dict[date, list[Tick]] = {}
-    dropped = 0
-    for tick in ordered:
-        day = _session_day(tick.timestamp, window)
-        if day is None:
-            dropped += 1
-            continue
-        buckets.setdefault(day, []).append(tick)
-    sessions = tuple(Session(day, tuple(buckets[day])) for day in sorted(buckets))
-    return SessionizeResult(sessions, dropped)
+    columns = isinstance(ticks, TickColumns)
+    times = ticks.times if columns else [to_micros(t.timestamp) for t in ticks]
+    order = sorted(range(len(times)), key=times.__getitem__)
+    ordered = list(map(times.__getitem__, order))
+    open_us, close_us = (to_micros(datetime.combine(_EPOCH, clock))
+                         for clock in (window.open, window.close))
+    take = ticks.take if columns else (lambda idx: tuple(ticks[i] for i in idx))
+    sessions = []
+    p = 0
+    # Session `day` runs from `first` to `last` and session days rise with
+    # time, so each session, and each run of dropped ticks between two, is
+    # one block of the sorted times: one bisection finds its end.
+    while p < len(ordered):
+        day, tod = divmod(ordered[p], _DAY_US)
+        if window.overnight and tod >= open_us:
+            day += 1
+        first = (day - window.overnight) * _DAY_US + open_us
+        last = day * _DAY_US + close_us
+        if first <= ordered[p] <= last:
+            q = bisect_right(ordered, last, p)
+            sessions.append(Session(date.fromordinal(day + 1), take(order[p:q])))
+        else:
+            q = bisect_left(ordered, first if ordered[p] < first else first + _DAY_US, p)
+        p = q
+    return SessionizeResult(tuple(sessions), len(order) - sum(len(s.ticks) for s in sessions))

@@ -47,27 +47,10 @@ def decode(index: int, p: UniverseParams) -> PositionSeries:
     return PositionSeries(tuple(positions))
 
 
-class UniverseIterator:
-    """Cursor over the whole universe; yields each position series once."""
-
-    def __init__(self, params: UniverseParams, budget: int = DEFAULT_BUDGET):
-        _check_budget(params, budget)
-        self.params = params
-        self.cursor = 0
-
-    def __iter__(self) -> "UniverseIterator":
-        return self
-
-    def __next__(self) -> PositionSeries:
-        if self.cursor >= self.params.size:
-            raise StopIteration
-        series = decode(self.cursor, self.params)
-        self.cursor += 1
-        return series
-
-
 def iter_universe(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[PositionSeries]:
-    return UniverseIterator(p, budget)
+    """Each position series of the universe once, in index order."""
+    _check_budget(p, budget)
+    return (decode(index, p) for index in range(p.size))
 
 
 def iter_strategies(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[Strategy]:
@@ -118,6 +101,8 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET, threads: int = 1) -> 
     ``threads`` > 1 partitions the index range; the reductions are integer
     sums, so the result is identical to the single-threaded sweep.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n = p.n
     counts = np.zeros(4 * p.limit + 1, dtype=np.int64)
     slice_abs = np.zeros(n, dtype=np.int64)

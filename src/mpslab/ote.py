@@ -18,8 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
+from itertools import islice
+from operator import gt
 from typing import Optional, Sequence
 
+from .ingest import TickColumns, from_micros, to_micros, trade_ticks
 from .model import ContractSpec, Tick
 from .numeric import Rational, as_fraction
 
@@ -64,14 +67,50 @@ def on_permitted_grid(pl_value: Rational, filtering_cost: Rational, cost: Ration
     return steps.denominator == 1 and steps >= 0
 
 
-@dataclass(frozen=True)
 class AttachedSamples:
-    """Distribution samples attached to one trade's tick span."""
+    """Distribution samples attached to one trade's tick span.
 
-    a_increments: tuple[float, ...]       # waiting times between ticks, seconds
-    b_increments: tuple[Fraction, ...]    # price increments between ticks
-    prices: tuple[Fraction, ...]
-    volumes: tuple[int, ...]
+    A view of the span [start, stop) of shared tick columns: the sample
+    tuples are built when read, so a record copies no ticks.  Views compare
+    by their samples.
+    """
+
+    __slots__ = ("_ticks", "_start", "_stop")
+
+    def __init__(self, ticks: TickColumns, start: int, stop: int):
+        self._ticks, self._start, self._stop = ticks, start, stop
+
+    @property
+    def a_increments(self) -> tuple[float, ...]:
+        """Waiting times between ticks, seconds."""
+        t = self._ticks.times[self._start:self._stop]
+        return tuple((b - a) / 1_000_000 for a, b in zip(t, t[1:]))
+
+    @property
+    def b_increments(self) -> tuple[Fraction, ...]:
+        """Price increments between ticks."""
+        n, delta = self._ticks.deltas[self._start:self._stop], self._ticks.spec.delta
+        return tuple(delta * (b - a) for a, b in zip(n, n[1:]))
+
+    @property
+    def prices(self) -> tuple[Fraction, ...]:
+        delta = self._ticks.spec.delta
+        return tuple(delta * n for n in self._ticks.deltas[self._start:self._stop])
+
+    @property
+    def volumes(self) -> tuple[int, ...]:
+        return tuple(self._ticks.sizes[self._start:self._stop])
+
+    def _values(self) -> tuple:
+        return self.a_increments, self.b_increments, self.prices, self.volumes
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AttachedSamples):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 @dataclass(frozen=True)
@@ -102,8 +141,10 @@ class OteRecord:
 class OteExtractor:
     """Streaming trade extraction; push ticks, collect finished records.
 
-    Batch extraction is a thin wrapper over this, so streaming and batch
-    modes produce identical records by construction.
+    Ticks are kept as integer columns and scanned on their grid counts.
+    ``push`` appends one tick and batch extraction hands over whole
+    columns; both then run the same scan, so streaming and batch modes
+    produce identical records by construction.
     """
 
     def __init__(self, filtering_cost: Rational, cost: Rational,
@@ -115,9 +156,10 @@ class OteExtractor:
         self.spec = spec
         self.include_indicative = include_indicative
         self.threshold = birth_threshold(self.fc, spec)
-        self._ticks: list[Tick] = []
-        self._deltas: list[int] = []
+        self._ticks = TickColumns(spec)
+        self._seen = 0                    # ticks scanned so far
         self._records: list[OteRecord] = []
+        self._pl_of: dict[int, Fraction] = {}      # profit per price move
         # before the first birth: earliest minimum and maximum ticks so far
         self._min_i: Optional[int] = None
         self._max_i: Optional[int] = None
@@ -135,15 +177,11 @@ class OteExtractor:
         """Consume one tick; return any record it closes."""
         if tick.indicative and not self.include_indicative:
             return []
-        if self._ticks and tick.timestamp < self._ticks[-1].timestamp:
+        times = self._ticks.times
+        if times and to_micros(tick.timestamp) < times[-1]:
             raise ValueError("ticks must be time-ordered")
-        i = len(self._ticks)
         self._ticks.append(tick)
-        self._deltas.append(self.spec.to_deltas(tick.price))
-        if self._dir == 0:
-            self._scan_unborn(i)
-            return []
-        return self._scan_born(i)
+        return self._scan()
 
     def finish(self) -> list[OteRecord]:
         """Finalize the session-terminated trade, if one was born."""
@@ -156,53 +194,44 @@ class OteExtractor:
 
     def current(self) -> Optional[OteRecord]:
         """Snapshot of the live trade: born, not ended, end fields None."""
+        return None if self._dir == 0 else self._build_record(replaced=None)
+
+    def _scan(self) -> list[OteRecord]:
+        """Run the trailing-extreme scan over the ticks not scanned yet."""
+        deltas, threshold = self._ticks.deltas, self.threshold
+        i, stop = self._seen, len(deltas)
+        self._seen = stop
+        while self._dir == 0 and i < stop:
+            n = deltas[i]
+            if self._min_i is None:
+                self._min_i = self._max_i = i
+            else:
+                if n < deltas[self._min_i]:
+                    self._min_i = i
+                if n > deltas[self._max_i]:
+                    self._max_i = i
+                if n - deltas[self._min_i] >= threshold:
+                    self._begin(+1, self._min_i, i)
+                elif deltas[self._max_i] - n >= threshold:
+                    self._begin(-1, self._max_i, i)
+            i += 1
+        closed = []
         if self._dir == 0:
-            return None
-        s, b = self._start_i, self._birth_i
-        ticks = self._ticks[s:]
-        prices = tuple(t.price for t in ticks)
-        samples = AttachedSamples(
-            a_increments=tuple((ticks[j + 1].timestamp - ticks[j].timestamp).total_seconds()
-                               for j in range(len(ticks) - 1)),
-            b_increments=tuple(prices[j + 1] - prices[j] for j in range(len(prices) - 1)),
-            prices=prices,
-            volumes=tuple(t.size for t in ticks),
-        )
-        return OteRecord(
-            ote_type=OteType.BOTE if self._dir > 0 else OteType.SOTE,
-            t_start=self._ticks[s].timestamp, p_start=self._ticks[s].price,
-            t_birth=self._ticks[b].timestamp, p_birth=self._ticks[b].price,
-            t_end=None, p_end=None, pl=None, duration=None,
-            tick_count=len(ticks), volume_total=sum(t.size for t in ticks),
-            samples=samples, filtering_cost=self.fc, scenario=None, closed=False,
-        )
-
-    def _scan_unborn(self, i: int) -> None:
-        n = self._deltas[i]
-        if self._min_i is None:
-            self._min_i = self._max_i = i
-            return
-        if n < self._deltas[self._min_i]:
-            self._min_i = i
-        if n > self._deltas[self._max_i]:
-            self._max_i = i
-        if n - self._deltas[self._min_i] >= self.threshold:
-            self._begin(+1, self._min_i, i)
-        elif self._deltas[self._max_i] - n >= self.threshold:
-            self._begin(-1, self._max_i, i)
-
-    def _scan_born(self, i: int) -> list[OteRecord]:
-        n = self._deltas[i]
-        ext = self._deltas[self._ext_i]
-        if (n - ext) * self._dir > 0:
-            self._ext_i = i
-            return []
-        if (ext - n) * self._dir >= self.threshold:
-            record = self._build_record(replaced=True)
-            self._records.append(record)
-            self._begin(-self._dir, self._ext_i, i)
-            return [record]
-        return []
+            return closed
+        direction, ext_i = self._dir, self._ext_i
+        ext = deltas[ext_i]
+        for i in range(i, stop):
+            n = deltas[i]
+            if (n - ext) * direction > 0:
+                ext, ext_i = n, i
+            elif (ext - n) * direction >= threshold:
+                self._ext_i = ext_i
+                closed.append(self._build_record(replaced=True))
+                self._begin(-direction, ext_i, i)
+                direction, ext, ext_i = -direction, n, i
+        self._ext_i = ext_i
+        self._records.extend(closed)
+        return closed
 
     def _begin(self, direction: int, start_i: int, birth_i: int) -> None:
         self._dir = direction
@@ -210,49 +239,54 @@ class OteExtractor:
         self._birth_i = birth_i
         self._ext_i = birth_i
 
-    def _build_record(self, replaced: bool) -> OteRecord:
-        s, b, e = self._start_i, self._birth_i, self._ext_i
-        ticks = self._ticks[s:e + 1]
-        prices = tuple(t.price for t in ticks)
-        samples = AttachedSamples(
-            a_increments=tuple((ticks[j + 1].timestamp - ticks[j].timestamp).total_seconds()
-                               for j in range(len(ticks) - 1)),
-            b_increments=tuple(prices[j + 1] - prices[j] for j in range(len(prices) - 1)),
-            prices=prices,
-            volumes=tuple(t.size for t in ticks),
-        )
-        move = abs(self._deltas[e] - self._deltas[s])
-        pl = self.spec.delta_dollars * move - 2 * self.cost
-        grew = (self._deltas[e] - self._deltas[b]) * self._dir > 0
-        if grew:
-            scenario = Scenario.PROFIT_GREW
+    def _build_record(self, replaced: Optional[bool]) -> OteRecord:
+        """Record of the born trade; ``replaced`` None gives the live
+        snapshot, which spans every tick so far and leaves the end open."""
+        ticks, s, b = self._ticks, self._start_i, self._birth_i
+        times, deltas = ticks.times, ticks.deltas
+        live = replaced is None
+        stop = len(times) if live else self._ext_i + 1
+        e = stop - 1
+        if live:
+            t_end = p_end = pl = duration = scenario = None
         else:
-            scenario = Scenario.REPLACED if replaced else Scenario.SESSION_ENDED
+            t_end, p_end = from_micros(times[e]), ticks.price(e)
+            move = abs(deltas[e] - deltas[s])
+            pl = self._pl_of.get(move)
+            if pl is None:
+                pl = self._pl_of[move] = self.spec.delta_dollars * move - 2 * self.cost
+            duration = (times[e] - times[s]) / 1_000_000
+            if (deltas[e] - deltas[b]) * self._dir > 0:
+                scenario = Scenario.PROFIT_GREW
+            else:
+                scenario = Scenario.REPLACED if replaced else Scenario.SESSION_ENDED
         return OteRecord(
             ote_type=OteType.BOTE if self._dir > 0 else OteType.SOTE,
-            t_start=self._ticks[s].timestamp,
-            p_start=self._ticks[s].price,
-            t_birth=self._ticks[b].timestamp,
-            p_birth=self._ticks[b].price,
-            t_end=self._ticks[e].timestamp,
-            p_end=self._ticks[e].price,
-            pl=pl,
-            duration=(self._ticks[e].timestamp - self._ticks[s].timestamp).total_seconds(),
-            tick_count=e - s + 1,
-            volume_total=sum(t.size for t in ticks),
-            samples=samples,
-            filtering_cost=self.fc,
-            scenario=scenario,
-            closed=replaced,
+            t_start=from_micros(times[s]), p_start=ticks.price(s),
+            t_birth=from_micros(times[b]), p_birth=ticks.price(b),
+            t_end=t_end, p_end=p_end, pl=pl, duration=duration,
+            tick_count=stop - s, volume_total=sum(ticks.sizes[s:stop]),
+            samples=AttachedSamples(ticks, s, stop), filtering_cost=self.fc,
+            scenario=scenario, closed=bool(replaced),
         )
 
 
 def extract_otes(ticks: Sequence[Tick], filtering_cost: Rational, cost: Rational,
                  spec: ContractSpec, include_indicative: bool = False) -> list[OteRecord]:
-    """All optimal trades of one time-ordered tick session."""
+    """All optimal trades of one time-ordered tick session.
+
+    ``TickColumns`` on ``spec`` are scanned in place; other sequences are
+    converted to columns first.
+    """
     extractor = OteExtractor(filtering_cost, cost, spec, include_indicative)
-    for tick in ticks:
-        extractor.push(tick)
+    if not include_indicative:
+        ticks = trade_ticks(ticks)
+    if not (isinstance(ticks, TickColumns) and ticks.spec == spec):
+        ticks = TickColumns.of(ticks, spec)
+    if any(map(gt, ticks.times, islice(ticks.times, 1, None))):
+        raise ValueError("ticks must be time-ordered")
+    extractor._ticks = ticks
+    extractor._scan()
     extractor.finish()
     return extractor.records
 
@@ -416,10 +450,10 @@ class HeadShouldersMonitor:
         if [r.ote_type for r in window] != expected:
             raise ValueError("chain must alternate BOTE/SOTE starting with a BOTE")
         b1, _, b3, _, b5, _ = window
-        delta = spec.delta
-        tol = tolerances
-        eq = lambda x, y: abs(x - y) <= tol.eq_deltas * delta
-        lt = lambda x, y: x < y - tol.lt_deltas * delta
+        eq_slack = tolerances.eq_deltas * spec.delta
+        lt_slack = tolerances.lt_deltas * spec.delta
+        eq = lambda x, y: abs(x - y) <= eq_slack
+        lt = lambda x, y: x < y - lt_slack
         self.fixed_ok = (
             lt(b1.p_start, b3.p_start)
             and eq(b3.p_start, b5.p_start)

@@ -1,10 +1,16 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
 import json
+import random
+from datetime import datetime, timedelta
 
 from conftest import ticks_from_deltas, zigzag_levels
-from mpslab import PRESETS, serialize_ticks
+from mpslab import (PRESETS, Tick, Tolerances, extract_otes, serialize_ticks,
+                    sessionize)
 from mpslab.cli import main
+from mpslab.ingest import session_window_of
+from mpslab.numeric import fmt_price
+from mpslab.ote import HeadShouldersMonitor
 
 
 def run(capsys, argv):
@@ -147,3 +153,104 @@ def test_unknown_contract(capsys):
                                 "--prices", "1,2"])
     assert code == 1
     assert "unknown contract" in err
+
+
+def test_verify_rejects_thread_counts_below_one(capsys):
+    for threads in ("0", "-2"):
+        code, out, err = run(capsys, ["verify", "--max-universe", "200",
+                                      "--threads", threads])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "threads" in err
+
+
+def _reference_pattern(ticks, fc, cost, tol):
+    """The pattern scan as it was: every session tick whose time lies in
+    [t_birth, t_end] of the window's last trade, in order."""
+    es = PRESETS["ES"]
+    lines, hits = ["session\twindow_end\tmatched_at\tprice"], 0
+    for session in sessionize(ticks, session_window_of(es)).sessions:
+        records = extract_otes(list(session.ticks), fc, cost, es)
+        for end in range(6, len(records) + 1):
+            try:
+                monitor = HeadShouldersMonitor(records[end - 6:end], tol, es)
+            except ValueError:
+                continue
+            if not monitor.fixed_ok:
+                continue
+            current = records[end - 1]
+            span = [t for t in session.ticks if current.t_birth <= t.timestamp <= current.t_end]
+            for tick in span:
+                if monitor.check(tick.price):
+                    hits += 1
+                    lines.append("\t".join([str(session.day), str(end),
+                                            tick.timestamp.strftime("%Y-%m-%d %H:%M:%S"),
+                                            fmt_price(tick.price, es.delta)]))
+                    break
+    return "\n".join(lines + [f"# {hits} matches"]) + "\n"
+
+
+def _timed_ticks(levels_seconds, es):
+    start = datetime(2017, 4, 10, 9, 0, 0)
+    return [Tick(start + timedelta(seconds=sec), (9000 + level) * es.delta, 1)
+            for level, sec in levels_seconds]
+
+
+def _pattern_out(tmp_path, capsys, ticks, fc="49.99"):
+    path = tmp_path / "ticks.tsv"
+    path.write_text(serialize_ticks(ticks))
+    code, out, _ = run(capsys, ["pattern", "--contract", "ES", "--fc", fc, "--cost", "4.68",
+                                "--eq-tol", "1", str(path)])
+    assert code == 0
+    return out
+
+
+def test_pattern_scan_takes_same_second_ticks_at_both_span_edges(tmp_path, capsys):
+    es = PRESETS["ES"]
+    # B1 0->20, S2 ->8, B3 ->26, S4 ->9, B5 ->24 (born at 17), then S6
+    head = zigzag_levels([0, 20, 8, 26, 9, 24])
+    # S6 is born at 16; the tick at 17 just before shares the birth's second
+    before = [(lv, j) for j, lv in enumerate(head + [23, 22, 21, 20, 19, 18])]
+    leading = _timed_ticks(before + [(17, 99), (16, 99), (15, 100), (14, 101)], es)
+    # S6 gaps down to 13 (born there), bottoms at 10 and ends there; the
+    # next tick, at 17 in the end's second, is the only match and sits past
+    # the end
+    trailing = _timed_ticks([(lv, j) for j, lv in enumerate(head)]
+                            + [(13, 90), (11, 91), (10, 92), (17, 92), (18, 93)], es)
+    for ticks in (leading, trailing):
+        out = _pattern_out(tmp_path, capsys, ticks)
+        assert out == _reference_pattern(ticks, "49.99", "4.68", Tolerances(1, 0))
+        assert "# 1 matches" in out
+        assert out.splitlines()[1].endswith("\t" + fmt_price(es.delta * 9017, es.delta))
+
+
+def test_pattern_scan_matches_reference_on_crowded_seconds(tmp_path, capsys):
+    es = PRESETS["ES"]
+    rng = random.Random(8)
+    total = 0
+    for _ in range(4):
+        level, sec, steps = 0, 0, []
+        for _ in range(3000):
+            level += rng.choice([-2, -1, -1, 0, 1, 1, 2])
+            sec += rng.choice([0, 0, 1])
+            steps.append((level, sec))
+        ticks = _timed_ticks(steps, es)
+        out = _pattern_out(tmp_path, capsys, ticks, fc="12.49")
+        assert out == _reference_pattern(ticks, "12.49", "4.68", Tolerances(1, 0))
+        total += int(out.splitlines()[-1].split()[1])
+    assert total > 0
+
+
+def test_argument_checks_run_before_dispatch(capsys):
+    cases = [(["ote", "--fc", "-1", "--cost", "1", "missing.tsv"], "filtering cost must be"),
+             (["ote", "--fc", "1", "--cost", "-1", "missing.tsv"], "cost must be non-negative"),
+             (["ote", "--fc", "1", "--cost", "0.5", "--bins", "0", "missing.tsv"],
+              "bin count must be >= 1"),
+             (["pattern", "--fc", "1", "--cost", "0.5", "--eq-tol", "-1", "missing.tsv"],
+              "tolerances must be non-negative"),
+             (["verify", "--max-universe", "0"], "budget must be positive"),
+             (["counts", "--W", "0", "--n", "3"], "position limit W must be >= 1"),
+             (["rank", "--n", "1"], "tick count n must be >= 2")]
+    for argv, message in cases:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")

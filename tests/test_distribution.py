@@ -57,6 +57,14 @@ def test_pmf_mass_and_center():
         assert pmf[0] == Fraction(1, 2 * w + 1)
 
 
+def test_action_pmf_matches_exact_counts():
+    # the O(1)-per-m closed form against count / total with the full powers
+    for w in range(1, 5):
+        for n in range(2, 13):
+            p = UniverseParams(w, n)
+            assert action_pmf(p) == action_distribution(p).pmf()
+
+
 def test_limit_pmf():
     p = UniverseParams(2, 9)
     lim = limit_pmf(p)

@@ -1,15 +1,18 @@
 """Tick parsing, serialization round-trip, and session windowing."""
 
 import io
-from datetime import date, datetime, time
+import random
+from datetime import date, datetime, time, timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpslab import (GridError, SessionWindow, Tick, parse_ticks,
                     serialize_ticks, sessionize, trade_ticks)
-from mpslab.ingest import (ParseError, contract_for, load_contract_config,
-                           session_window_of)
+from mpslab.ingest import (ParseError, TickColumns, contract_for,
+                           load_contract_config, read_ticks, session_window_of)
 
 
 def test_parse_globex_line(es):
@@ -132,3 +135,135 @@ def test_config_file(tmp_path):
     assert specs["NQ"].k == 20
     assert specs["NQ"].session_open == time(17, 0)
     assert contract_for("NQ", str(path)).k == 20
+
+
+# --- differential checks of the column parser ------------------------------
+
+def _reference_parse_ticks(source, spec):
+    """The Fraction-per-tick parser the column reader replaced, kept as the
+    oracle for ticks, error types and messages.  One deliberate change: a
+    zero denominator ('1/0') is a ParseError here too; it used to escape as
+    a raw ZeroDivisionError."""
+    def timestamp(date_text, time_text, line_no):
+        for sep in ("/", "-"):
+            if sep in date_text:
+                try:
+                    y, m, d = (int(p) for p in date_text.split(sep))
+                    hh, mm, ss = (int(p) for p in time_text.split(":"))
+                    return datetime(y, m, d, hh, mm, ss)
+                except ValueError:
+                    break
+        raise ParseError(f"line {line_no}: bad timestamp {date_text!r} {time_text!r}")
+
+    ticks = []
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (4, 5):
+            raise ParseError(f"line {line_no}: expected 4 or 5 fields, got {len(fields)}")
+        ts = timestamp(fields[0], fields[1], line_no)
+        try:
+            price = Fraction(fields[2])
+            size = int(fields[3])
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
+        try:
+            spec.to_deltas(price)
+        except GridError as exc:
+            raise GridError(f"line {line_no}: {exc}") from exc
+        condition = fields[4] if len(fields) == 5 else None
+        try:
+            ticks.append(Tick(ts, price, size, condition))
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
+    return ticks
+
+
+def _outcome(parse, lines, spec):
+    try:
+        return parse(lines, spec)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# short junk: no exponent letters, so no token asks for a huge power of ten
+_junk = st.text(alphabet="0123456789:/-.+_ax#", max_size=6)
+_dates = st.builds(lambda d, sep: d.strftime(f"%Y{sep}%m{sep}%d"),
+                   st.dates(date(1990, 1, 1), date(2030, 12, 31)), st.sampled_from("/-"))
+_clocks = st.builds(lambda h, m, s: f"{h:02d}:{m:02d}:{s:02d}",
+                    st.integers(0, 25), st.integers(0, 61), st.integers(0, 61))
+_prices = st.one_of(
+    st.builds(lambda n: f"{n // 4}.{n % 4 * 25:02d}", st.integers(9000, 9020)),
+    st.builds(str, st.integers(-2, 2260)),
+    st.sampled_from(["2342.5", "2342.10", "0.00", "-0.25", "1/4", "9401/4", "1/0", "0/0"]),
+    _junk)
+_sizes = st.one_of(st.builds(str, st.integers(-2, 30)), _junk)
+_good_lines = st.builds(
+    lambda d, t, n, size, cond: " ".join([d, t, f"{n // 4}.{n % 4 * 25:02d}", str(size), cond]),
+    _dates, st.builds(lambda x: f"{x // 3600:02d}:{x // 60 % 60:02d}:{x % 60:02d}",
+                      st.integers(0, 86399)),
+    st.integers(1, 9020), st.integers(0, 30), st.sampled_from(["", "E"]))
+_lines = st.one_of(
+    st.builds(lambda *f: " ".join(f), _dates, _clocks, _prices, _sizes),
+    st.builds(lambda *f: "\t".join(f), _dates, _clocks, _prices, _sizes,
+              st.sampled_from(["E", "I", "x"])),
+    st.builds(lambda *f: " ".join(f), st.one_of(_dates, _junk), st.one_of(_clocks, _junk),
+              _prices, _sizes),
+    st.lists(_junk, max_size=7).map(" ".join),
+    st.sampled_from(["", "   ", "# comment", "#"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_good_lines, max_size=30), st.lists(_lines, max_size=12)))
+def test_parse_matches_reference_parser(lines):
+    es = contract_for("ES")
+    assert _outcome(parse_ticks, lines, es) == _outcome(_reference_parse_ticks, lines, es)
+
+
+def test_parse_rejects_overflow_and_zero_division_with_line_numbers(es):
+    # both used to escape as a raw OverflowError / ZeroDivisionError
+    for line in ["2017/04/10 99999999999999999999:00:00 2342 1",
+                 "99999999999999999999/04/10 09:00:00 2342 1",
+                 "2017/04/10 09:00:00 1/0 1"]:
+        with pytest.raises(ParseError, match="line 2"):
+            parse_ticks(["2017/04/10 09:00:00 2342 1", line], es)
+
+
+def test_columns_round_trip_and_index(es):
+    lines = ["2017/04/10 11:18:21 2342 1", "2017/04/10 11:18:22 2342.25 0 E"]
+    cols = read_ticks(lines, es)
+    assert cols.deltas == [9368, 9369] and cols.sizes == [1, 0]
+    assert list(cols) == parse_ticks(lines, es)
+    assert cols[1] == Tick(datetime(2017, 4, 10, 11, 18, 22), Fraction("2342.25"), 0, "E")
+    assert list(trade_ticks(cols)) == trade_ticks(parse_ticks(lines, es))
+    assert list(TickColumns.of(list(cols), es)) == list(cols)
+
+
+@pytest.mark.parametrize("window", [SessionWindow(time(17, 0), time(15, 15)),
+                                    SessionWindow(time(9, 30), time(16, 0))])
+def test_sessionize_columns_match_tick_lists(es, window):
+    rng = random.Random(5)
+    start = datetime(2017, 4, 8, 0, 0, 0)
+    ticks = [Tick(start + timedelta(seconds=rng.randrange(4 * 86400) // 900 * 900),
+                  es.delta * rng.randint(9000, 9010), rng.randint(1, 3), str(j))
+             for j in range(600)]
+    # exact open and close instants, which both belong to the session
+    ticks += [Tick(datetime.combine(date(2017, 4, 9), window.open), "2250", 1, "open"),
+              Tick(datetime.combine(date(2017, 4, 9), window.close), "2250", 1, "close")]
+    from_ticks = sessionize(ticks, window)
+    from_columns = sessionize(TickColumns.of(ticks, es), window)
+    assert from_columns.dropped == from_ticks.dropped > 0
+    assert [s.day for s in from_columns.sessions] == [s.day for s in from_ticks.sessions]
+    assert [list(s.ticks) for s in from_columns.sessions] == \
+        [list(s.ticks) for s in from_ticks.sessions]
+    # the reference: stable sort, then each tick's own session day
+    expected = {}
+    for tick in sorted(ticks, key=lambda t: t.timestamp):
+        tod, day = tick.timestamp.time(), tick.timestamp.date()
+        if window.overnight and tod >= window.open:
+            expected.setdefault(day + timedelta(days=1), []).append(tick)
+        elif (tod <= window.close) if window.overnight else (window.open <= tod <= window.close):
+            expected.setdefault(day, []).append(tick)
+    assert {s.day: list(s.ticks) for s in from_ticks.sessions} == expected

@@ -1,16 +1,20 @@
 """Optimal trading elements: extraction, scenarios, statistics, patterns."""
 
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ticks_from_deltas, zigzag_levels
-from mpslab import (OteExtractor, OteType, Scenario, Tick, Tolerances,
+from mpslab import (PRESETS, OteExtractor, OteType, Scenario, Tick, Tolerances,
                     birth_threshold, classify_scenario, extract_otes,
                     head_and_shoulders, mps0, on_permitted_grid, ote_stats,
-                    permitted_profit_grid, sample_stats)
+                    permitted_profit_grid, sample_stats, serialize_ticks)
+from mpslab.ingest import read_ticks
 from mpslab.ote import HeadShouldersMonitor
 
 FC100 = "100"
@@ -364,3 +368,76 @@ def test_head_and_shoulders_chain_validation(es):
         head_and_shoulders(chain[:5], 1, Tolerances(), es)
     with pytest.raises(ValueError):
         head_and_shoulders(chain[1:] + chain[:1], 1, Tolerances(), es)
+
+
+def _old_samples(ticks, start, stop):
+    """Samples as the extractor used to copy them out of Tick objects."""
+    span = ticks[start:stop]
+    return (tuple((b.timestamp - a.timestamp).total_seconds() for a, b in zip(span, span[1:])),
+            tuple(b.price - a.price for a, b in zip(span, span[1:])),
+            tuple(t.price for t in span), tuple(t.size for t in span))
+
+
+def test_samples_view_matches_tick_copies(es):
+    rng = random.Random(31)
+    levels, level = [0], 0
+    for _ in range(1500):
+        level += rng.choice([-2, -1, 0, 1, 2])
+        levels.append(level)
+    start = datetime(2017, 4, 10, 9, 0, 0)
+    ticks = [Tick(start + timedelta(microseconds=j * 1_000_000 + rng.randrange(999_999)),
+                  (9000 + lv) * es.delta, rng.randint(1, 9)) for j, lv in enumerate(levels)]
+    index = {t.timestamp: j for j, t in enumerate(ticks)}
+    records = extract_otes(ticks, FC4999, C, es)
+    assert len(records) > 10
+    for r in records:
+        s, e = index[r.t_start], index[r.t_end]
+        samples = r.samples
+        assert (samples.a_increments, samples.b_increments, samples.prices,
+                samples.volumes) == _old_samples(ticks, s, e + 1)
+        assert r.duration == (r.t_end - r.t_start).total_seconds()
+        assert r.volume_total == sum(t.size for t in ticks[s:e + 1])
+
+
+def test_batch_on_columns_matches_batch_on_ticks(es):
+    rng = random.Random(12)
+    levels, level = [0], 0
+    for _ in range(3000):
+        level += rng.choice([-3, -1, 0, 1, 3])
+        levels.append(level)
+    ticks = ticks_from_deltas(levels, es, sizes=[rng.choice([0, 1, 2]) for _ in levels])
+    columns = read_ticks(serialize_ticks(ticks).splitlines(), es)
+    for fc in (FC4999, "12.49"):
+        for indicative in (False, True):
+            assert extract_otes(columns, fc, C, es, indicative) == \
+                extract_otes(ticks, fc, C, es, indicative)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=300),
+       st.lists(st.integers(1, 40), min_size=1, max_size=20))
+def test_streaming_matches_batch_under_random_chunking(steps, chunks):
+    es = PRESETS["ES"]
+    levels = list(accumulate(steps))
+    ticks = ticks_from_deltas(levels, es, step_seconds=3)
+    extractor = OteExtractor("24.99", C, es)
+    streamed, pos, j = [], 0, 0
+    while pos < len(ticks):
+        chunk = ticks[pos:pos + chunks[j % len(chunks)]]
+        pos, j = pos + len(chunk), j + 1
+        for tick in chunk:
+            streamed.extend(extractor.push(tick))
+        batch = extract_otes(ticks[:pos], "24.99", C, es)
+        assert streamed == [r for r in batch if r.closed]
+        live = extractor.current()
+        if batch and not batch[-1].closed:
+            assert live is not None
+            assert (live.ote_type, live.t_start, live.p_start, live.t_birth, live.p_birth) == \
+                (batch[-1].ote_type, batch[-1].t_start, batch[-1].p_start,
+                 batch[-1].t_birth, batch[-1].p_birth)
+            start = (live.t_start - ticks[0].timestamp) // timedelta(seconds=3)
+            assert live.tick_count == len(live.samples.prices) == pos - start
+        else:
+            assert live is None
+    streamed.extend(extractor.finish())
+    assert streamed == extract_otes(ticks, "24.99", C, es)
