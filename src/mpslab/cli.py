@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from bisect import bisect_left, bisect_right
@@ -49,6 +50,18 @@ def _check_args(args) -> None:
     ]:
         if failed:
             raise ValueError(message)
+
+
+def _printable_universe(args) -> UniverseParams:
+    """The --W/--n universe, refused before any power is built when its
+    largest figure, n*(2W+1)^(n-1), has more digits than Python prints."""
+    p = UniverseParams(args.W, args.n)
+    digits = int(math.log10(p.n) + (p.n - 1) * math.log10(p.base)) + 1
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise BudgetExceeded(f"n*(2W+1)^(n-1) has {digits} digits, "
+                             f"over the {limit}-digit limit for printing an int")
+    return p
 
 
 def _emit(args, text: str, plot_stub: str | None = None) -> None:
@@ -92,7 +105,7 @@ def _session_trades(args, spec) -> list[tuple[ingest.Session, list[ote_mod.OteRe
 
 
 def cmd_counts(args) -> int:
-    counts = dist.universe_counts(UniverseParams(args.W, args.n))
+    counts = dist.universe_counts(_printable_universe(args))
     record = {
         "strategies": counts.strategies,
         "actions_total": counts.actions_total,
@@ -114,7 +127,7 @@ plot '{data}' using 1:3 title 'pmf', '{data}' using 1:4 title 'cdf'
 
 
 def cmd_dist(args) -> int:
-    p = UniverseParams(args.W, args.n)
+    p = _printable_universe(args)
     pmf = dist.action_pmf(p)
     rows = ["m\tcount\tpmf\tcdf"]
     cum = Fraction(0)
@@ -132,7 +145,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.verify_matrix(args.max_universe, threads=args.threads)
+    results = verify_mod.verify_matrix(args.max_universe)
     lines = ["W\tn\tcheck\tstatus"]
     failures = 0
     for r in results:
@@ -316,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="formula-vs-enumeration verification matrix")
     p.add_argument("--max-universe", type=int, default=verify_mod.DEFAULT_MAX_UNIVERSE)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -182,7 +182,11 @@ def _clock_micros(text: str) -> int:
 
 def _grid_deltas(fields: list[str], spec: ContractSpec, line_no: int) -> int:
     """Grid count of a line's price text, checked in the order ticks are:
-    price and size syntax, the grid, then a positive price."""
+    price and size syntax, the grid, then a positive price.  Exponent
+    notation is refused before any Fraction is built: '1e300000' would
+    cost time and memory growing with the exponent."""
+    if "e" in fields[2] or "E" in fields[2]:
+        raise ParseError(f"line {line_no}: exponent notation in price {fields[2]!r}")
     try:
         price = as_fraction(fields[2])
         int(fields[3])

@@ -54,8 +54,8 @@ def iter_universe(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[P
 
 
 def iter_strategies(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[Strategy]:
-    for positions in iter_universe(p, budget):
-        yield positions_to_strategy(positions)
+    """Each strategy of the universe once, in index order."""
+    return map(positions_to_strategy, iter_universe(p, budget))
 
 
 def position_chunks(p: UniverseParams, budget: int = DEFAULT_BUDGET,
@@ -87,6 +87,7 @@ class UniverseSums:
     action_counts: dict[int, int]          # m -> count over all slices
     slice_abs: tuple[int, ...]             # per slice, sum |U_i|
     slice_sq: tuple[int, ...]              # per slice, sum U_i^2
+    slice_row_abs: tuple[int, ...]         # per slice, sum_j U_ij T_j, T_j = sum_i |U_ij|
     gram_positions: np.ndarray             # n x n, sum W_i W_l
     gram_actions: np.ndarray               # n x n, sum U_i U_l
     gram_abs_actions: np.ndarray           # n x n, sum |U_i| |U_l|
@@ -94,63 +95,76 @@ class UniverseSums:
     max_abs_row: int                       # max over strategies of sum |U_i|
     max_abs_row_count: int                 # how many strategies reach it
 
+    def pl_variance(self, prices: Sequence[Rational], cost: Rational,
+                    k: Rational) -> EmpiricalPlVariance:
+        """Exact sample variance of PL, PL^I, PL^II over the swept universe.
 
-def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET, threads: int = 1) -> UniverseSums:
-    """Full enumeration sweep accumulating every sum the tests compare.
+        PL^I_j = -k*delta*D_j and PL^II_j = -C*T_j with integer D_j = sum_i
+        U_ij r_i (r the prices relative to the first tick, scaled to ints)
+        and T_j = sum_i |U_ij|.  The sums over j are read off the sweep in
+        exact ints: sum D^2 = r' G_U r, sum T^2 = the sum of G_|U|, and
+        sum D T = r . slice_row_abs.
+        """
+        p = self.params
+        ps = as_fractions(prices)
+        if len(ps) != p.n:
+            raise ValueError(f"expected {p.n} prices")
+        c = as_fraction(cost)
+        kf = as_fraction(k)
+        rel = [x - ps[0] for x in ps]
+        scale = money_scale(rel)
+        r = scaled_ints(rel, scale)  # P_i - P_1, scaled
+        s = p.size
+        sum_d2 = sum(ri * gi * rl for ri, row in zip(r, self.gram_actions.tolist())
+                     for gi, rl in zip(row, r))
+        sum_t = self.total_abs
+        sum_t2 = sum(sum(row) for row in self.gram_abs_actions.tolist())
+        sum_dt = sum(ri * x for ri, x in zip(r, self.slice_row_abs))
+        unit = kf / scale  # dollars per scaled price unit
+        var_i = unit * unit * Fraction(sum_d2, s - 1)  # mean of PL^I is exactly 0
+        var_ii = c * c * Fraction(s * sum_t2 - sum_t * sum_t, s * (s - 1))
+        var_total = var_i + var_ii + 2 * unit * c * Fraction(sum_dt, s - 1)
+        return EmpiricalPlVariance(var_i, var_ii, var_total, sum_dt)
 
-    ``threads`` > 1 partitions the index range; the reductions are integer
-    sums, so the result is identical to the single-threaded sweep.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+
+def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
+    """Full enumeration sweep accumulating every sum the tests compare."""
     n = p.n
     counts = np.zeros(4 * p.limit + 1, dtype=np.int64)
     slice_abs = np.zeros(n, dtype=np.int64)
-    slice_sq = np.zeros(n, dtype=np.int64)
+    slice_row_abs = np.zeros(n, dtype=np.int64)
     gw = np.zeros((n, n), dtype=np.int64)
     gu = np.zeros((n, n), dtype=np.int64)
     ga = np.zeros((n, n), dtype=np.int64)
-
-    def accumulate(block: np.ndarray):
-        u = _actions_of(block)
-        au = np.abs(u)
-        c = np.bincount((u + 2 * p.limit).ravel(), minlength=4 * p.limit + 1)
-        w64 = block.astype(np.int64)
-        u64 = u.astype(np.int64)
-        a64 = au.astype(np.int64)
-        rows = a64.sum(axis=1)
-        row_max = int(rows.max())
-        return (c, a64.sum(axis=0), (u64 * u64).sum(axis=0),
-                w64.T @ w64, u64.T @ u64, a64.T @ a64,
-                row_max, int((rows == row_max).sum()))
-
-    chunks = position_chunks(p, budget)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(accumulate, chunks)
-    else:
-        results = map(accumulate, chunks)
     max_row = -1
     max_row_count = 0
-    for c, sa, sq, w_gram, u_gram, a_gram, row_max, row_count in results:
-        counts += c
-        slice_abs += sa
-        slice_sq += sq
-        gw += w_gram
-        gu += u_gram
-        ga += a_gram
+    for block in position_chunks(p, budget):
+        u = _actions_of(block)
+        counts += np.bincount((u + 2 * p.limit).ravel(), minlength=4 * p.limit + 1)
+        w64 = block.astype(np.int64)
+        u64 = u.astype(np.int64)
+        a64 = np.abs(u).astype(np.int64)
+        rows = a64.sum(axis=1)
+        slice_abs += a64.sum(axis=0)
+        slice_row_abs += u64.T @ rows
+        gw += w64.T @ w64
+        gu += u64.T @ u64
+        ga += a64.T @ a64
+        row_max = int(rows.max())
         if row_max > max_row:
-            max_row, max_row_count = row_max, row_count
-        elif row_max == max_row:
-            max_row_count += row_count
+            max_row, max_row_count = row_max, 0
+        if row_max == max_row:
+            max_row_count += int((rows == row_max).sum())
+        # free this chunk's int64 copies before the next chunk's are built;
+        # held across iterations they add about 5 MB to verify's peak RSS
+        del w64, u64, a64, rows
 
     return UniverseSums(
         params=p,
         action_counts={m - 2 * p.limit: int(c) for m, c in enumerate(counts)},
         slice_abs=tuple(int(x) for x in slice_abs),
-        slice_sq=tuple(int(x) for x in slice_sq),
+        slice_sq=tuple(int(x) for x in np.diagonal(gu)),
+        slice_row_abs=tuple(int(x) for x in slice_row_abs),
         gram_positions=gw,
         gram_actions=gu,
         gram_abs_actions=ga,
@@ -177,38 +191,9 @@ class EmpiricalPlVariance:
 def empirical_pl_variance(prices: Sequence[Rational], cost: Rational,
                           p: UniverseParams, k: Rational,
                           budget: int = DEFAULT_BUDGET) -> EmpiricalPlVariance:
-    """Exact sample variance of PL, PL^I, PL^II over the swept universe.
-
-    PL^I_j = -k*delta*D_j and PL^II_j = -C*T_j with integer D_j (price-weighted
-    action sum, taken relative to the first tick so the ints stay small) and
-    T_j = sum |U_{i,j}|; variances reduce to integer sums.
-    """
-    ps = as_fractions(prices)
-    if len(ps) != p.n:
-        raise ValueError(f"expected {p.n} prices")
-    c = as_fraction(cost)
-    kf = as_fraction(k)
-    rel = [x - ps[0] for x in ps]
-    scale = money_scale(rel)
-    n_rel = np.array(scaled_ints(rel, scale), dtype=np.int64)  # P_i - P_1, scaled
-    s = p.size
-    sum_d2 = 0
-    sum_t = 0
-    sum_t2 = 0
-    sum_dt = 0
-    for block in position_chunks(p, budget):
-        u = _actions_of(block).astype(np.int64)
-        d = u @ n_rel
-        t = np.abs(u).sum(axis=1)
-        sum_d2 += int((d * d).sum())
-        sum_t += int(t.sum())
-        sum_t2 += int((t * t).sum())
-        sum_dt += int((d * t).sum())
-    unit = kf / scale  # dollars per scaled price unit
-    var_i = unit * unit * Fraction(sum_d2, s - 1)  # mean of PL^I is exactly 0
-    var_ii = c * c * Fraction(s * sum_t2 - sum_t * sum_t, s * (s - 1))
-    var_total = var_i + var_ii + 2 * unit * c * Fraction(sum_dt, s - 1)
-    return EmpiricalPlVariance(var_i, var_ii, var_total, sum_dt)
+    """Exact sample variance of PL, PL^I, PL^II by full sweep; see
+    ``UniverseSums.pl_variance``."""
+    return sweep(p, budget).pl_variance(prices, cost, k)
 
 
 @dataclass(frozen=True)

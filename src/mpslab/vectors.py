@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .distribution import UniverseParams
-from .model import Strategy, positions_to_strategy
-from .oracle import BudgetExceeded, decode
+from .model import Strategy
+from .oracle import iter_strategies
 
 FAMILY_KINDS = ("eta", "lambda", "nu", "theta", "bhs")
 
@@ -166,16 +166,10 @@ def max_orthogonal_subset(n: int, budget: int = 3 ** 6) -> MaxOrthResult:
 
     Exhaustive branch-and-bound over the 3^(n-1) - 1 non-zero strategies in
     decode order; the first maximum found is the lexicographically smallest.
+    A universe larger than ``budget`` raises ``BudgetExceeded``.
     """
-    params = UniverseParams(1, n)
-    if params.size > budget:
-        raise BudgetExceeded(
-            f"universe size {params.size} exceeds search budget {budget}")
-    vectors = []
-    for index in range(params.size):
-        s = positions_to_strategy(decode(index, params))
-        if not s.is_do_nothing():
-            vectors.append(s.actions)
+    vectors = [s.actions for s in iter_strategies(UniverseParams(1, n), budget)
+               if not s.is_do_nothing()]
     count = len(vectors)
     # adjacency bitmasks of the orthogonality graph
     adj = [0] * count

@@ -1,7 +1,7 @@
 """Formula-versus-enumeration verification matrix.
 
-Every closed form in the distribution module is checked against the
-brute-force sweep for every universe that fits the budget: counts, the
+Every closed form in the distribution module is checked against one
+brute-force sweep of every universe that fits the budget: counts, the
 action distribution, slice sums, position/action/absolute-action
 covariances, industry gains, the second moment, and the P&L variances on
 seeded random price grids.  All comparisons are exact.
@@ -54,9 +54,9 @@ def _random_grid(p: UniverseParams, trial: int) -> list[Fraction]:
     return prices
 
 
-def verify_pair(p: UniverseParams, budget: int, threads: int = 1) -> list[CheckResult]:
-    """Run every closed form against one swept universe."""
-    sums = oracle.sweep(p, budget=budget, threads=threads)
+def verify_pair(p: UniverseParams, budget: int) -> list[CheckResult]:
+    """Run every closed form against one sweep of the universe."""
+    sums = oracle.sweep(p, budget=budget)
     n, s = p.n, p.size
     results = []
 
@@ -112,7 +112,7 @@ def verify_pair(p: UniverseParams, budget: int, threads: int = 1) -> list[CheckR
     for trial in range(_VARIANCE_TRIALS):
         prices = _random_grid(p, trial)
         closed = dist.pl_variance(prices, _COST, p, _K)
-        swept = oracle.empirical_pl_variance(prices, _COST, p, _K, budget=budget)
+        swept = sums.pl_variance(prices, _COST, _K)
         ok_var &= (closed.var_price_leg == swept.var_price_leg
                    and closed.var_cost_leg == swept.var_cost_leg
                    and closed.var_total == swept.var_total
@@ -122,9 +122,8 @@ def verify_pair(p: UniverseParams, budget: int, threads: int = 1) -> list[CheckR
     return results
 
 
-def verify_matrix(max_universe: int = DEFAULT_MAX_UNIVERSE,
-                  threads: int = 1) -> list[CheckResult]:
+def verify_matrix(max_universe: int = DEFAULT_MAX_UNIVERSE) -> list[CheckResult]:
     results = []
     for p in default_pairs(max_universe):
-        results.extend(verify_pair(p, budget=max_universe, threads=threads))
+        results.extend(verify_pair(p, budget=max_universe))
     return results

@@ -115,6 +115,26 @@ def test_ote_budget_and_validation_errors(tmp_path, capsys):
     assert "delta" in err or "0.25" in err or "1/4" in err
 
 
+def test_ote_refuses_exponent_prices(tmp_path, capsys):
+    path = tmp_path / "exponent.tsv"
+    path.write_text("2017/04/10 09:00:00 2342 1\n2017/04/10 09:00:01 1e300000 1\n")
+    code, out, err = run(capsys, ["ote", "--fc", "100", "--cost", "4.68", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2")
+
+
+def test_counts_and_dist_refuse_unprintable_universes(capsys):
+    for command in ("counts", "dist"):
+        code, out, err = run(capsys, [command, "--W", "1", "--n", "100000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("budget refused:") and "47717 digits" in err
+    # 9005 * 3^9004 has 4300 digits, the default limit; one tick more has 4301
+    assert run(capsys, ["counts", "--W", "1", "--n", "9005"])[0] == 0
+    assert run(capsys, ["counts", "--W", "1", "--n", "9006"])[0] == 2
+    code, out, _ = run(capsys, ["counts", "--W", "1", "--n", "3000"])
+    assert code == 0 and out.startswith("strategies=")
+
+
 def test_stats_block(tmp_path, capsys):
     path = tmp_path / "samples.txt"
     path.write_text("\n".join(["403.14", "453.14", "665.64", "778.14",
@@ -153,14 +173,6 @@ def test_unknown_contract(capsys):
                                 "--prices", "1,2"])
     assert code == 1
     assert "unknown contract" in err
-
-
-def test_verify_rejects_thread_counts_below_one(capsys):
-    for threads in ("0", "-2"):
-        code, out, err = run(capsys, ["verify", "--max-universe", "200",
-                                      "--threads", threads])
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "threads" in err
 
 
 def _reference_pattern(ticks, fc, cost, tol):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpslab import (GridError, SessionWindow, Tick, parse_ticks,
+from mpslab import (GridError, SessionWindow, Tick, ingest, parse_ticks,
                     serialize_ticks, sessionize, trade_ticks)
 from mpslab.ingest import (ParseError, TickColumns, contract_for,
                            load_contract_config, read_ticks, session_window_of)
@@ -229,6 +229,20 @@ def test_parse_rejects_overflow_and_zero_division_with_line_numbers(es):
                  "2017/04/10 09:00:00 1/0 1"]:
         with pytest.raises(ParseError, match="line 2"):
             parse_ticks(["2017/04/10 09:00:00 2342 1", line], es)
+
+
+def test_parse_rejects_exponent_prices_before_building_fractions(es, monkeypatch):
+    # Fraction('1e300000') costs time and memory growing with the exponent
+    real = ingest.as_fraction
+
+    def no_exponent(text):
+        assert "e" not in str(text).lower()
+        return real(text)
+
+    monkeypatch.setattr(ingest, "as_fraction", no_exponent)
+    for price in ["1e300000", "2.3425E3"]:
+        with pytest.raises(ParseError, match="line 2"):
+            parse_ticks(["2017/04/10 09:00:00 2342 1", f"2017/04/10 09:00:01 {price} 1"], es)
 
 
 def test_columns_round_trip_and_index(es):
