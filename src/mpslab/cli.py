@@ -27,17 +27,28 @@ from fractions import Fraction
 from . import __version__, distribution as dist, ingest, magma, mps as mps_mod
 from . import ote as ote_mod, vectors, verify as verify_mod
 from .model import GridError
-from .numeric import as_fraction, fmt_dollars, fmt_number, fmt_price
+from .numeric import ExponentError, as_fraction, fmt_dollars, fmt_number, fmt_price
 from .oracle import BudgetExceeded
 from .distribution import UniverseParams
 
 CONFIG_ENV = "MPSLAB_CONFIG"
 
 
+def _number(text: str) -> Fraction:
+    """An exact number from the command line or a samples file; bad text is
+    a ValueError that names it, not a raw Fraction message."""
+    try:
+        return as_fraction(text)
+    except ExponentError:
+        raise
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a number: {text!r}") from None
+
+
 def _check_args(args) -> None:
     """Cross-field validation of the parsed command line, before dispatch."""
     get = lambda name, default=None: getattr(args, name, default)
-    fc, cost = (as_fraction(get(name)) if get(name) is not None else None
+    fc, cost = (_number(get(name)) if get(name) is not None else None
                 for name in ("fc", "cost"))
     for failed, message in [
         (get("max_universe", 1) <= 0, "budget must be positive"),
@@ -176,7 +187,7 @@ def cmd_rank(args) -> int:
 def cmd_mps(args) -> int:
     spec = _contract(args)
     if args.prices:
-        prices = [as_fraction(tok) for tok in args.prices.split(",")]
+        prices = [_number(tok) for tok in args.prices.split(",")]
     else:
         if not args.file:
             raise ValueError("provide --prices or a tick file")
@@ -256,13 +267,24 @@ def cmd_ote(args) -> int:
     return 0
 
 
+def _samples(lines) -> list[Fraction]:
+    """Whitespace-separated numbers; a bad one is named with its line."""
+    values = []
+    for line_no, line in enumerate(lines, start=1):
+        for tok in line.split():
+            try:
+                values.append(_number(tok))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+    return values
+
+
 def cmd_stats(args) -> int:
     if args.file == "-":
-        tokens = sys.stdin.read().split()
+        values = _samples(sys.stdin)
     else:
         with open(args.file) as fh:
-            tokens = fh.read().split()
-    values = [as_fraction(tok) for tok in tokens]
+            values = _samples(fh)
     stats = ote_mod.sample_stats(values, args.bins)
     _emit(args, "\n".join(_stats_block(stats, args.metric.capitalize())) + "\n")
     return 0

@@ -15,6 +15,14 @@ from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, float, Decimal, Fraction]
 
+# past every exponent repr(float) prints (1e+308, 5e-324); Fraction('1e3000000')
+# would build 10**3000000 first
+MAX_EXPONENT = 400
+
+
+class ExponentError(ValueError):
+    """Number text whose exponent is out of range."""
+
 
 def as_fraction(x: Rational) -> Fraction:
     """Convert a number-like value to an exact Fraction."""
@@ -24,7 +32,13 @@ def as_fraction(x: Rational) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(str(x))
-    if isinstance(x, (str, Decimal)):
+    if isinstance(x, str):
+        _, e, exponent = x.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 9 or int(digits) > MAX_EXPONENT):
+            raise ExponentError(f"exponent out of range in {x!r} (limit {MAX_EXPONENT})")
+        return Fraction(x)
+    if isinstance(x, Decimal):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact number")
 

@@ -266,3 +266,47 @@ def test_argument_checks_run_before_dispatch(capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
+
+
+def test_mps_refuses_oversized_tables(capsys):
+    code, out, err = run(capsys, ["mps", "--contract", "ES", "--cost", "1",
+                                  "--W", "1000000000000", "--prices", "2370,2371"])
+    assert (code, out) == (2, "")
+    assert err.startswith("budget refused:") and "DP states" in err
+
+
+def test_cli_numbers_refuse_huge_exponents(tmp_path, capsys):
+    # Fraction('1e3000000') builds a 3-million-digit power of ten first
+    ticks = tmp_path / "ticks.tsv"
+    ticks.write_text("2017/04/10 09:00:00 2342 1\n")
+    for argv in (["mps", "--cost", "1e3000000", "--prices", "2369.50,2369.75"],
+                 ["mps", "--cost", "1", "--prices", "2369.50,1E3000000"],
+                 ["ote", "--fc", "1e-3000000", "--cost", "1", str(ticks)],
+                 ["pattern", "--fc", "1", "--cost", "1e1000000", str(ticks)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exponent out of range in '1")
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1.5\n2 1e3000000\n")
+    code, out, err = run(capsys, ["stats", str(samples)])
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: exponent out of range in '1e3000000' (limit 400)\n"
+
+
+def test_stats_reads_float_reprs_and_numbers_bad_lines(tmp_path, capsys):
+    # fmt_dollars prints repr(float) off the cent, so ote output can hold 1e-05
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1e-05 2.5\n\n1e+30\n")
+    code, out, _ = run(capsys, ["stats", str(samples)])
+    assert code == 0 and "Samples size        = 3" in out
+    for text, bad in [("1.5\nabc\n", "line 2: not a number: 'abc'"),
+                      ("1.5\n\n2 1/0\n", "line 3: not a number: '1/0'")]:
+        samples.write_text(text)
+        code, out, err = run(capsys, ["stats", str(samples)])
+        assert (code, out, err) == (1, "", f"error: {bad}\n")
+
+
+def test_bad_cost_text_is_named_not_a_traceback(capsys):
+    for text in ("abc", "1/0"):
+        code, out, err = run(capsys, ["mps", "--cost", text, "--prices", "2370"])
+        assert (code, out, err) == (1, "", f"error: not a number: {text!r}\n")

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpslab import (CostModel, Strategy, brute_force_mps, mps0, trades_of,
-                    validate_membership)
+from mpslab import (PRESETS, BudgetExceeded, CostModel, MpsResult, Strategy,
+                    brute_force_mps, mps0, trades_of, validate_membership)
+from mpslab import mps as mps_module
 from mpslab.distribution import UniverseParams
+from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
 
 
 def test_flat_prices_do_nothing(es):
@@ -100,3 +104,131 @@ def test_trades_of_handles_open_end():
 def test_trades_of_reversals():
     trades = trades_of(Strategy((1, -2, 1)))
     assert [(t.start, t.end, t.direction) for t in trades] == [(0, 1, 1), (1, 2, -1)]
+
+
+# --- the two-pass DP against the O(n(2W+1)^2) loop it replaced ---------------
+
+def _reference_mps0(prices, cost_per_transaction, limit, spec):
+    """The quadratic DP mps0 used before the two passes, kept as the oracle
+    for strategies, P&L and tie-breaks."""
+    n = len(prices)
+    ps = as_fractions(prices)
+    deltas = [spec.to_deltas(x) for x in ps]
+    c = as_fraction(cost_per_transaction)
+    kd = spec.delta_dollars
+    scale = money_scale([kd, c])
+    kd_i, c_i = scaled_ints([kd, c], scale)
+
+    width = 2 * limit + 1
+    neg_inf = None
+    # state value: (scaled pl, -traded contracts, -sum of i*|U_i|)
+    values = [neg_inf] * width
+    values[limit] = (0, 0, 0)
+    parents: list[list[int]] = []
+    for i in range(n):
+        price_i = kd_i * deltas[i]
+        nxt = [neg_inf] * width
+        par = [0] * width
+        last = i == n - 1
+        for w_new in ((limit,) if last else range(width)):
+            best = None
+            best_from = 0
+            for w_old in range(width):
+                v = values[w_old]
+                if v is None:
+                    continue
+                move = w_new - w_old
+                moved = abs(move)
+                cand = (v[0] - price_i * move - c_i * moved,
+                        v[1] - moved,
+                        v[2] - i * moved)
+                if best is None or cand > best:
+                    best = cand
+                    best_from = w_old
+            nxt[w_new] = best
+            par[w_new] = best_from
+        values = nxt
+        parents.append(par)
+
+    final = values[limit]
+    actions = []
+    w = limit
+    for i in range(n - 1, -1, -1):
+        prev = parents[i][w]
+        actions.append(w - prev)
+        w = prev
+    actions.reverse()
+    strategy = Strategy(tuple(actions))
+    return MpsResult(strategy, Fraction(final[0], scale), trades_of(strategy))
+
+
+def _chain(steps, base=9000):
+    """Quarter-point ES prices along a walk of delta steps from ``base``."""
+    level, out = base, []
+    for step in steps:
+        level += step
+        out.append(Fraction(level, 4))
+    return out
+
+
+# walks with flat runs (0 steps), and two-level chains that repeat one
+# extreme several times; prices stay positive
+_walks = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 5, -5]), min_size=1, max_size=40)
+_two_levels = st.lists(st.sampled_from([0, 3]), min_size=1, max_size=40).map(
+    lambda levels: [b - a for a, b in zip([0] + levels, levels)])
+_costs = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(0, 3000).map(lambda c: Fraction(c, 100)),      # on the cent
+    st.integers(0, 30000).map(lambda c: Fraction(c, 1000)),    # off the cent
+    st.sampled_from([Fraction(1, 3), Fraction(25, 2), Fraction(2501, 200)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_walks, _two_levels), _costs, st.integers(1, 6))
+def test_two_pass_matches_quadratic_reference(steps, cost, limit):
+    es = PRESETS["ES"]
+    prices = _chain(steps)
+    assert mps0(prices, cost, limit, es) == _reference_mps0(prices, cost, limit, es)
+
+
+def test_two_pass_matches_quadratic_reference_seeded_w20(es):
+    rng = random.Random(5)
+    prices = _chain(rng.choice([0, 0, 1, -1, 2, -2, 4, -4]) for _ in range(300))
+    for cost in (Fraction(0), Fraction(468, 100), Fraction(12501, 1000)):
+        got = mps0(prices, cost, 20, es)
+        assert got == _reference_mps0(prices, cost, 20, es)
+        assert got.pl > 0 and len(got.trades) > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _costs, st.integers(1, 3))
+def test_two_pass_matches_brute_force(data, cost, limit):
+    es = PRESETS["ES"]
+    n_max = {1: 8, 2: 7, 3: 6}[limit]
+    steps = data.draw(st.one_of(_walks, _two_levels))
+    prices = _chain([0] + steps[:n_max - 1])        # the universe needs n >= 2
+    n = len(prices)
+    got = mps0(prices, cost, limit, es)
+    expected = brute_force_mps(prices, CostModel.constant(cost, n),
+                               UniverseParams(limit, n), k=es.k)
+    assert got.pl == expected.best_pl
+    assert validate_membership(got.strategy, limit)
+    assert got.strategy in expected.witnesses
+
+
+def test_refuses_oversized_tables_before_building_them(es, monkeypatch):
+    with pytest.raises(BudgetExceeded, match="4000000000002 DP states"):
+        mps0(["2370", "2371"], 1, 10 ** 12, es)
+    monkeypatch.setattr(mps_module, "MAX_DP_STATES", 15)
+    assert mps0(["2370"] * 5, 1, 1, es).pl == 0       # 5 * 3 states: at the limit
+    with pytest.raises(BudgetExceeded):
+        mps0(["2370"] * 6, 1, 1, es)
+
+
+def test_converts_each_distinct_price_once(es, monkeypatch):
+    calls = []
+    real = type(es).to_deltas
+    monkeypatch.setattr(type(es), "to_deltas", lambda self, x: calls.append(x) or real(self, x))
+    prices = [Fraction(9000 + i % 3, 4) for i in range(30)]
+    assert mps0(prices, 1, 2, es) == _reference_mps0(prices, 1, 2, es)
+    assert len(calls) == 3 + 30     # 3 distinct prices here, 30 in the reference
