@@ -3,8 +3,8 @@
 Ground truth for every closed form: each integer in [0, (2W+1)^(n-1)) is
 expanded in base 2W+1, the digits minus W give the positions W_1..W_{n-1}
 (W_n = 0 appended), and adjacent differences give the actions.  The sweep
-streams the universe in fixed-size index chunks instead of materialising it,
-with all counting done on the chunk.
+streams the universe in index chunks, sized from W and n, instead of
+materialising it, with all counting done on the chunk.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .numeric import Rational, as_fraction, as_fractions, money_scale, scaled_in
 
 DEFAULT_BUDGET = 10 ** 7
 _CHUNK_ROWS = 1 << 16
+_FLOAT_EXACT = 1 << 53  # doubles hold every integer below this exactly
 
 
 class BudgetExceeded(RuntimeError):
@@ -58,24 +59,56 @@ def iter_strategies(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator
     return map(positions_to_strategy, iter_universe(p, budget))
 
 
-def position_chunks(p: UniverseParams, budget: int = DEFAULT_BUDGET,
-                    chunk_rows: int = _CHUNK_ROWS) -> Iterator[np.ndarray]:
-    """Stream the universe as int8 position arrays of shape (rows, n)."""
+def _int_dtype(bound: int) -> np.dtype:
+    """Smallest signed integer dtype holding -bound..bound."""
+    dtype = np.min_scalar_type(-bound - 1)
+    if dtype.kind != "i":
+        raise BudgetExceeded(f"values up to {bound} do not fit a 64-bit integer")
+    return dtype
+
+
+def position_chunks(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+    """Stream the universe as integer position arrays of shape (rows, n).
+
+    The dtype is the smallest that holds +-W.  A chunk has at most
+    ``_CHUNK_ROWS`` rows, and few enough that its sums of one product per
+    strategy, each at most 4nW^2, stay below 2^53 (exact in float64; see
+    ``sweep``).  Chunks start at multiples of (2W+1)^k, the largest power
+    that fits, so the k lowest digit columns are the same in every chunk:
+    they are built once, and each chunk fills only the higher ones.
+    """
     _check_budget(p, budget)
+    if p.size >= 1 << 63:
+        raise BudgetExceeded(f"universe (2W+1)^(n-1) = {p.size} has row indices past int64")
     base, w, n = p.base, p.limit, p.n
-    for lo in range(0, p.size, chunk_rows):
-        hi = min(lo + chunk_rows, p.size)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        block = np.zeros((hi - lo, n), dtype=np.int8)
-        for col in range(n - 1):
-            block[:, col] = (idx % base) - w
-            idx //= base
+    rows = max(1, min(_CHUNK_ROWS, (_FLOAT_EXACT - 1) // (4 * n * w * w), p.size))
+    span, k = 1, 0
+    while k < n - 1 and span * base <= rows:
+        span, k = span * base, k + 1
+    rows -= rows % span
+    low = np.zeros((rows, n), dtype=_int_dtype(w))
+    idx = np.arange(rows)
+    for col in range(k):
+        low[:, col] = idx % base - w
+        idx //= base
+    for lo in range(0, p.size, rows):
+        block = low[:min(rows, p.size - lo)].copy()
+        high = np.arange(lo // span, lo // span + block.shape[0] // span)
+        spans = block.reshape(-1, span, n)
+        for col in range(k, n - 1):
+            spans[:, :, col] = (high % base - w)[:, None]
+            high //= base
         yield block
 
 
-def _actions_of(positions: np.ndarray) -> np.ndarray:
-    u = positions.astype(np.int16)
-    u[:, 1:] -= positions[:, :-1]
+def _actions_of(positions: np.ndarray, limit: int) -> np.ndarray:
+    """Actions of position rows, in the smallest dtype holding -4W..4W.
+
+    Every row ends at position 0, so one difference along the flattened
+    array gives each row's first action as its first position.
+    """
+    u = positions.astype(_int_dtype(4 * limit))
+    u.reshape(-1)[1:] -= positions.reshape(-1)[:-1]
     return u
 
 
@@ -128,9 +161,22 @@ class UniverseSums:
 
 
 def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
-    """Full enumeration sweep accumulating every sum the tests compare."""
-    n = p.n
-    counts = np.zeros(4 * p.limit + 1, dtype=np.int64)
+    """Full enumeration sweep accumulating every sum the tests compare.
+
+    A strategy adds at most 4nW^2 to any sum (|U_i| <= 2W, T_j <= 2nW).  Each
+    chunk's products and reductions run on float64 operands, so numpy hands
+    them to BLAS; ``position_chunks`` keeps a chunk's sums below 2^53, so they
+    are exact integers in any summation order and are cast back to int64
+    before they are accumulated.  A universe whose sums could reach 2^63 is
+    refused with ``BudgetExceeded``.
+    """
+    _check_budget(p, budget)
+    n, w = p.n, p.limit
+    per_row = 4 * n * w * w
+    if p.size * per_row >= 1 << 63:
+        raise BudgetExceeded(
+            f"sums up to size*4nW^2 = {p.size * per_row} would overflow int64")
+    counts = np.zeros(4 * w + 1, dtype=np.int64)
     slice_abs = np.zeros(n, dtype=np.int64)
     slice_row_abs = np.zeros(n, dtype=np.int64)
     gw = np.zeros((n, n), dtype=np.int64)
@@ -139,25 +185,28 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     max_row = -1
     max_row_count = 0
     for block in position_chunks(p, budget):
-        u = _actions_of(block)
-        counts += np.bincount((u + 2 * p.limit).ravel(), minlength=4 * p.limit + 1)
-        w64 = block.astype(np.int64)
-        u64 = u.astype(np.int64)
-        a64 = np.abs(u).astype(np.int64)
-        rows = a64.sum(axis=1)
-        slice_abs += a64.sum(axis=0)
-        slice_row_abs += u64.T @ rows
-        gw += w64.T @ w64
-        gu += u64.T @ u64
-        ga += a64.T @ a64
+        assert block.shape[0] * per_row < _FLOAT_EXACT
+        u = _actions_of(block, w)
+        counts += np.bincount((u + 2 * w).ravel(), minlength=4 * w + 1)
+        wf = block.astype(np.float64)
+        uf = u.astype(np.float64)
+        af = np.abs(uf)
+        # np.dot, not @: numpy 2.4's matmul took 30x longer for (59049, 12) @ (12,)
+        # (OpenBLAS 0.3.31, 2-vCPU Xeon VM)
+        rows = np.dot(af, np.ones(n))
+        slice_abs += np.dot(np.ones(len(af)), af).astype(np.int64)
+        slice_row_abs += np.dot(rows, uf).astype(np.int64)
+        gw += (wf.T @ wf).astype(np.int64)
+        gu += (uf.T @ uf).astype(np.int64)
+        ga += (af.T @ af).astype(np.int64)
         row_max = int(rows.max())
         if row_max > max_row:
             max_row, max_row_count = row_max, 0
         if row_max == max_row:
             max_row_count += int((rows == row_max).sum())
-        # free this chunk's int64 copies before the next chunk's are built;
+        # free this chunk's float copies before the next chunk's are built;
         # held across iterations they add about 5 MB to verify's peak RSS
-        del w64, u64, a64, rows
+        del wf, uf, af, rows
 
     return UniverseSums(
         params=p,
@@ -223,13 +272,18 @@ def _scan_extremum(prices, costs, p, k, budget, sign):
     kf = as_fraction(k)
     dollar_prices = [kf * x for x in ps]
     scale = money_scale(list(dollar_prices) + list(cs))
-    p_int = np.array(scaled_ints(dollar_prices, scale), dtype=np.int64)
-    c_int = np.array(scaled_ints(cs, scale), dtype=np.int64)
+    p_ints = scaled_ints(dollar_prices, scale)
+    c_ints = scaled_ints(cs, scale)
+    # a strategy's value is at most 2W*n*max(|p_i| + |c_i|); past int64, Python ints
+    bound = 2 * p.limit * p.n * max(abs(a) + abs(b) for a, b in zip(p_ints, c_ints))
+    dtype = np.int64 if bound < 1 << 63 else object
+    p_int = np.array(p_ints, dtype=dtype)
+    c_int = np.array(c_ints, dtype=dtype)
     best = None
     witnesses: list[int] = []
     row_base = 0
     for block in position_chunks(p, budget):
-        u = _actions_of(block).astype(np.int64)
+        u = _actions_of(block, p.limit).astype(dtype)
         value = sign * (-(u @ p_int) - np.abs(u) @ c_int)
         top = int(value.max())
         if best is None or top > best:

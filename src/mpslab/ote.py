@@ -353,32 +353,35 @@ def sample_stats(values: Sequence[Rational], bins: Optional[int] = None) -> OteS
     m3 = sum((x - mean) ** 3 for x in xs) / n
     m4 = sum((x - mean) ** 4 for x in xs) / n
     variance = n * m2 / (n - 1)
-    std_dev = math.sqrt(variance)
-    skewness = None
-    if n >= 3 and m2 > 0:
-        g1 = float(m3) / float(m2) ** 1.5
-        skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
-    excess_kurtosis = None
-    if n >= 4 and m2 > 0:
-        g2 = float(m4) / float(m2) ** 2 - 3
-        excess_kurtosis = ((n + 1) * g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
-
     counter = Counter(xs)
     lo, hi = xs[0], xs[-1]
     k = _bin_count(n, bins)
-    histogram = []
-    if hi == lo:
-        histogram.append((float(lo), float(hi), n))
-    else:
-        width = (hi - lo) / k
-        edges = [lo + width * j for j in range(k + 1)]
-        for j in range(k):
-            left, right = edges[j], edges[j + 1]
-            if j == 0:
-                count = sum(1 for x in xs if left <= x <= right)
-            else:
-                count = sum(1 for x in xs if left < x <= right)
-            histogram.append((float(left), float(right), count))
+    try:
+        std_dev = math.sqrt(variance)
+        skewness = None
+        if n >= 3 and m2 > 0:
+            g1 = float(m3) / float(m2) ** 1.5
+            skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
+        excess_kurtosis = None
+        if n >= 4 and m2 > 0:
+            g2 = float(m4) / float(m2) ** 2 - 3
+            excess_kurtosis = ((n + 1) * g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
+        histogram = []
+        if hi == lo:
+            histogram.append((float(lo), float(hi), n))
+        else:
+            width = (hi - lo) / k
+            edges = [lo + width * j for j in range(k + 1)]
+            for j in range(k):
+                left, right = edges[j], edges[j + 1]
+                if j == 0:
+                    count = sum(1 for x in xs if left <= x <= right)
+                else:
+                    count = sum(1 for x in xs if left < x <= right)
+                histogram.append((float(left), float(right), count))
+    except OverflowError:
+        # once these floats fit, so do the mean, extremes and variance printed from them
+        raise ValueError("samples too large for float statistics") from None
 
     ecdf = []
     cum = 0

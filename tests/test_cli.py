@@ -306,6 +306,19 @@ def test_stats_reads_float_reprs_and_numbers_bad_lines(tmp_path, capsys):
         assert (code, out, err) == (1, "", f"error: {bad}\n")
 
 
+def test_stats_refuses_samples_too_large_for_floats(tmp_path, capsys):
+    # the variance of (1e+155, 2) is past the float range, that of (1e+150, 2) is not
+    samples = tmp_path / "samples.txt"
+    for text in ("1e+155\n2\n", "1e+155\n2\n3\n-4\n", "1e+309\n1e+309\n",
+                 str(10 ** 400) + "\n1\n"):
+        samples.write_text(text)
+        code, out, err = run(capsys, ["stats", str(samples)])
+        assert (code, out, err) == (1, "", "error: samples too large for float statistics\n")
+    samples.write_text("1e+150\n2\n")
+    code, out, _ = run(capsys, ["stats", str(samples)])
+    assert code == 0 and "Mean                = 5e+149" in out
+
+
 def test_bad_cost_text_is_named_not_a_traceback(capsys):
     for text in ("abc", "1/0"):
         code, out, err = run(capsys, ["mps", "--cost", text, "--prices", "2370"])

@@ -1,5 +1,7 @@
 """Enumeration oracle: decode, sweeps, brute-force extrema, budget guard."""
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +14,8 @@ from mpslab import (CostModel, Strategy, brute_force_mls, brute_force_mps,
                     iter_universe, oracle, validate_membership, verify)
 from mpslab.distribution import UniverseParams, pl_variance
 from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
-from mpslab.oracle import (BudgetExceeded, EmpiricalPlVariance, empirical_pl_variance,
-                           position_chunks, sweep)
+from mpslab.oracle import (BudgetExceeded, EmpiricalPlVariance, UniverseSums,
+                           empirical_pl_variance, position_chunks, sweep)
 
 
 def test_decode_reference_rows():
@@ -190,3 +192,171 @@ def test_verify_pair_walks_each_universe_once(monkeypatch):
     for p in pairs:
         assert all(r.ok for r in verify.verify_pair(p, budget=2000))
     assert walked == pairs
+
+
+def _reference_sweep(p, chunk_rows=1 << 16):
+    """sweep as it was: its own int8 walk and int64 matmuls, exact while
+    W <= 63 (no int8 wrap) and no int64 sum wraps."""
+    n = p.n
+    counts = np.zeros(4 * p.limit + 1, dtype=np.int64)
+    slice_abs = np.zeros(n, dtype=np.int64)
+    slice_row_abs = np.zeros(n, dtype=np.int64)
+    gw = np.zeros((n, n), dtype=np.int64)
+    gu = np.zeros((n, n), dtype=np.int64)
+    ga = np.zeros((n, n), dtype=np.int64)
+    max_row = -1
+    max_row_count = 0
+    for lo in range(0, p.size, chunk_rows):
+        hi = min(lo + chunk_rows, p.size)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        block = np.zeros((hi - lo, n), dtype=np.int8)
+        for col in range(n - 1):
+            block[:, col] = (idx % p.base) - p.limit
+            idx //= p.base
+        u = block.astype(np.int16)
+        u[:, 1:] -= block[:, :-1]
+        counts += np.bincount((u + 2 * p.limit).ravel(), minlength=4 * p.limit + 1)
+        w64 = block.astype(np.int64)
+        u64 = u.astype(np.int64)
+        a64 = np.abs(u).astype(np.int64)
+        rows = a64.sum(axis=1)
+        slice_abs += a64.sum(axis=0)
+        slice_row_abs += u64.T @ rows
+        gw += w64.T @ w64
+        gu += u64.T @ u64
+        ga += a64.T @ a64
+        row_max = int(rows.max())
+        if row_max > max_row:
+            max_row, max_row_count = row_max, 0
+        if row_max == max_row:
+            max_row_count += int((rows == row_max).sum())
+    return UniverseSums(
+        params=p,
+        action_counts={m - 2 * p.limit: int(c) for m, c in enumerate(counts)},
+        slice_abs=tuple(int(x) for x in slice_abs),
+        slice_sq=tuple(int(x) for x in np.diagonal(gu)),
+        slice_row_abs=tuple(int(x) for x in slice_row_abs),
+        gram_positions=gw,
+        gram_actions=gu,
+        gram_abs_actions=ga,
+        total_abs=int(slice_abs.sum()),
+        max_abs_row=max_row,
+        max_abs_row_count=max_row_count,
+    )
+
+
+def _fields(sums):
+    """Every UniverseSums field, arrays as nested lists of ints."""
+    out = {}
+    for f in dataclasses.fields(sums):
+        value = getattr(sums, f.name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == np.int64
+            value = value.tolist()
+        out[f.name] = value
+    return out
+
+
+def _direct_fields(p):
+    """The sweep's fields by plain Python sums over every strategy."""
+    n, w = p.n, p.limit
+    rows = [(ps.positions, s.actions) for ps, s in zip(iter_universe(p), iter_strategies(p))]
+    counts = Counter(m for _, u in rows for m in u)
+    slice_sq = tuple(sum(u[i] ** 2 for _, u in rows) for i in range(n))
+    totals = [sum(map(abs, u)) for _, u in rows]
+    max_row = max(totals)
+    return {
+        "params": p,
+        "action_counts": {m: counts.get(m, 0) for m in range(-2 * w, 2 * w + 1)},
+        "slice_abs": tuple(sum(abs(u[i]) for _, u in rows) for i in range(n)),
+        "slice_sq": slice_sq,
+        "slice_row_abs": tuple(sum(u[i] * t for (_, u), t in zip(rows, totals))
+                               for i in range(n)),
+        "gram_positions": [[sum(x[i] * x[l] for x, _ in rows) for l in range(n)]
+                           for i in range(n)],
+        "gram_actions": [[sum(u[i] * u[l] for _, u in rows) for l in range(n)]
+                         for i in range(n)],
+        "gram_abs_actions": [[sum(abs(u[i] * u[l]) for _, u in rows) for l in range(n)]
+                             for i in range(n)],
+        "total_abs": sum(totals),
+        "max_abs_row": max_row,
+        "max_abs_row_count": totals.count(max_row),
+    }
+
+
+def test_sweep_matches_frozen_int64_sweep_on_verify_universes():
+    for p in verify.default_pairs(10 ** 4):
+        assert _fields(sweep(p)) == _fields(_reference_sweep(p)), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sweep_matches_frozen_int64_sweep_for_any_chunk_rows(data):
+    w = data.draw(st.integers(1, 6))
+    max_n = 2
+    while (2 * w + 1) ** max_n <= 3000:
+        max_n += 1
+    p = UniverseParams(w, data.draw(st.integers(2, max_n)))
+    rows = data.draw(st.integers(1, p.size + 10))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_ROWS", rows)
+        chunks = [len(block) for block in position_chunks(p)]
+        swept = sweep(p)
+    assert sum(chunks) == p.size and max(chunks) <= rows
+    assert _fields(swept) == _fields(_reference_sweep(p, chunk_rows=rows))
+
+
+def test_sweep_exact_past_int8_positions():
+    # W = 200: int8 positions used to wrap, slice_sq read (2682328, 2682328)
+    p = UniverseParams(200, 2)
+    sums = sweep(p)
+    assert sums.slice_sq == (5373400, 5373400)
+    assert _fields(sums) == _direct_fields(p)
+    assert _fields(sweep(UniverseParams(64, 3))) == _direct_fields(UniverseParams(64, 3))
+    assert brute_force_mps([1, 2], [0, 0], p).best_pl == 200   # used to read 127
+
+
+def test_chunk_dtypes_follow_the_limit():
+    assert next(position_chunks(UniverseParams(127, 2))).dtype == np.int8
+    assert next(position_chunks(UniverseParams(128, 2))).dtype == np.int16
+    assert next(position_chunks(UniverseParams(40000, 2))).dtype == np.int32
+    assert oracle._actions_of(next(position_chunks(UniverseParams(31, 2))), 31).dtype == np.int8
+    assert oracle._actions_of(next(position_chunks(UniverseParams(32, 2))), 32).dtype == np.int16
+
+
+def test_chunks_keep_float64_sums_exact():
+    # a chunk of R rows sums at most R*4nW^2, which must stay below 2^53
+    for p in (UniverseParams(10 ** 5, 2), UniverseParams(10 ** 6, 2), UniverseParams(1000, 3)):
+        rows = len(next(position_chunks(p)))
+        assert 1 <= rows and rows * 4 * p.n * p.limit ** 2 < 2 ** 53
+
+
+def test_large_limits_are_exact_or_refused():
+    # W = 3*10**6, n = 2 is inside the default budget; its sums would pass
+    # 2^63 (sum W_1^2 alone is about 1.8e19), so the sweep refuses it up front
+    with pytest.raises(BudgetExceeded, match="overflow int64"):
+        sweep(UniverseParams(3 * 10 ** 6, 2))
+    p = UniverseParams(10 ** 5, 2)
+    assert sweep(p).gram_positions[0][0] == 10 ** 5 * (10 ** 5 + 1) * (2 * 10 ** 5 + 1) // 3
+    result = brute_force_mps([1, 2], [0, 0], UniverseParams(10 ** 6, 2))
+    assert result.best_pl == 10 ** 6
+    assert result.witnesses == (Strategy((10 ** 6, -10 ** 6)),)
+    # universes whose row indices or actions leave int64
+    with pytest.raises(BudgetExceeded, match="past int64"):
+        next(position_chunks(UniverseParams(2 ** 62, 2), budget=2 ** 64))
+    with pytest.raises(BudgetExceeded, match="64-bit"):
+        brute_force_mps([1, 2], [0, 0], UniverseParams(2 ** 61, 2), budget=2 ** 64)
+
+
+def test_brute_force_extrema_exact_past_int64():
+    p = UniverseParams(6, 2)
+    # int64 values used to wrap to 8446744073709551621
+    assert brute_force_mps([1, 2 * 10 ** 18], [0, 0], p).best_pl == 11999999999999999994
+    # int64 prices used to raise OverflowError
+    best = brute_force_mps([1, 10 ** 19], [0, 0], p)
+    assert best.best_pl == 6 * (10 ** 19 - 1)
+    assert best.witnesses == (Strategy((6, -6)),)
+    worst = brute_force_mls([1, 10 ** 19], [0, 0], p)
+    assert worst.worst_pl == -6 * (10 ** 19 - 1)
+    assert worst.witnesses == (Strategy((-6, 6)),)
+    assert brute_force_mps([1, 10 ** 19], CostModel.constant(10 ** 19, 2), p).best_pl == 0
