@@ -6,31 +6,47 @@ position magma, the linear structure of the universe, and the maximum
 profit strategy / optimal trading element pipeline over tick data.
 """
 
-from .distribution import (ActionDistribution, UniverseParams, action_cdf,
-                           action_count, action_distribution, action_pmf,
-                           abs_action_cov, action_cov, char_fn,
-                           extreme_gain_strategies, industry_gain, limit_pmf,
-                           moment, pl_variance, position_cov, slice_sums,
-                           universe_counts)
-from .ingest import (PRESETS, Session, SessionWindow, contract_for,
-                     load_contract_config, parse_ticks, serialize_ticks,
-                     sessionize, trade_ticks)
-from .magma import (CappedInt, cayley_stats, cayley_table, ominus, oplus,
-                    positions_oplus, solution_set, strategies_compose)
-from .model import (ContractSpec, CostModel, GridError, PositionSeries,
-                    Strategy, Tick, positions_to_strategy,
-                    strategy_to_positions, validate_membership)
-from .mps import MpsResult, MpsTrade, mps0, trades_of
-from .oracle import (BudgetExceeded, brute_force_mls, brute_force_mps, decode,
-                     empirical_action_counts, iter_strategies, iter_universe)
-from .ote import (AttachedSamples, OteExtractor, OteRecord, OteStats, OteType,
-                  Scenario, Tolerances, birth_threshold, classify_scenario,
-                  extract_otes, head_and_shoulders, on_permitted_grid,
-                  ote_stats, permitted_profit_grid, sample_stats)
-from .pl import (PlBreakdown, ote_pl, pl, pl_matrix, pl_prefix,
-                 price_increment_stats)
-from .vectors import (OrthFamily, gen_bhs_basis, gen_family,
-                      max_orthogonal_subset, rank_of_universe,
-                      rotation_matrix)
+import importlib
+
+# Bound now: once the submodule mpslab.pl is imported, its attribute on the
+# package would hide a lazily exported function of the same name.
+from .pl import pl
 
 __version__ = "0.1.0"
+
+# The other exports load their module on first use (PEP 562), so only the
+# enumeration oracle, and what imports it, loads numpy.
+_EXPORTS = {
+    "distribution": "abs_action_cov action_cdf action_count action_cov action_pmf char_fn "
+    "extreme_gain_strategies industry_gain limit_pmf moment pl_variance position_cov "
+    "slice_sums universe_counts",
+    "ingest": "PRESETS SessionWindow parse_ticks serialize_ticks sessionize trade_ticks",
+    "magma": "CappedInt cayley_stats cayley_table ominus oplus positions_oplus solution_set "
+    "strategies_compose",
+    "model": "ContractSpec CostModel GridError PositionSeries Strategy Tick "
+    "positions_to_strategy strategy_to_positions validate_membership",
+    "mps": "MpsResult mps0 trades_of",
+    "numeric": "BudgetExceeded",
+    "oracle": "brute_force_mls brute_force_mps decode empirical_action_counts iter_strategies "
+    "iter_universe",
+    "ote": "OteExtractor OteType Scenario Tolerances birth_threshold classify_scenario "
+    "extract_otes head_and_shoulders on_permitted_grid ote_stats permitted_profit_grid "
+    "sample_stats",
+    "pl": "ote_pl pl_matrix pl_prefix price_increment_stats",
+    "vectors": "gen_bhs_basis gen_family max_orthogonal_subset rank_of_universe rotation_matrix",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # the exporting modules are attributes of the package too
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_MODULE_OF[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

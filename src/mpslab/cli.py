@@ -17,19 +17,17 @@ Identical inputs and flags always produce byte-identical output; exit code
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from bisect import bisect_left, bisect_right
+from contextlib import nullcontext
 from fractions import Fraction
 
-from . import __version__, distribution as dist, ingest, magma, mps as mps_mod
-from . import ote as ote_mod, vectors, verify as verify_mod
-from .model import GridError
-from .numeric import ExponentError, as_fraction, fmt_dollars, fmt_number, fmt_price
-from .oracle import BudgetExceeded
-from .distribution import UniverseParams
+# each subcommand imports the modules it runs, so only `verify` loads numpy
+from . import __version__
+from .model import ContractSpec, GridError
+from .numeric import BudgetExceeded, ExponentError, as_fraction, fmt_dollars, fmt_price
 
 CONFIG_ENV = "MPSLAB_CONFIG"
 
@@ -51,7 +49,7 @@ def _check_args(args) -> None:
     fc, cost = (_number(get(name)) if get(name) is not None else None
                 for name in ("fc", "cost"))
     for failed, message in [
-        (get("max_universe", 1) <= 0, "budget must be positive"),
+        (get("max_universe") is not None and args.max_universe <= 0, "budget must be positive"),
         (get("bins") is not None and args.bins < 1, "bin count must be >= 1"),
         (get("W") is not None and args.W < 1, "position limit W must be >= 1"),
         (get("n") is not None and args.n < 2, "tick count n must be >= 2"),
@@ -63,9 +61,10 @@ def _check_args(args) -> None:
             raise ValueError(message)
 
 
-def _printable_universe(args) -> UniverseParams:
+def _printable_universe(args):
     """The --W/--n universe, refused before any power is built when its
     largest figure, n*(2W+1)^(n-1), has more digits than Python prints."""
+    from .distribution import UniverseParams
     p = UniverseParams(args.W, args.n)
     digits = int(math.log10(p.n) + (p.n - 1) * math.log10(p.base)) + 1
     limit = sys.get_int_max_str_digits()
@@ -86,23 +85,35 @@ def _emit(args, text: str, plot_stub: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _contract(args) -> ingest.ContractSpec:
+def _contract(args) -> ContractSpec:
+    from . import ingest
     config = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     return ingest.contract_for(args.contract, config)
 
 
-def _read_ticks(args, spec) -> ingest.TickColumns:
-    if args.file == "-":
-        ticks = ingest.read_ticks(sys.stdin, spec)
-    else:
-        with open(args.file) as fh:
-            ticks = ingest.read_ticks(fh, spec)
-    return ingest.trade_ticks(ticks)
+def _open_text(path: str):
+    """A tick or samples file, or stdin for '-', read as UTF-8 after an
+    optional byte-order mark.  A byte that is not UTF-8 becomes a lone
+    surrogate, for the reader to refuse with its line number, the same for a
+    file and for stdin."""
+    text = {"encoding": "utf-8-sig", "errors": "surrogateescape"}
+    if path != "-":
+        return open(path, **text)
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(**text)
+    return nullcontext(sys.stdin)
 
 
-def _session_trades(args, spec) -> list[tuple[ingest.Session, list[ote_mod.OteRecord]]]:
+def _read_ticks(args, spec):
+    from . import ingest
+    with _open_text(args.file) as fh:
+        return ingest.trade_ticks(ingest.read_ticks(fh, spec))
+
+
+def _session_trades(args, spec) -> list:
     """The tick -> trade pipeline of ``ote`` and ``pattern``: read, drop
-    indicative ticks, split into sessions, extract each session's trades."""
+    indicative ticks, split into sessions, pair each with its trades."""
+    from . import ingest, ote as ote_mod
     ticks = _read_ticks(args, spec)
     try:
         window = ingest.session_window_of(spec)
@@ -116,6 +127,8 @@ def _session_trades(args, spec) -> list[tuple[ingest.Session, list[ote_mod.OteRe
 
 
 def cmd_counts(args) -> int:
+    import json
+    from . import distribution as dist
     counts = dist.universe_counts(_printable_universe(args))
     record = {
         "strategies": counts.strategies,
@@ -138,6 +151,8 @@ plot '{data}' using 1:3 title 'pmf', '{data}' using 1:4 title 'cdf'
 
 
 def cmd_dist(args) -> int:
+    import json
+    from . import distribution as dist
     p = _printable_universe(args)
     pmf = dist.action_pmf(p)
     rows = ["m\tcount\tpmf\tcdf"]
@@ -156,7 +171,9 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.verify_matrix(args.max_universe)
+    from . import verify
+    budget = verify.DEFAULT_MAX_UNIVERSE if args.max_universe is None else args.max_universe
+    results = verify.verify_matrix(budget)
     lines = ["W\tn\tcheck\tstatus"]
     failures = 0
     for r in results:
@@ -168,6 +185,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_magma_table(args) -> int:
+    from . import magma
     table = magma.cayley_table(args.W, args.op)
     values = list(range(-args.W, args.W + 1))
     header = "\t".join([("(+)" if args.op == "plus" else "(-)")] + [str(v) for v in values])
@@ -180,11 +198,13 @@ def cmd_magma_table(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import vectors
     _emit(args, f"rank={vectors.rank_of_universe(args.n)}\n")
     return 0
 
 
 def cmd_mps(args) -> int:
+    from . import mps as mps_mod
     spec = _contract(args)
     if args.prices:
         prices = [_number(tok) for tok in args.prices.split(",")]
@@ -209,7 +229,7 @@ def cmd_mps(args) -> int:
     return 0
 
 
-def _stats_block(stats: ote_mod.OteStats, title: str) -> list[str]:
+def _stats_block(stats, title: str) -> list[str]:
     lines = [
         f"{title} distribution",
         f"Mean                = {float(stats.mean)}",
@@ -235,6 +255,7 @@ plot '{data}' index 1 using 1:2 with steps title 'ECDF'
 
 
 def cmd_ote(args) -> int:
+    from . import ote as ote_mod
     spec = _contract(args)
     records = [r for _, found in _session_trades(args, spec) for r in found]
     lines = ["#\tt_start\tP_start\tt_end\tP_end\tdt_s\tPL\tType"]
@@ -280,17 +301,16 @@ def _samples(lines) -> list[Fraction]:
 
 
 def cmd_stats(args) -> int:
-    if args.file == "-":
-        values = _samples(sys.stdin)
-    else:
-        with open(args.file) as fh:
-            values = _samples(fh)
+    from . import ote as ote_mod
+    with _open_text(args.file) as fh:
+        values = _samples(fh)
     stats = ote_mod.sample_stats(values, args.bins)
     _emit(args, "\n".join(_stats_block(stats, args.metric.capitalize())) + "\n")
     return 0
 
 
 def cmd_pattern(args) -> int:
+    from . import ingest, ote as ote_mod
     spec = _contract(args)
     tol = ote_mod.Tolerances(args.eq_tol, args.lt_tol)
     lines = ["session\twindow_end\tmatched_at\tprice"]
@@ -350,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("verify", help="formula-vs-enumeration verification matrix")
-    p.add_argument("--max-universe", type=int, default=verify_mod.DEFAULT_MAX_UNIVERSE)
+    p.add_argument("--max-universe", type=int)  # None: verify.DEFAULT_MAX_UNIVERSE
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -201,9 +201,18 @@ def _grid_deltas(fields: list[str], spec: ContractSpec, line_no: int) -> int:
     return n
 
 
+def _check_decoded(line: str, line_no: int) -> None:
+    """Refuse a byte that was not UTF-8, which decoding with errors=
+    'surrogateescape' (as the CLI reads) turned into a lone surrogate."""
+    bad = next((c for c in line if "\udc80" <= c <= "\udcff"), None)
+    if bad is not None:
+        raise ParseError(f"line {line_no}: invalid UTF-8 byte 0x{ord(bad) - 0xdc00:02x}")
+
+
 def read_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> TickColumns:
     """Parse a tick stream in file order into columns, validating prices on
-    the grid.  Each distinct date and price text is converted once."""
+    the grid.  Each distinct date and price text is converted once.
+    Timestamps are whole seconds: '09:00:00.250' is a bad timestamp."""
     cols = TickColumns(spec)
     add_time, add_delta = cols.times.append, cols.deltas.append
     add_size, add_condition = cols.sizes.append, cols.conditions.append
@@ -212,6 +221,8 @@ def read_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tick
     clock: dict[str, int] = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
+        if not line.isascii():
+            _check_decoded(line, line_no)
         if not line or line[0] == "#":
             continue
         fields = line.split()

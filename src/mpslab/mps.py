@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import ContractSpec, Strategy, strategy_to_positions
-from .numeric import Rational, as_fraction, money_scale, scaled_ints
-from .oracle import BudgetExceeded
+from .numeric import BudgetExceeded, Rational, as_fraction, money_scale, scaled_ints
 
 # n*(2W+1) above this is refused before any table is built: ~10 s of DP and
 # a back-pointer table of a few bytes per state

@@ -24,6 +24,10 @@ class ExponentError(ValueError):
     """Number text whose exponent is out of range."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A request larger than the configured budget, refused before any work."""
+
+
 def as_fraction(x: Rational) -> Fraction:
     """Convert a number-like value to an exact Fraction."""
     if isinstance(x, Fraction):

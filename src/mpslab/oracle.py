@@ -17,15 +17,12 @@ import numpy as np
 
 from .distribution import ActionDistribution, UniverseParams
 from .model import PositionSeries, Strategy, positions_to_strategy
-from .numeric import Rational, as_fraction, as_fractions, money_scale, scaled_ints
+from .numeric import (BudgetExceeded, Rational, as_fraction, as_fractions, money_scale,
+                      scaled_ints)
 
 DEFAULT_BUDGET = 10 ** 7
 _CHUNK_ROWS = 1 << 16
 _FLOAT_EXACT = 1 << 53  # doubles hold every integer below this exactly
-
-
-class BudgetExceeded(RuntimeError):
-    """The universe is larger than the configured sweep budget."""
 
 
 def _check_budget(p: UniverseParams, budget: int) -> None:
@@ -73,15 +70,22 @@ def position_chunks(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator
     The dtype is the smallest that holds +-W.  A chunk has at most
     ``_CHUNK_ROWS`` rows, and few enough that its sums of one product per
     strategy, each at most 4nW^2, stay below 2^53 (exact in float64; see
-    ``sweep``).  Chunks start at multiples of (2W+1)^k, the largest power
-    that fits, so the k lowest digit columns are the same in every chunk:
-    they are built once, and each chunk fills only the higher ones.
+    ``sweep``).
+    """
+    return _chunks(p, budget, min(_CHUNK_ROWS, (_FLOAT_EXACT - 1) // (4 * p.n * p.limit ** 2)))
+
+
+def _chunks(p: UniverseParams, budget: int, rows: int) -> Iterator[np.ndarray]:
+    """The universe in position chunks of at most ``rows`` rows (at least
+    one).  Chunks start at multiples of (2W+1)^k, the largest power that
+    fits, so the k lowest digit columns are the same in every chunk: they
+    are built once, and each chunk fills only the higher ones.
     """
     _check_budget(p, budget)
     if p.size >= 1 << 63:
         raise BudgetExceeded(f"universe (2W+1)^(n-1) = {p.size} has row indices past int64")
     base, w, n = p.base, p.limit, p.n
-    rows = max(1, min(_CHUNK_ROWS, (_FLOAT_EXACT - 1) // (4 * n * w * w), p.size))
+    rows = max(1, min(rows, p.size))
     span, k = 1, 0
     while k < n - 1 and span * base <= rows:
         span, k = span * base, k + 1
@@ -282,7 +286,8 @@ def _scan_extremum(prices, costs, p, k, budget, sign):
     best = None
     witnesses: list[int] = []
     row_base = 0
-    for block in position_chunks(p, budget):
+    # per-row int64 or Python-int values: no float bound on the chunk size
+    for block in _chunks(p, budget, _CHUNK_ROWS):
         u = _actions_of(block, p.limit).astype(dtype)
         value = sign * (-(u @ p_int) - np.abs(u) @ c_int)
         top = int(value.max())

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .distribution import UniverseParams
 from .model import Strategy
-from .oracle import iter_strategies
 
 FAMILY_KINDS = ("eta", "lambda", "nu", "theta", "bhs")
 
@@ -168,6 +167,8 @@ def max_orthogonal_subset(n: int, budget: int = 3 ** 6) -> MaxOrthResult:
     decode order; the first maximum found is the lexicographically smallest.
     A universe larger than ``budget`` raises ``BudgetExceeded``.
     """
+    from .oracle import iter_strategies  # loads numpy, which nothing else here needs
+
     vectors = [s.actions for s in iter_strategies(UniverseParams(1, n), budget)
                if not s.is_do_nothing()]
     count = len(vectors)

@@ -360,3 +360,26 @@ def test_brute_force_extrema_exact_past_int64():
     assert worst.worst_pl == -6 * (10 ** 19 - 1)
     assert worst.witnesses == (Strategy((-6, 6)),)
     assert brute_force_mps([1, 10 ** 19], CostModel.constant(10 ** 19, 2), p).best_pl == 0
+
+
+def test_brute_force_chunks_are_not_sized_by_the_float_bound(monkeypatch):
+    # brute force computes in int64 or Python ints, so only _CHUNK_ROWS caps
+    # its chunks; under the float64 bound W = 3*10**6, n = 2 took 48,001
+    # chunks of 125 rows
+    calls = []
+    real = oracle._actions_of
+
+    def counting(positions, limit):
+        calls.append(len(positions))
+        return real(positions, limit)
+
+    monkeypatch.setattr(oracle, "_actions_of", counting)
+    p = UniverseParams(3 * 10 ** 6, 2)
+    assert brute_force_mps([1, 2], [0, 0], p).best_pl == 3 * 10 ** 6
+    assert len(calls) == -(-p.size // oracle._CHUNK_ROWS) == 92
+    assert sum(calls) == p.size
+    calls.clear()
+    assert brute_force_mls([1, 2], [0, 0], UniverseParams(10 ** 6, 2)).worst_pl == -10 ** 6
+    assert len(calls) == 31
+    # sweep keeps the float64 bound
+    assert len(next(position_chunks(p))) * 4 * p.n * p.limit ** 2 < 2 ** 53
