@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -310,35 +309,17 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pattern(args) -> int:
-    from . import ingest, ote as ote_mod
+    from . import ote as ote_mod
     spec = _contract(args)
     tol = ote_mod.Tolerances(args.eq_tol, args.lt_tol)
     lines = ["session\twindow_end\tmatched_at\tprice"]
-    hits = 0
     for session, records in _session_trades(args, spec):
-        ticks = session.ticks
-        for end in range(6, len(records) + 1):
-            window = records[end - 6:end]
-            try:
-                monitor = ote_mod.HeadShouldersMonitor(window, tol, spec)
-            except ValueError:
-                continue
-            if not monitor.fixed_ok:
-                continue
-            # ticks from the last trade's birth to its end, by time: the
-            # bisection takes in ticks sharing the birth's or the end's time
-            current = window[-1]
-            lo = bisect_left(ticks.times, ingest.to_micros(current.t_birth))
-            hi = bisect_right(ticks.times, ingest.to_micros(current.t_end))
-            for i in range(lo, hi):
-                if monitor.check(ticks.price(i)):
-                    hits += 1
-                    lines.append("\t".join([
-                        str(session.day), str(end),
-                        ingest.from_micros(ticks.times[i]).strftime("%Y-%m-%d %H:%M:%S"),
-                        fmt_price(ticks.price(i), spec.delta)]))
-                    break
-    lines.append(f"# {hits} matches")
+        for end, i in ote_mod.head_and_shoulders_hits(records, tol, spec):
+            tick = records[end - 1].columns[i]
+            lines.append("\t".join([str(session.day), str(end),
+                                    tick.timestamp.strftime("%Y-%m-%d %H:%M:%S"),
+                                    fmt_price(tick.price, spec.delta)]))
+    lines.append(f"# {len(lines) - 1} matches")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -18,7 +18,7 @@ from itertools import compress
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
-from .numeric import as_fraction, fmt_number
+from .numeric import as_fraction
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ def _parse_time(text: str) -> time:
 _DAY_US = 86_400_000_000
 _EPOCH = datetime(1, 1, 1)
 _US = timedelta(microseconds=1)
+_LAST_DAY = date.max.toordinal()        # days since _EPOCH of the day after date.max
 
 
 def to_micros(ts: datetime) -> int:
@@ -260,18 +261,31 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> lis
 
 
 def trade_ticks(ticks: Sequence[Tick]) -> Sequence[Tick]:
-    """Drop indicative (size 0) ticks; columns stay columns."""
+    """Drop indicative (size 0) ticks; columns stay columns, and come back
+    themselves when none is indicative."""
     if isinstance(ticks, TickColumns):
-        return ticks.take(compress(range(len(ticks)), ticks.sizes))
+        return ticks if all(ticks.sizes) else ticks.take(compress(range(len(ticks)), ticks.sizes))
     return [t for t in ticks if not t.indicative]
 
 
+def _exact_text(x: Fraction) -> str:
+    """Plain text of a positive ``x`` that parses back exactly: every decimal
+    digit when the expansion ends ('2350.25', '2350'), else 'numerator/denominator'."""
+    den = x.denominator
+    places = next((k for k in range(den.bit_length()) if 10 ** k % den == 0), None)
+    if places is None:
+        return f"{x.numerator}/{den}"
+    whole, part = divmod(x.numerator * 10 ** places // den, 10 ** places)
+    return f"{whole}.{part:0{places}d}" if places else str(whole)
+
+
 def serialize_ticks(ticks: Sequence[Tick]) -> str:
-    """Canonical TSV tick format (date, time, price, size[, condition])."""
+    """Canonical TSV tick format (date, time, price, size[, condition]).
+    Prices are written exactly, so ``read_ticks`` reads back the same ticks."""
     lines = []
     for t in ticks:
         fields = [t.timestamp.strftime("%Y/%m/%d"), t.timestamp.strftime("%H:%M:%S"),
-                  fmt_number(t.price), str(t.size)]
+                  _exact_text(t.price), str(t.size)]
         if t.condition is not None:
             fields.append(t.condition)
         lines.append("\t".join(fields))
@@ -319,6 +333,9 @@ def sessionize(ticks: Sequence[Tick], window: SessionWindow) -> SessionizeResult
         last = day * _DAY_US + close_us
         if first <= ordered[p] <= last:
             q = bisect_right(ordered, last, p)
+            if day >= _LAST_DAY:
+                raise ValueError(f"tick at {from_micros(ordered[p]):%Y-%m-%d %H:%M:%S} is in "
+                                 f"a session that closes after {date.max}, the last date")
             sessions.append(Session(date.fromordinal(day + 1), take(order[p:q])))
         else:
             q = bisect_left(ordered, first if ordered[p] < first else first + _DAY_US, p)

@@ -79,17 +79,6 @@ def fmt_dollars(x: Fraction) -> str:
     return repr(float(x))
 
 
-def fmt_number(x) -> str:
-    """Stable text form for TSV output (exact ints stay ints)."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return repr(float(x))
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def fmt_price(x: Fraction, delta: Fraction) -> str:
     """Quote-style price text with the decimals the grid needs (0.25 -> 2)."""
     for places in range(13):

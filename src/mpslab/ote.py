@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
 from fractions import Fraction
 from itertools import islice
 from operator import gt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .ingest import TickColumns, from_micros, to_micros, trade_ticks
 from .model import ContractSpec, Tick
@@ -67,75 +67,71 @@ def on_permitted_grid(pl_value: Rational, filtering_cost: Rational, cost: Ration
     return steps.denominator == 1 and steps >= 0
 
 
-class AttachedSamples:
-    """Distribution samples attached to one trade's tick span.
+@dataclass(frozen=True, eq=False, slots=True)
+class OteRecord:
+    """One optimal trade: a span of shared tick columns and its result.
 
-    A view of the span [start, stop) of shared tick columns: the sample
-    tuples are built when read, so a record copies no ticks.  Views compare
-    by their samples.
+    The trade runs from tick ``start`` to tick ``stop - 1`` of ``columns``
+    and was born at tick ``birth``.  Times, prices, counts and the sample
+    tuples are read off the columns when asked for, so a record copies no
+    ticks.  A live (born but unfinished) snapshot has ``ended`` False: it
+    spans every tick so far and its end-side values are None.  Records
+    compare and hash by these values, not by which columns they span.
     """
 
-    __slots__ = ("_ticks", "_start", "_stop")
+    ote_type: OteType
+    columns: TickColumns
+    start: int
+    birth: int
+    stop: int
+    ended: bool
+    pl: Optional[Fraction]
+    filtering_cost: Fraction
+    scenario: Optional[Scenario]
+    closed: bool                          # ended by replacement, not session end
 
-    def __init__(self, ticks: TickColumns, start: int, stop: int):
-        self._ticks, self._start, self._stop = ticks, start, stop
+    t_start = property(lambda r: from_micros(r.columns.times[r.start]))
+    p_start = property(lambda r: r.columns.price(r.start))
+    t_birth = property(lambda r: from_micros(r.columns.times[r.birth]))
+    p_birth = property(lambda r: r.columns.price(r.birth))
+    t_end = property(lambda r: from_micros(r.columns.times[r.stop - 1]) if r.ended else None)
+    p_end = property(lambda r: r.columns.price(r.stop - 1) if r.ended else None)
+    tick_count = property(lambda r: r.stop - r.start)
+    volume_total = property(lambda r: sum(r.columns.sizes[r.start:r.stop]))
+    prices = property(lambda r: tuple(map(r.columns.price, range(r.start, r.stop))))
+    volumes = property(lambda r: tuple(r.columns.sizes[r.start:r.stop]))
+
+    @property
+    def duration(self) -> Optional[float]:
+        """Seconds from start to end."""
+        times = self.columns.times
+        return (times[self.stop - 1] - times[self.start]) / 1_000_000 if self.ended else None
 
     @property
     def a_increments(self) -> tuple[float, ...]:
         """Waiting times between ticks, seconds."""
-        t = self._ticks.times[self._start:self._stop]
+        t = self.columns.times[self.start:self.stop]
         return tuple((b - a) / 1_000_000 for a, b in zip(t, t[1:]))
 
     @property
     def b_increments(self) -> tuple[Fraction, ...]:
         """Price increments between ticks."""
-        n, delta = self._ticks.deltas[self._start:self._stop], self._ticks.spec.delta
+        n, delta = self.columns.deltas[self.start:self.stop], self.columns.spec.delta
         return tuple(delta * (b - a) for a, b in zip(n, n[1:]))
 
-    @property
-    def prices(self) -> tuple[Fraction, ...]:
-        delta = self._ticks.spec.delta
-        return tuple(delta * n for n in self._ticks.deltas[self._start:self._stop])
-
-    @property
-    def volumes(self) -> tuple[int, ...]:
-        return tuple(self._ticks.sizes[self._start:self._stop])
-
     def _values(self) -> tuple:
-        return self.a_increments, self.b_increments, self.prices, self.volumes
+        cols, s, stop = self.columns, self.start, self.stop
+        return (self.ote_type, self.ended, self.pl, self.filtering_cost, self.scenario,
+                self.closed, cols.spec.delta, self.birth - s, tuple(cols.times[s:stop]),
+                tuple(cols.deltas[s:stop]), tuple(cols.sizes[s:stop]))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AttachedSamples):
+        if not isinstance(other, OteRecord):
             return NotImplemented
         return self._values() == other._values()
 
     def __hash__(self) -> int:
         return hash(self._values())
-
-
-@dataclass(frozen=True)
-class OteRecord:
-    """One optimal trade and its attached properties.
-
-    End-side fields are None on a live (born but unfinished) snapshot; every
-    record the extractor emits has them set.
-    """
-
-    ote_type: OteType
-    t_start: datetime
-    p_start: Fraction
-    t_birth: datetime
-    p_birth: Fraction
-    t_end: Optional[datetime]
-    p_end: Optional[Fraction]
-    pl: Optional[Fraction]
-    duration: Optional[float]             # seconds, start to end
-    tick_count: int
-    volume_total: int
-    samples: AttachedSamples
-    filtering_cost: Fraction
-    scenario: Optional[Scenario]
-    closed: bool                          # ended by replacement, not session end
 
 
 class OteExtractor:
@@ -242,41 +238,30 @@ class OteExtractor:
     def _build_record(self, replaced: Optional[bool]) -> OteRecord:
         """Record of the born trade; ``replaced`` None gives the live
         snapshot, which spans every tick so far and leaves the end open."""
-        ticks, s, b = self._ticks, self._start_i, self._birth_i
-        times, deltas = ticks.times, ticks.deltas
+        s, b, deltas = self._start_i, self._birth_i, self._ticks.deltas
         live = replaced is None
-        stop = len(times) if live else self._ext_i + 1
-        e = stop - 1
+        stop = len(deltas) if live else self._ext_i + 1
         if live:
-            t_end = p_end = pl = duration = scenario = None
+            pl = scenario = None
         else:
-            t_end, p_end = from_micros(times[e]), ticks.price(e)
-            move = abs(deltas[e] - deltas[s])
+            move = abs(deltas[stop - 1] - deltas[s])
             pl = self._pl_of.get(move)
             if pl is None:
                 pl = self._pl_of[move] = self.spec.delta_dollars * move - 2 * self.cost
-            duration = (times[e] - times[s]) / 1_000_000
-            if (deltas[e] - deltas[b]) * self._dir > 0:
+            if (deltas[stop - 1] - deltas[b]) * self._dir > 0:
                 scenario = Scenario.PROFIT_GREW
             else:
                 scenario = Scenario.REPLACED if replaced else Scenario.SESSION_ENDED
-        return OteRecord(
-            ote_type=OteType.BOTE if self._dir > 0 else OteType.SOTE,
-            t_start=from_micros(times[s]), p_start=ticks.price(s),
-            t_birth=from_micros(times[b]), p_birth=ticks.price(b),
-            t_end=t_end, p_end=p_end, pl=pl, duration=duration,
-            tick_count=stop - s, volume_total=sum(ticks.sizes[s:stop]),
-            samples=AttachedSamples(ticks, s, stop), filtering_cost=self.fc,
-            scenario=scenario, closed=bool(replaced),
-        )
+        return OteRecord(OteType.BOTE if self._dir > 0 else OteType.SOTE, self._ticks,
+                         s, b, stop, not live, pl, self.fc, scenario, bool(replaced))
 
 
 def extract_otes(ticks: Sequence[Tick], filtering_cost: Rational, cost: Rational,
                  spec: ContractSpec, include_indicative: bool = False) -> list[OteRecord]:
     """All optimal trades of one time-ordered tick session.
 
-    ``TickColumns`` on ``spec`` are scanned in place; other sequences are
-    converted to columns first.
+    ``TickColumns`` on ``spec`` are scanned in place and the records span
+    them; other sequences are converted to columns first.
     """
     extractor = OteExtractor(filtering_cost, cost, spec, include_indicative)
     if not include_indicative:
@@ -440,8 +425,9 @@ class Tolerances:
 class HeadShouldersMonitor:
     """Head-and-shoulders test over a six-trade chain (B1,S2,B3,S4,B5,S6).
 
-    The five fixed comparisons are evaluated once at construction; per-tick
-    monitoring only compares the arriving price with B5's birth price.
+    The five fixed comparisons are evaluated once at construction, on grid
+    counts; per-tick monitoring only compares the arriving price with B5's
+    birth price, ``monitored_deltas`` deltas.
     """
 
     def __init__(self, chain: Sequence[OteRecord], tolerances: Tolerances,
@@ -453,24 +439,49 @@ class HeadShouldersMonitor:
         if [r.ote_type for r in window] != expected:
             raise ValueError("chain must alternate BOTE/SOTE starting with a BOTE")
         b1, _, b3, _, b5, _ = window
-        eq_slack = tolerances.eq_deltas * spec.delta
-        lt_slack = tolerances.lt_deltas * spec.delta
-        eq = lambda x, y: abs(x - y) <= eq_slack
-        lt = lambda x, y: x < y - lt_slack
+        first = lambda r: r.columns.deltas[r.start]
+        last = lambda r: r.columns.deltas[r.stop - 1]
+        eq = lambda x, y: abs(x - y) <= tolerances.eq_deltas
+        lt = lambda x, y: x < y - tolerances.lt_deltas
         self.fixed_ok = (
-            lt(b1.p_start, b3.p_start)
-            and eq(b3.p_start, b5.p_start)
-            and lt(b1.p_end, b3.p_end)
-            and lt(b5.p_end, b3.p_end)
+            lt(first(b1), first(b3))
+            and eq(first(b3), first(b5))
+            and lt(last(b1), last(b3))
+            and lt(last(b5), last(b3))
         )
-        self._eq = eq
-        self.monitored_price = b5.p_birth
+        self.eq_deltas = tolerances.eq_deltas
+        self.monitored_deltas = b5.columns.deltas[b5.birth]
+        self._delta = spec.delta
 
     def check(self, price: Rational) -> bool:
-        return self.fixed_ok and self._eq(as_fraction(price), self.monitored_price)
+        """Exact for any price: one off the grid is compared as it is."""
+        return self.fixed_ok and \
+            abs(as_fraction(price) / self._delta - self.monitored_deltas) <= self.eq_deltas
 
 
 def head_and_shoulders(chain: Sequence[OteRecord], current_price: Rational,
                        tolerances: Tolerances, spec: ContractSpec) -> bool:
     """One-shot evaluation of the pattern predicate at the current price."""
     return HeadShouldersMonitor(chain, tolerances, spec).check(current_price)
+
+
+def head_and_shoulders_hits(records: Sequence[OteRecord], tolerances: Tolerances,
+                            spec: ContractSpec) -> Iterator[tuple[int, int]]:
+    """First match of each six-trade window of one session's records: yields
+    (window end, tick index), the window being ``records[end - 6:end]`` and the
+    index one of its last trade's columns, tried from the first tick sharing
+    that trade's birth time to the last sharing its end time."""
+    for end in range(6, len(records) + 1):
+        try:
+            monitor = HeadShouldersMonitor(records[end - 6:end], tolerances, spec)
+        except ValueError:
+            continue
+        if not monitor.fixed_ok:
+            continue
+        last = records[end - 1]
+        times, deltas = last.columns.times, last.columns.deltas
+        for i in range(bisect_left(times, times[last.birth]),
+                       bisect_right(times, times[last.stop - 1])):
+            if abs(deltas[i] - monitor.monitored_deltas) <= monitor.eq_deltas:
+                yield end, i
+                break

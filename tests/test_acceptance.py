@@ -240,7 +240,7 @@ def test_criterion_12_synthetic_substitute_suite():
                   for p, q in zip(records, records[1:]))
         ok &= all(on_permitted_grid(r.pl, fc, "4.68", ES) for r in closed)
         for r in records:
-            mean_b = sum(r.samples.b_increments, Fraction(0)) / len(r.samples.b_increments)
+            mean_b = sum(r.b_increments, Fraction(0)) / len(r.b_increments)
             ok &= mean_b > 0 if r.ote_type is OteType.BOTE else mean_b < 0
         # closed records never change when more ticks arrive
         prefix_records = extract_otes(ticks[:2000], fc, "4.68", ES)

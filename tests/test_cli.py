@@ -323,3 +323,17 @@ def test_bad_cost_text_is_named_not_a_traceback(capsys):
     for text in ("abc", "1/0"):
         code, out, err = run(capsys, ["mps", "--cost", text, "--prices", "2370"])
         assert (code, out, err) == (1, "", f"error: not a number: {text!r}\n")
+
+
+def test_session_past_year_9999_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "last.tsv"
+    path.write_text("9999/12/31 17:00:00 2350 1\n9999/12/31 18:00:00 2351 1\n"
+                    "9999/12/31 19:00:00 2349 1\n")
+    for command in ("ote", "pattern"):
+        code, out, err = run(capsys, [command, "--fc", "1", "--cost", "0.5", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: tick at 9999-12-31 17:00:00 is in a session that closes "
+                       "after 9999-12-31, the last date\n")
+    # the same day before the open is still a session
+    path.write_text("9999/12/31 09:00:00 2350 1\n9999/12/31 10:00:00 2351 1\n")
+    assert run(capsys, ["ote", "--fc", "1", "--cost", "0.5", str(path)])[0] == 0

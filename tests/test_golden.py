@@ -1,0 +1,81 @@
+"""Golden CLI output: the sha256 of stdout for fixed inputs.
+
+The tick file is a seeded random walk on the ES grid written by this test,
+not by the package, over two overnight sessions with indicative (size 0)
+ticks and ticks in the gap between sessions.  A digest changes only when
+the bytes a subcommand prints change.
+"""
+
+import hashlib
+import random
+
+from mpslab.cli import main
+
+DAY = 86_400
+OPEN = 17 * 3600                  # ES session open, the calendar day before
+
+
+def _tick_text() -> str:
+    rng = random.Random("mpslab-golden")
+    level, lines = 4 * 2350, []
+
+    def line(day: int, second: int, deltas: int, size: int) -> str:
+        cents = deltas * 25
+        return (f"2017/04/{9 + day:02d} {second // 3600:02d}:{second // 60 % 60:02d}:"
+                f"{second % 60:02d} {cents // 100}.{cents % 100:02d} {size}\n")
+
+    for session in range(2):
+        # 17:00 to 24:00, then 00:00 to 15:15 of the closing day, on whole
+        # minutes, so that many ticks share a time
+        for offset in sorted(60 * rng.randrange(22 * 60 + 15) for _ in range(700)):
+            day, second = session + (OPEN + offset) // DAY, (OPEN + offset) % DAY
+            if rng.random() < 0.03:
+                lines.append(line(day, second, level + rng.choice((-1, 1)), 0))
+                continue
+            level += rng.choice((-1, 1))
+            lines.append(line(day, second, level, rng.randint(1, 9)))
+        if session == 0:                            # a few ticks between sessions
+            for offset in sorted(rng.randrange(3600) for _ in range(5)):
+                level += rng.choice((-1, 1))
+                lines.append(line(1, 15 * 3600 + 30 * 60 + offset, level, 1))
+    return "".join(lines)
+
+
+TICK_COMMANDS = {
+    ("ote", "--fc", "49.99", "--cost", "4.68"):
+        "f4a4535e0ea090ea590741fb73a2546f1a00c6636d36e592bdc35f8785ca51b9",
+    ("ote", "--fc", "49.99", "--cost", "4.68", "--include-open"):
+        "dd8491deeb1e547baaf133d910235ecbd0e4f1bd5aae36d32b458bc931556b77",
+    ("pattern", "--fc", "12.49", "--cost", "4.68", "--eq-tol", "1"):
+        "1dbd7b4d9be0cf26cbbea36cf540c94031f6a7420ad58e35a67c9133c56f854f",
+    ("mps", "--cost", "4.68", "--W", "3"):
+        "fb9c7f727658319ceed640c75fcfd7c3ed24bc02bcfab2bc9ec1111748641d30",
+}
+
+COMMANDS = {
+    ("counts", "--W", "2", "--n", "5"):
+        "4373ee59d50096624b5d7f81af6683c24cb5ff9e6edfb35bdf1f2de243501800",
+    ("dist", "--W", "2", "--n", "5"):
+        "832c16a200cb2118effc35e781b8a458978b62e36ff25c7d2413d99a7b020091",
+    ("magma-table", "--W", "3", "--op", "minus"):
+        "6ccdcb9f38fa4181d5b5a4a7cf540ff25166a6027f6c17359c9e4b42c6d6b13a",
+    ("rank", "--n", "8"):
+        "26a1eae39b81e7130c255e2632274e92c5b9e02b9ecfdddf3340545ca0844473",
+    ("verify", "--max-universe", "1000"):
+        "c3fe3ca6756848b282f69b0232db86253f99c45a988338edd91d170e12b8188c",
+}
+
+
+def _stdout_digest(argv, capsys) -> str:
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return hashlib.sha256(captured.out.encode()).hexdigest()
+
+
+def test_golden_stdout_digests(tmp_path, capsys):
+    path = tmp_path / "ticks.txt"
+    path.write_text(_tick_text())
+    got = {argv: _stdout_digest(argv + (str(path),), capsys) for argv in TICK_COMMANDS}
+    got.update((argv, _stdout_digest(argv, capsys)) for argv in COMMANDS)
+    assert got == {**TICK_COMMANDS, **COMMANDS}

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpslab import (GridError, SessionWindow, Tick, ingest, parse_ticks,
-                    serialize_ticks, sessionize, trade_ticks)
+from mpslab import (PRESETS, ContractSpec, GridError, SessionWindow, Tick, ingest,
+                    parse_ticks, serialize_ticks, sessionize, trade_ticks)
 from mpslab.ingest import (ParseError, TickColumns, contract_for,
                            load_contract_config, read_ticks, session_window_of)
 
@@ -64,6 +64,48 @@ def test_round_trip(es):
     again = parse_ticks(io.StringIO(out), es)
     assert again == ticks
     assert serialize_ticks(again) == out
+
+
+def test_serialized_prices_are_exact(es):
+    def text(deltas):
+        return serialize_ticks([Tick(datetime(2017, 4, 10, 9), es.delta * deltas, 1)]).split()[2]
+
+    # past 2^53 a float cannot hold these, and 1e+20 is exponent notation
+    for price in [es.delta * (2 ** 52 + 1), es.delta * (2 ** 55 + 1),
+                  10 ** 20 + Fraction(1, 4)]:
+        line = serialize_ticks([Tick(datetime(2017, 4, 10, 9), price, 1)])
+        assert read_ticks([line], es)[0].price == price
+    assert text(2 ** 52 + 1) == "1125899906842624.25"
+    assert text(4 * 10 ** 20 + 1) == "100000000000000000000.25"
+    # the text a float repr already gave exactly stays as it was
+    assert [text(n) for n in (9400, 9401, 9402, 9403)] == \
+        ["2350", "2350.25", "2350.5", "2350.75"]
+    third = ContractSpec("T", 1, Fraction(1, 3))
+    line = serialize_ticks([Tick(datetime(2017, 4, 10, 9), Fraction(7, 3), 1)])
+    assert line.split()[2] == "7/3" and read_ticks([line], third)[0].price == Fraction(7, 3)
+
+
+_GRIDS = [PRESETS["ES"], ContractSpec("B", 1000, Fraction(1, 64)),
+          ContractSpec("T", 1, Fraction(1, 3)), ContractSpec("W", 1, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_GRIDS),
+       st.lists(st.tuples(st.datetimes().map(lambda t: t.replace(microsecond=0)),
+                          st.integers(min_value=1), st.integers(min_value=0),
+                          st.none() | st.text("ABEIS@", min_size=1, max_size=3)),
+                max_size=20))
+def test_serialize_read_round_trip(spec, rows):
+    ticks = [Tick(t, spec.delta * n, size, condition) for t, n, size, condition in rows]
+    text = serialize_ticks(ticks)
+    assert list(read_ticks(text.splitlines(), spec)) == ticks
+    for tick, line in zip(ticks, text.splitlines()):
+        try:
+            old = repr(float(tick.price))
+        except OverflowError:
+            continue
+        if tick.price.denominator > 1 and "e" not in old and Fraction(old) == tick.price:
+            assert line.split("\t")[2] == old
 
 
 def test_sessionize_overnight_window(es):
@@ -253,6 +295,9 @@ def test_columns_round_trip_and_index(es):
     assert cols[1] == Tick(datetime(2017, 4, 10, 11, 18, 22), Fraction("2342.25"), 0, "E")
     assert list(trade_ticks(cols)) == trade_ticks(parse_ticks(lines, es))
     assert list(TickColumns.of(list(cols), es)) == list(cols)
+    # with no indicative tick to drop, the columns come back uncopied
+    traded = read_ticks(lines[:1], es)
+    assert trade_ticks(traded) is traded
 
 
 @pytest.mark.parametrize("window", [SessionWindow(time(17, 0), time(15, 15)),

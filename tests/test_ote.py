@@ -1,6 +1,7 @@
 """Optimal trading elements: extraction, scenarios, statistics, patterns."""
 
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta
 from fractions import Fraction
 from itertools import accumulate
@@ -15,7 +16,8 @@ from mpslab import (PRESETS, OteExtractor, OteType, Scenario, Tick, Tolerances,
                     head_and_shoulders, mps0, on_permitted_grid, ote_stats,
                     permitted_profit_grid, sample_stats, serialize_ticks)
 from mpslab.ingest import read_ticks
-from mpslab.ote import HeadShouldersMonitor
+from mpslab import ote as ote_module
+from mpslab.ote import HeadShouldersMonitor, head_and_shoulders_hits
 
 FC100 = "100"
 FC4999 = "49.99"
@@ -134,7 +136,7 @@ def test_b_increment_sign_invariant(es):
     levels = zigzag_levels([0, 15, 3, 20, 5, 17, 2])
     records = extract_otes(ticks_from_deltas(levels, es), FC4999, C, es)
     for r in records:
-        mean_b = sum(r.samples.b_increments, Fraction(0)) / len(r.samples.b_increments)
+        mean_b = sum(r.b_increments, Fraction(0)) / len(r.b_increments)
         if r.ote_type is OteType.BOTE:
             assert mean_b > 0
         else:
@@ -147,9 +149,9 @@ def test_attached_samples_span(es):
     ticks = ticks_from_deltas(levels, es, sizes=sizes)
     records = extract_otes(ticks, FC4999, C, es)
     bote = records[0]
-    assert bote.tick_count == len(bote.samples.prices)
-    assert bote.volume_total == sum(bote.samples.volumes)
-    assert all(a == 10.0 for a in bote.samples.a_increments)
+    assert bote.tick_count == len(bote.prices)
+    assert bote.volume_total == sum(bote.volumes)
+    assert all(a == 10.0 for a in bote.a_increments)
 
 
 def test_closed_records_immutable_under_appended_ticks(es):
@@ -165,6 +167,11 @@ def test_closed_records_immutable_under_appended_ticks(es):
     prefix_records = extract_otes(prefix, FC4999, C, es)
     closed_prefix = [r for r in prefix_records if r.closed]
     assert full_records[:len(closed_prefix)] == closed_prefix
+    # records span different columns and compare and hash by value
+    assert full_records[0].columns is not prefix_records[0].columns
+    assert {hash(r) for r in closed_prefix} == {hash(r) for r in full_records[:len(closed_prefix)]}
+    assert full_records[0] != full_records[2]
+    assert replace(full_records[0], birth=full_records[0].birth + 1) != full_records[0]
 
 
 def test_streaming_equals_batch(es):
@@ -213,8 +220,26 @@ def test_cost_must_be_below_filtering_cost(es):
         OteExtractor("4.68", "4.68", es)
 
 
+def _assert_boundaries_match_mps0(levels, fc, es):
+    """The zigzag scan gives the dynamic program's trades for W=1 and a
+    constant cost, down to the tick indices."""
+    ticks = ticks_from_deltas(levels, es)
+    records = extract_otes(ticks, fc, Fraction("4.00"), es)
+    trades = mps0([t.price for t in ticks], fc, 1, es).trades
+    assert len(records) == len(trades)
+    for record, trade in zip(records, trades):
+        assert (record.start, record.stop - 1) == (trade.start, trade.end)
+        assert record.p_start == ticks[trade.start].price
+        assert record.p_end == ticks[trade.end].price
+        assert record.t_start == ticks[trade.start].timestamp
+        assert record.t_end == ticks[trade.end].timestamp
+        assert (record.ote_type is OteType.BOTE) == (trade.direction > 0)
+
+
+_MPS0_FCS = [Fraction("6.24"), Fraction("12.49"), Fraction("24.99")]
+
+
 def test_extraction_boundaries_match_mps0_trades(es):
-    # zigzag scan == dynamic-program trade boundaries for W=1, constant cost
     rng = random.Random(2013)
     for _ in range(25):
         level = 0
@@ -222,19 +247,13 @@ def test_extraction_boundaries_match_mps0_trades(es):
         for _ in range(rng.randint(30, 120)):
             level += rng.choice([-3, -2, -1, 0, 1, 2, 3])
             levels.append(level)
-        ticks = ticks_from_deltas(levels, es)
-        fc = rng.choice([Fraction("6.24"), Fraction("12.49"), Fraction("24.99")])
-        records = extract_otes(ticks, fc, Fraction("4.00"), es)
-        result = mps0([t.price for t in ticks], fc, 1, es)
-        trades = result.trades
-        assert len(records) == len(trades)
-        prices = [t.price for t in ticks]
-        for record, trade in zip(records, trades):
-            assert record.p_start == prices[trade.start]
-            assert record.p_end == prices[trade.end]
-            assert record.t_start == ticks[trade.start].timestamp
-            assert record.t_end == ticks[trade.end].timestamp
-            assert (record.ote_type is OteType.BOTE) == (trade.direction > 0)
+        _assert_boundaries_match_mps0(levels, rng.choice(_MPS0_FCS), es)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=120), st.sampled_from(_MPS0_FCS))
+def test_extraction_boundaries_match_mps0_under_hypothesis(steps, fc):
+    _assert_boundaries_match_mps0(list(accumulate(steps, initial=0)), fc, PRESETS["ES"])
 
 
 def test_classify_scenarios(es):
@@ -362,6 +381,40 @@ def test_head_and_shoulders_monitor_caches_fixed_clauses(es):
     assert not monitor.check(chain[4].p_birth + 1)
 
 
+def test_head_and_shoulders_check_is_exact_off_the_grid(es):
+    chain = _hs_chain(es)
+    born = chain[4].p_birth
+    strict = HeadShouldersMonitor(chain, Tolerances(), es)
+    loose = HeadShouldersMonitor(chain, Tolerances(eq_deltas=1), es)
+    assert strict.monitored_deltas == es.to_deltas(born) == loose.monitored_deltas
+    for off_grid in (born + es.delta / 2, born - Fraction(1, 5), float(born) + 0.1):
+        assert not strict.check(off_grid)
+        assert loose.check(off_grid)          # within one delta, as before
+    assert not loose.check(born + Fraction(5, 4) * es.delta)
+    assert loose.check(born - es.delta) and not strict.check(born - es.delta)
+
+
+def test_head_and_shoulders_hits_scan_the_last_trade(es, monkeypatch):
+    chain = _hs_chain(es)
+    # S6 is born at B5's birth price
+    assert list(head_and_shoulders_hits(chain, Tolerances(), es)) == [(6, chain[5].birth)]
+    assert chain[5].p_birth == chain[4].p_birth
+    # the scan builds its monitors from the module attribute, so a wrapper
+    # swapped in there sees every window
+    built = []
+
+    class Counting(HeadShouldersMonitor):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(ote_module, "HeadShouldersMonitor", Counting)
+    records = chain + chain
+    hits = list(head_and_shoulders_hits(records, Tolerances(), es))
+    assert hits == [(6, chain[5].birth), (12, chain[5].birth)]
+    assert len(built) == len(records) - 5
+
+
 def test_head_and_shoulders_chain_validation(es):
     chain = _hs_chain(es)
     with pytest.raises(ValueError):
@@ -392,9 +445,8 @@ def test_samples_view_matches_tick_copies(es):
     assert len(records) > 10
     for r in records:
         s, e = index[r.t_start], index[r.t_end]
-        samples = r.samples
-        assert (samples.a_increments, samples.b_increments, samples.prices,
-                samples.volumes) == _old_samples(ticks, s, e + 1)
+        assert (r.a_increments, r.b_increments, r.prices,
+                r.volumes) == _old_samples(ticks, s, e + 1)
         assert r.duration == (r.t_end - r.t_start).total_seconds()
         assert r.volume_total == sum(t.size for t in ticks[s:e + 1])
 
@@ -436,7 +488,7 @@ def test_streaming_matches_batch_under_random_chunking(steps, chunks):
                 (batch[-1].ote_type, batch[-1].t_start, batch[-1].p_start,
                  batch[-1].t_birth, batch[-1].p_birth)
             start = (live.t_start - ticks[0].timestamp) // timedelta(seconds=3)
-            assert live.tick_count == len(live.samples.prices) == pos - start
+            assert live.tick_count == len(live.prices) == pos - start
         else:
             assert live is None
     streamed.extend(extractor.finish())
