@@ -8,25 +8,40 @@ are broken toward fewer traded contracts, then earlier transactions, which
 makes the result deterministic and lines the trade boundaries up with first
 occurrences of price extremes.
 
-O(n (2W+1)) time: moving from w' to w costs a fixed amount per contract on
-each side of w' = w, so the best w' for every w comes out of one ascending
-and one descending pass per tick, the 1-D L1 distance transform of
-Felzenszwalb and Huttenlocher, "Distance Transforms of Sampled Functions",
-Theory of Computing 8 (2012).
+A state's key (scaled pl, -traded contracts, -sum of i*|U_i|) lives in Z^3
+under lexicographic order, a totally ordered abelian group.  At tick i,
+moving w up by one contract (buying) adds buy = (-(p_i+c), -1, -i) to the
+key and moving it down by one (selling) adds -sell, where
+sell = (-(p_i-c), +1, +i); sell - buy = (2c, 2, 2i) > 0, so the move cost
+is concave in the move, and the value function V_i(w) stays concave on the
+2W+1 states.  One tick clamps each unit slope V(w+1) - V(w) into
+[buy, sell] (the "slope trick" for max-plus convolution of concave
+functions), and the best previous state of w is w clamped into the range
+where the slopes were left alone.  V is carried as runs of equal slopes,
+falling from left to right; each tick pushes at most two runs, so the DP
+takes amortised O(n) time and O(n) memory whatever W is.
+
+After tick 0 every slope of V is the buy or sell slope of a tick j < i.
+If its P&L equals that of tick i's sell slope, its key ranks below sell
+(its second coordinate is -1 against +1, or its third is j < i);
+likewise, if it equals that of buy, it ranks above buy.  So comparing P&L
+alone, with strict inequalities, clamps exactly the runs the full keys
+would, and the DP carries the P&L coordinate only.
 """
 
 from __future__ import annotations
 
-from array import array
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Sequence
 
 from .model import ContractSpec, Strategy, strategy_to_positions
 from .numeric import BudgetExceeded, Rational, as_fraction, money_scale, scaled_ints
 
-# n*(2W+1) above this is refused before any table is built: ~10 s of DP and
-# a back-pointer table of a few bytes per state
+# a request of more position states than this, n*(2W+1), is refused (exit 2)
+# before any work; the DP itself takes O(n) time and memory
 MAX_DP_STATES = 10 ** 7
 
 
@@ -71,8 +86,8 @@ def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
 
     Returns exactly the maximum of the P&L formula over the universe
     (verified against the brute-force sweep); the do-nothing strategy keeps
-    the result at or above zero.  Raises ``BudgetExceeded`` before building
-    any table when n*(2W+1) exceeds ``MAX_DP_STATES``.
+    the result at or above zero.  Raises ``BudgetExceeded`` before any work
+    when n*(2W+1) exceeds ``MAX_DP_STATES``.
     """
     n = len(prices)
     if n == 0:
@@ -97,55 +112,35 @@ def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
     scale = money_scale([kd, c])
     kd_i, c_i = scaled_ints([kd, c], scale)
 
-    # state value: (scaled pl, -traded contracts, -sum of i*|U_i|); moving
-    # m contracts at tick i adds m times a fixed vector to it, so a running
-    # best keeps its lexicographic rank as it is carried along a pass
-    values: list = [None] * width
-    values[limit] = (0, 0, 0)
-    blank = array("B" if width <= 1 << 8 else "H" if width <= 1 << 16 else "L", [0]) * width
-    parents = []
-    for i, d in enumerate(deltas):
+    # runs (P&L slope, count) of V over w = 0..2W, starting as the one
+    # reachable state w = W; the infinite slopes are clamped at tick 0
+    runs = deque(((inf, limit), (-inf, limit)))
+    his, los = [], []
+    for d in deltas:
         price_i = kd_i * d
-        up, down = price_i + c_i, price_i - c_i
-        best = [None] * width
-        par = blank[:]
-        # ascending pass, w' <= w: buying costs price + cost per contract;
-        # strict > keeps the lowest w' among equal keys
-        run = None
-        src = 0
-        for w in range(width):
-            if run is not None:
-                run = (run[0] - up, run[1] - 1, run[2] - i)
-            v = values[w]
-            if v is not None and (run is None or v > run):
-                run = v
-                src = w
-            best[w] = run
-            par[w] = src
-        # descending pass, w' > w: selling earns price - cost per contract;
-        # >= keeps the lowest w', and a tie with the ascending pass stays there
-        run = None
-        for w in range(width - 1, -1, -1):
-            if run is not None:
-                run = (run[0] + down, run[1] - 1, run[2] - i)
-                b = best[w]
-                if b is None or run > b:
-                    best[w] = run
-                    par[w] = src
-            v = values[w]
-            if v is not None and (run is None or v >= run):
-                run = v
-                src = w
-        values = best
-        parents.append(par)
+        buy, sell = -price_i - c_i, c_i - price_i
+        hi = 0
+        while runs and runs[0][0] > sell:
+            hi += runs.popleft()[1]
+        if hi:
+            runs.appendleft((sell, hi))
+        popped = 0
+        while runs and runs[-1][0] < buy:
+            popped += runs.pop()[1]
+        if popped:
+            runs.append((buy, popped))
+        # the best previous state of w is w clamped into [hi, lo]: w < hi is
+        # best reached by selling from hi, w > lo by buying from lo
+        his.append(hi)
+        los.append(2 * limit - popped)
 
-    final = values[limit]
     actions = []
     w = limit
-    for i in range(n - 1, -1, -1):
-        prev = parents[i][w]
+    for hi, lo in zip(reversed(his), reversed(los)):
+        prev = min(max(w, hi), lo)
         actions.append(w - prev)
         w = prev
     actions.reverse()
     strategy = Strategy(tuple(actions))
-    return MpsResult(strategy, Fraction(final[0], scale), trades_of(strategy))
+    pl = -sum(kd_i * d * u + c_i * abs(u) for d, u in zip(deltas, actions))
+    return MpsResult(strategy, Fraction(pl, scale), trades_of(strategy))

@@ -50,6 +50,10 @@ TICK_COMMANDS = {
         "1dbd7b4d9be0cf26cbbea36cf540c94031f6a7420ad58e35a67c9133c56f854f",
     ("mps", "--cost", "4.68", "--W", "3"):
         "fb9c7f727658319ceed640c75fcfd7c3ed24bc02bcfab2bc9ec1111748641d30",
+    ("mps", "--cost", "4.68", "--W", "20"):
+        "4ce498cf02543b7db308dcdc9e5ab6ae94d5436036a7727edaadf3d65d04fad4",
+    ("mps", "--cost", "4.68", "--W", "500"):
+        "08807e1adea40f799d0bebf2b28140a156665c7fd164d00299ee2ea009a83115",
 }
 
 COMMANDS = {

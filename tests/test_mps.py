@@ -1,6 +1,7 @@
 """MPS0 dynamic program against the brute-force sweep."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -232,3 +233,113 @@ def test_converts_each_distinct_price_once(es, monkeypatch):
     prices = [Fraction(9000 + i % 3, 4) for i in range(30)]
     assert mps0(prices, 1, 2, es) == _reference_mps0(prices, 1, 2, es)
     assert len(calls) == 3 + 30     # 3 distinct prices here, 30 in the reference
+
+
+# --- the slope runs against the two-pass DP they replaced ---------------------
+
+def _two_pass_mps0(prices, cost_per_transaction, limit, spec):
+    """The O(n(2W+1)) two-pass DP mps0 used before the slope runs, kept as
+    the oracle at limits where the quadratic loop is too slow."""
+    n = len(prices)
+    deltas = [spec.to_deltas(x) for x in as_fractions(prices)]
+    c = as_fraction(cost_per_transaction)
+    kd = spec.delta_dollars
+    scale = money_scale([kd, c])
+    kd_i, c_i = scaled_ints([kd, c], scale)
+
+    width = 2 * limit + 1
+    values: list = [None] * width
+    values[limit] = (0, 0, 0)
+    parents = []
+    for i, d in enumerate(deltas):
+        price_i = kd_i * d
+        up, down = price_i + c_i, price_i - c_i
+        best = [None] * width
+        par = [0] * width
+        # ascending pass, w' <= w: strict > keeps the lowest w' among equal keys
+        run = None
+        src = 0
+        for w in range(width):
+            if run is not None:
+                run = (run[0] - up, run[1] - 1, run[2] - i)
+            v = values[w]
+            if v is not None and (run is None or v > run):
+                run = v
+                src = w
+            best[w] = run
+            par[w] = src
+        # descending pass, w' > w: a tie with the ascending pass stays there
+        run = None
+        for w in range(width - 1, -1, -1):
+            if run is not None:
+                run = (run[0] + down, run[1] - 1, run[2] - i)
+                b = best[w]
+                if b is None or run > b:
+                    best[w] = run
+                    par[w] = src
+            v = values[w]
+            if v is not None and (run is None or v >= run):
+                run = v
+                src = w
+        values = best
+        parents.append(par)
+
+    final = values[limit]
+    actions = []
+    w = limit
+    for i in range(n - 1, -1, -1):
+        prev = parents[i][w]
+        actions.append(w - prev)
+        w = prev
+    actions.reverse()
+    strategy = Strategy(tuple(actions))
+    return MpsResult(strategy, Fraction(final[0], scale), trades_of(strategy))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_walks, _two_levels).map(lambda steps: steps[:25]), _costs,
+       st.integers(7, 12))
+def test_slope_runs_match_quadratic_reference_at_wide_limits(steps, cost, limit):
+    es = PRESETS["ES"]
+    prices = _chain(steps)
+    assert mps0(prices, cost, limit, es) == _reference_mps0(prices, cost, limit, es)
+
+
+def test_slope_runs_match_two_pass_on_seeded_walks(es):
+    rng = random.Random(10)
+    costs = (Fraction(0), Fraction(1, 3), Fraction(1, 100), Fraction(468, 100), Fraction(25))
+    for trial in range(60):
+        n = rng.randint(1, 300)
+        if trial % 3 == 2:                 # two-level chain: each extreme repeats
+            levels = [rng.choice((0, 3)) for _ in range(n)]
+            steps = [b - a for a, b in zip([0] + levels, levels)]
+        else:                              # walk with flat runs
+            steps = [rng.choice((0, 0, 0, 1, -1, 2, -2, 5, -5)) for _ in range(n)]
+        prices = _chain(steps)
+        cost, limit = costs[trial % len(costs)], (20, 50)[trial % 2]
+        assert mps0(prices, cost, limit, es) == _two_pass_mps0(prices, cost, limit, es)
+
+
+def test_memory_does_not_grow_with_the_limit(es):
+    tracemalloc.start()
+    try:
+        result = mps0(["2370.00", "2371.00"], 1, 500_000, es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.strategy == Strategy((500_000, -500_000))
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("second, cost", [("2371.00", 1), ("2369.00", 1),
+                                          ("2370.25", "6.25"), ("2370.25", 7)])
+def test_two_ticks_at_the_largest_limit_under_budget(es, second, cost):
+    limit = (mps_module.MAX_DP_STATES // 2 - 1) // 2      # n(2W+1) = 9,999,998
+    result = mps0(["2370.00", second], cost, limit, es)
+    move = es.k * abs(as_fraction(second) - 2370)
+    assert result.pl == limit * max(0, move - 2 * as_fraction(cost))
+    if result.pl:
+        sign = 1 if as_fraction(second) > 2370 else -1
+        assert result.strategy == Strategy((sign * limit, -sign * limit))
+    else:
+        assert result.strategy.is_do_nothing()

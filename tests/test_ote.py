@@ -9,6 +9,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import ticks_from_deltas, zigzag_levels
 from mpslab import (PRESETS, OteExtractor, OteType, Scenario, Tick, Tolerances,
@@ -493,3 +494,59 @@ def test_streaming_matches_batch_under_random_chunking(steps, chunks):
             assert live is None
     streamed.extend(extractor.finish())
     assert streamed == extract_otes(ticks, "24.99", C, es)
+
+
+class OteStreamMachine(RuleBasedStateMachine):
+    """``push`` and ``finish`` in any order, with ``current`` after every
+    step, checked against batch extraction of the same ticks.  ``finish``
+    ends the session; the next push starts another on a fresh extractor."""
+
+    def __init__(self):
+        super().__init__()
+        self.es = PRESETS["ES"]
+        self.clock = datetime(2017, 4, 10, 9, 0, 0)
+        self.level = 9000
+        self._start_session(False)
+
+    def _start_session(self, include_indicative):
+        self.include = include_indicative
+        self.extractor = OteExtractor("24.99", C, self.es, include_indicative)
+        self.ticks, self.streamed = [], []
+
+    def _batch(self):
+        return extract_otes(self.ticks, "24.99", C, self.es, self.include)
+
+    @rule(step=st.integers(-3, 3), seconds=st.sampled_from([0, 1, 7]),
+          size=st.sampled_from([0, 1, 1, 2]))
+    def push(self, step, seconds, size):
+        self.level += step
+        self.clock += timedelta(seconds=seconds)
+        tick = Tick(self.clock, self.level * self.es.delta, size)
+        self.ticks.append(tick)
+        self.streamed.extend(self.extractor.push(tick))
+
+    @rule(include_indicative=st.booleans())
+    def finish(self, include_indicative):
+        self.streamed.extend(self.extractor.finish())
+        assert self.streamed == self._batch()
+        self._start_session(include_indicative)
+
+    @invariant()
+    def records_and_live_trade_match_batch(self):
+        live, batch = self.extractor.current(), self._batch()
+        closed = [r for r in batch if r.closed]
+        assert self.streamed == closed
+        assert self.extractor.records == closed
+        if len(closed) == len(batch):
+            assert live is None
+            return
+        last = batch[-1]
+        assert live is not None and not live.ended and live.pl is None
+        assert (live.ote_type, live.start, live.birth) == (last.ote_type, last.start, last.birth)
+        assert (live.t_start, live.p_start, live.t_birth, live.p_birth) == \
+            (last.t_start, last.p_start, last.t_birth, last.p_birth)
+        assert live.stop == sum(1 for t in self.ticks if self.include or not t.indicative)
+
+
+TestOteStreamMachine = OteStreamMachine.TestCase
+TestOteStreamMachine.settings = settings(max_examples=40, stateful_step_count=60, deadline=None)
