@@ -14,7 +14,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
+from operator import gt
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
@@ -97,6 +98,7 @@ _DAY_US = 86_400_000_000
 _EPOCH = datetime(1, 1, 1)
 _US = timedelta(microseconds=1)
 _LAST_DAY = date.max.toordinal()        # days since _EPOCH of the day after date.max
+_SECOND_US = {f"{s:02d}": s * 1_000_000 for s in range(60)}     # clock seconds '00'..'59'
 
 
 def to_micros(ts: datetime) -> int:
@@ -143,10 +145,18 @@ class TickColumns(Sequence[Tick]):
         self.conditions.append(tick.condition)
 
     def take(self, indices: Iterable[int]) -> "TickColumns":
-        """The ticks at the given positions, as new columns."""
-        idx, out = list(indices), TickColumns(self.spec)
+        """The ticks at the given positions, as new columns; a ``range`` is cut as list slices."""
+        cut = isinstance(indices, range) and slice(indices.start, indices.stop, indices.step)
+        if cut and range(len(self))[cut] == indices:        # every position in bounds
+            return self._columns(lambda column: column[cut])
+        idx = list(indices)
+        return self._columns(lambda column: list(map(column.__getitem__, idx)))
+
+    def _columns(self, build) -> "TickColumns":
+        """New columns on this spec, each built from its own column."""
+        out = TickColumns(self.spec)
         for name in ("times", "deltas", "sizes", "conditions"):
-            setattr(out, name, list(map(getattr(self, name).__getitem__, idx)))
+            setattr(out, name, build(getattr(self, name)))
         return out
 
     def price(self, i: int) -> Fraction:
@@ -212,14 +222,16 @@ def _check_decoded(line: str, line_no: int) -> None:
 
 def read_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> TickColumns:
     """Parse a tick stream in file order into columns, validating prices on
-    the grid.  Each distinct date and price text is converted once.
-    Timestamps are whole seconds: '09:00:00.250' is a bad timestamp."""
+    the grid.  Each distinct date and price text is converted once, and
+    clocks once per distinct 'HH:MM'.  Timestamps are whole seconds:
+    '09:00:00.250' is a bad timestamp."""
     cols = TickColumns(spec)
     add_time, add_delta = cols.times.append, cols.deltas.append
     add_size, add_condition = cols.sizes.append, cols.conditions.append
     days: dict[str, int] = {}
     grid: dict[str, int] = {}
     clock: dict[str, int] = {}
+    minutes: dict[str, int] = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line.isascii():
@@ -235,7 +247,12 @@ def read_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tick
                 day = days[fields[0]] = _day_micros(fields[0])
             tod = clock.get(fields[1])
             if tod is None:
-                tod = clock[fields[1]] = _clock_micros(fields[1])
+                # 'HH:MM:SS' is its minute plus its seconds; a miss is checked whole
+                head, _, sec = fields[1].rpartition(":")
+                if (sec_us := _SECOND_US.get(sec)) is not None and head not in minutes:
+                    minutes[head] = _clock_micros(fields[1]) - sec_us
+                tod = clock[fields[1]] = (_clock_micros(fields[1]) if sec_us is None
+                                          else minutes[head] + sec_us)
         except (ValueError, OverflowError):
             raise ParseError(f"line {line_no}: bad timestamp {fields[0]!r} {fields[1]!r}") \
                 from None
@@ -263,9 +280,9 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> lis
 def trade_ticks(ticks: Sequence[Tick]) -> Sequence[Tick]:
     """Drop indicative (size 0) ticks; columns stay columns, and come back
     themselves when none is indicative."""
-    if isinstance(ticks, TickColumns):
-        return ticks if all(ticks.sizes) else ticks.take(compress(range(len(ticks)), ticks.sizes))
-    return [t for t in ticks if not t.indicative]
+    if not isinstance(ticks, TickColumns):
+        return [t for t in ticks if not t.indicative]
+    return ticks if all(ticks.sizes) else ticks._columns(lambda c: list(compress(c, ticks.sizes)))
 
 
 def _exact_text(x: Fraction) -> str:
@@ -310,13 +327,16 @@ def sessionize(ticks: Sequence[Tick], window: SessionWindow) -> SessionizeResult
     """Partition ticks into [open, close] sessions, dropping the rest.
 
     Ticks are stably sorted by timestamp first, which preserves arrival
-    order for equal times.  Columns give column sessions, other sequences
-    tuples of their own ticks.
+    order for equal times; time-ordered columns skip the sort.  Columns
+    give column sessions, other sequences tuples of their own ticks.
     """
     columns = isinstance(ticks, TickColumns)
     times = ticks.times if columns else [to_micros(t.timestamp) for t in ticks]
-    order = sorted(range(len(times)), key=times.__getitem__)
-    ordered = list(map(times.__getitem__, order))
+    if columns and not any(map(gt, times, islice(times, 1, None))):
+        order, ordered = range(len(times)), times
+    else:
+        order = sorted(range(len(times)), key=times.__getitem__)
+        ordered = list(map(times.__getitem__, order))
     open_us, close_us = (to_micros(datetime.combine(_EPOCH, clock))
                          for clock in (window.open, window.close))
     take = ticks.take if columns else (lambda idx: tuple(ticks[i] for i in idx))

@@ -10,12 +10,15 @@ import hashlib
 import random
 
 from mpslab.cli import main
+from mpslab.ingest import TickColumns, read_ticks, trade_ticks
 
 DAY = 86_400
 OPEN = 17 * 3600                  # ES session open, the calendar day before
 
 
-def _tick_text() -> str:
+def _tick_text(reverse_sessions: bool = False) -> str:
+    """The golden ticks, in time order; with ``reverse_sessions`` each
+    session's lines come in reverse, which only a sort puts back in order."""
     rng = random.Random("mpslab-golden")
     level, lines = 4 * 2350, []
 
@@ -25,6 +28,7 @@ def _tick_text() -> str:
                 f"{second % 60:02d} {cents // 100}.{cents % 100:02d} {size}\n")
 
     for session in range(2):
+        start = len(lines)
         # 17:00 to 24:00, then 00:00 to 15:15 of the closing day, on whole
         # minutes, so that many ticks share a time
         for offset in sorted(60 * rng.randrange(22 * 60 + 15) for _ in range(700)):
@@ -34,6 +38,8 @@ def _tick_text() -> str:
                 continue
             level += rng.choice((-1, 1))
             lines.append(line(day, second, level, rng.randint(1, 9)))
+        if reverse_sessions:
+            lines[start:] = reversed(lines[start:])
         if session == 0:                            # a few ticks between sessions
             for offset in sorted(rng.randrange(3600) for _ in range(5)):
                 level += rng.choice((-1, 1))
@@ -54,6 +60,15 @@ TICK_COMMANDS = {
         "4ce498cf02543b7db308dcdc9e5ab6ae94d5436036a7727edaadf3d65d04fad4",
     ("mps", "--cost", "4.68", "--W", "500"):
         "08807e1adea40f799d0bebf2b28140a156665c7fd164d00299ee2ea009a83115",
+}
+
+# the same ticks with each session's lines in reverse: sessionize sorts them
+# back, stably, so ticks that share a time keep their reversed order
+UNORDERED_TICK_COMMANDS = {
+    ("ote", "--fc", "49.99", "--cost", "4.68"):
+        "f4a4535e0ea090ea590741fb73a2546f1a00c6636d36e592bdc35f8785ca51b9",
+    ("pattern", "--fc", "12.49", "--cost", "4.68", "--eq-tol", "1"):
+        "ac19a561086a4f5682939184e9b7e6c3d34c57e901cd9646638acb1c12a54fb9",
 }
 
 COMMANDS = {
@@ -83,3 +98,23 @@ def test_golden_stdout_digests(tmp_path, capsys):
     got = {argv: _stdout_digest(argv + (str(path),), capsys) for argv in TICK_COMMANDS}
     got.update((argv, _stdout_digest(argv, capsys)) for argv in COMMANDS)
     assert got == {**TICK_COMMANDS, **COMMANDS}
+
+
+def test_golden_stdout_digests_of_unordered_ticks(tmp_path, capsys):
+    path = tmp_path / "ticks.txt"
+    path.write_text(_tick_text(reverse_sessions=True))
+    got = {argv: _stdout_digest(argv + (str(path),), capsys) for argv in UNORDERED_TICK_COMMANDS}
+    assert got == UNORDERED_TICK_COMMANDS
+
+
+def test_all_indicative_ticks(tmp_path, capsys, es):
+    lines = ["2017/04/10 09:00:00 2350.00 0", "2017/04/10 09:00:01 2350.25 0 E"]
+    traded = trade_ticks(read_ticks(lines, es))
+    assert isinstance(traded, TickColumns) and len(traded) == 0
+    assert (traded.times, traded.deltas, traded.sizes, traded.conditions) == ([], [], [], [])
+    path = tmp_path / "ticks.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ote", "--fc", "49.99", "--cost", "4.68", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "#\tt_start\tP_start\tt_end\tP_end\tdt_s\tPL\tType\n"

@@ -264,6 +264,25 @@ def test_parse_matches_reference_parser(lines):
     assert _outcome(parse_ticks, lines, es) == _outcome(_reference_parse_ticks, lines, es)
 
 
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clock_edge_cases_after_their_minute_is_cached(es, seed):
+    # clocks are converted once per 'HH:MM'; a clock whose minute is known
+    # but which is not plain 'HH:MM:SS' must still get the checked outcome
+    rng = random.Random(seed)
+    head = f"{rng.randrange(24):02d}:{rng.randrange(60):02d}"
+    fill = [f"2017/04/10 {clock}:{s:02d} 2350.00 1"
+            for clock in (head, "09:00") for s in rng.sample(range(60), 2)]
+    edges = [f"{head}:60", f"{head}:5", f"{head}:+5", f"{head}:-0", "9:00:05", "9:0:5",
+             "24:00:00", head, f"{head}:05:00", f"{head}:{rng.randrange(60):02d}".translate(
+                 _ARABIC_INDIC), f"{head}:" + "05".translate(_ARABIC_INDIC), f"{head}:05.0"]
+    for edge in edges:
+        lines = fill + [f"2017/04/10 {edge} 2350.25 1", f"2017/04/10 {head}:59 2350.50 1"]
+        assert _outcome(parse_ticks, lines, es) == _outcome(_reference_parse_ticks, lines, es)
+
+
 def test_parse_rejects_overflow_and_zero_division_with_line_numbers(es):
     # both used to escape as a raw OverflowError / ZeroDivisionError
     for line in ["2017/04/10 99999999999999999999:00:00 2342 1",
@@ -300,8 +319,10 @@ def test_columns_round_trip_and_index(es):
     assert trade_ticks(traded) is traded
 
 
-@pytest.mark.parametrize("window", [SessionWindow(time(17, 0), time(15, 15)),
-                                    SessionWindow(time(9, 30), time(16, 0))])
+_WINDOWS = [SessionWindow(time(17, 0), time(15, 15)), SessionWindow(time(9, 30), time(16, 0))]
+
+
+@pytest.mark.parametrize("window", _WINDOWS)
 def test_sessionize_columns_match_tick_lists(es, window):
     rng = random.Random(5)
     start = datetime(2017, 4, 8, 0, 0, 0)
@@ -326,3 +347,52 @@ def test_sessionize_columns_match_tick_lists(es, window):
         elif (tod <= window.close) if window.overnight else (window.open <= tod <= window.close):
             expected.setdefault(day, []).append(tick)
     assert {s.day: list(s.ticks) for s in from_ticks.sessions} == expected
+
+
+# seconds of the day at and next to both windows' open and close, in their
+# gaps, and at the ends of the day
+_EDGE_SECONDS = [h * 3600 + m * 60 + d for h, m in ((17, 0), (15, 15), (9, 30), (16, 0))
+                 for d in (-1, 0, 1)] + [15 * 3600 + 45 * 60, 16 * 3600 + 30 * 60, 0, 86399]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_WINDOWS),
+       st.lists(st.tuples(st.integers(0, 3),
+                          st.one_of(st.sampled_from(_EDGE_SECONDS), st.integers(0, 86399)),
+                          st.integers(1, 3)),
+                max_size=40))
+def test_sessionize_ordered_columns_match_sorted_path(window, runs):
+    # time-ordered columns are cut into sessions without sorting; a list of
+    # their ticks always goes through the stable sort
+    es = PRESETS["ES"]
+    start = datetime(2017, 4, 8)
+    stamps = sorted(start + timedelta(days=day, seconds=second)
+                    for day, second, repeat in runs for _ in range(repeat))
+    cols = TickColumns.of([Tick(ts, es.delta * (9000 + j % 7), 1 + j % 3, str(j))
+                           for j, ts in enumerate(stamps)], es)
+    ordered, by_sort = sessionize(cols, window), sessionize(list(cols), window)
+    assert ordered.dropped == by_sort.dropped
+    assert [s.day for s in ordered.sessions] == [s.day for s in by_sort.sessions]
+    assert [list(s.ticks) for s in ordered.sessions] == [list(s.ticks) for s in by_sort.sessions]
+    assert all(isinstance(s.ticks, TickColumns) for s in ordered.sessions)
+
+
+def test_sessionize_refuses_past_date_max_alike_ordered_and_sorted(es):
+    cols = TickColumns.of([Tick(datetime(9999, 12, 30, 9, 0), "2350", 1),
+                           Tick(datetime(9999, 12, 31, 18, 0), "2350.25", 1)], es)
+    messages = []
+    for ticks in (cols, list(cols)):
+        with pytest.raises(ValueError, match="last date") as refused:
+            sessionize(ticks, session_window_of(es))
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
+def test_take_cuts_ranges_like_index_lists(es):
+    cols = read_ticks([f"2017/04/10 09:00:{s:02d} {2350 + s / 4:.2f} {s % 3}" for s in range(6)],
+                      es)
+    for positions in (range(6), range(1, 4), range(0, 6, 2), range(5, 0, -2), range(4, 2),
+                      range(-2, 6), range(-3, -1)):
+        assert list(cols.take(positions)) == [cols[i] for i in positions]
+    with pytest.raises(IndexError):
+        cols.take(range(4, 7))
