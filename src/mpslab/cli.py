@@ -106,7 +106,7 @@ def _open_text(path: str):
 def _read_ticks(args, spec):
     from . import ingest
     with _open_text(args.file) as fh:
-        return ingest.trade_ticks(ingest.read_ticks(fh, spec))
+        return ingest.trade_ticks(ingest.parse_ticks(fh, spec))
 
 
 def _session_trades(args, spec) -> list:
@@ -117,6 +117,7 @@ def _session_trades(args, spec) -> list:
     try:
         window = ingest.session_window_of(spec)
     except ValueError:
+        ticks = ingest.in_time_order(ticks)
         sessions = [ingest.Session(ticks[0].timestamp.date() if ticks else None, ticks)]
     else:
         sessions = ingest.sessionize(ticks, window).sessions
@@ -203,15 +204,17 @@ def cmd_rank(args) -> int:
 
 
 def cmd_mps(args) -> int:
-    from . import mps as mps_mod
+    from . import ingest, mps as mps_mod
     spec = _contract(args)
     if args.prices:
         prices = [_number(tok) for tok in args.prices.split(",")]
     else:
         if not args.file:
             raise ValueError("provide --prices or a tick file")
-        ticks = _read_ticks(args, spec)
-        prices = [ticks.price(i) for i in range(len(ticks))]
+        # the traded ticks in time order, priced in grid counts: the same
+        # contract quoted in deltas, so P&L and trades come out the same
+        prices = ingest.in_time_order(_read_ticks(args, spec)).deltas
+        spec = ContractSpec(spec.symbol, spec.delta_dollars, 1)
     result = mps_mod.mps0(prices, as_fraction(args.cost), args.W, spec)
     lines = [f"pl={fmt_dollars(result.pl)}"]
     if len(result.strategy) <= 60:

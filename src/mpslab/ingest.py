@@ -1,9 +1,10 @@
 """Time & Sales parsing, validation, and session windowing.
 
 Input is delimited text, one tick per line: date, time, price, size, and an
-optional condition symbol.  Prices are validated against the contract grid;
-size 0 marks indicative prices, which stay in the parse result but carry
-the ``indicative`` flag and are dropped from analysis input by default.
+optional condition symbol.  ``parse_ticks`` reads it into ``TickColumns``,
+integer columns that hold each price as its grid count; a price off the
+contract grid is refused.  Size 0 marks indicative prices, which stay in
+the parse result and are dropped from analysis input by ``trade_ticks``.
 Timestamps are naive exchange-local clock times throughout.
 """
 
@@ -220,7 +221,7 @@ def _check_decoded(line: str, line_no: int) -> None:
         raise ParseError(f"line {line_no}: invalid UTF-8 byte 0x{ord(bad) - 0xdc00:02x}")
 
 
-def read_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> TickColumns:
+def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> TickColumns:
     """Parse a tick stream in file order into columns, validating prices on
     the grid.  Each distinct date and price text is converted once, and
     clocks once per distinct 'HH:MM'.  Timestamps are whole seconds:
@@ -272,17 +273,19 @@ def read_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tick
     return cols
 
 
-def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> list[Tick]:
-    """Parse a tick stream in file order, validating prices on the grid."""
-    return list(read_ticks(source, spec))
-
-
-def trade_ticks(ticks: Sequence[Tick]) -> Sequence[Tick]:
-    """Drop indicative (size 0) ticks; columns stay columns, and come back
-    themselves when none is indicative."""
-    if not isinstance(ticks, TickColumns):
-        return [t for t in ticks if not t.indicative]
+def trade_ticks(ticks: TickColumns) -> TickColumns:
+    """Drop indicative (size 0) ticks; the columns come back themselves
+    when none is indicative."""
     return ticks if all(ticks.sizes) else ticks._columns(lambda c: list(compress(c, ticks.sizes)))
+
+
+def in_time_order(ticks: TickColumns) -> TickColumns:
+    """The ticks stably sorted by time, which keeps arrival order for equal
+    times; time-ordered columns come back themselves."""
+    times = ticks.times
+    if not any(map(gt, times, islice(times, 1, None))):
+        return ticks
+    return ticks.take(sorted(range(len(times)), key=times.__getitem__))
 
 
 def _exact_text(x: Fraction) -> str:
@@ -298,7 +301,7 @@ def _exact_text(x: Fraction) -> str:
 
 def serialize_ticks(ticks: Sequence[Tick]) -> str:
     """Canonical TSV tick format (date, time, price, size[, condition]).
-    Prices are written exactly, so ``read_ticks`` reads back the same ticks."""
+    Prices are written exactly, so ``parse_ticks`` reads back the same ticks."""
     lines = []
     for t in ticks:
         fields = [t.timestamp.strftime("%Y/%m/%d"), t.timestamp.strftime("%H:%M:%S"),
@@ -314,7 +317,7 @@ class Session:
     """Ticks of one trading session, labeled by the closing calendar day."""
 
     day: date
-    ticks: Sequence[Tick]
+    ticks: TickColumns
 
 
 @dataclass(frozen=True)
@@ -323,41 +326,34 @@ class SessionizeResult:
     dropped: int
 
 
-def sessionize(ticks: Sequence[Tick], window: SessionWindow) -> SessionizeResult:
+def sessionize(ticks: TickColumns, window: SessionWindow) -> SessionizeResult:
     """Partition ticks into [open, close] sessions, dropping the rest.
 
-    Ticks are stably sorted by timestamp first, which preserves arrival
-    order for equal times; time-ordered columns skip the sort.  Columns
-    give column sessions, other sequences tuples of their own ticks.
+    The ticks are put ``in_time_order`` first, and each session is a slice
+    of the ordered columns.
     """
-    columns = isinstance(ticks, TickColumns)
-    times = ticks.times if columns else [to_micros(t.timestamp) for t in ticks]
-    if columns and not any(map(gt, times, islice(times, 1, None))):
-        order, ordered = range(len(times)), times
-    else:
-        order = sorted(range(len(times)), key=times.__getitem__)
-        ordered = list(map(times.__getitem__, order))
+    ticks = in_time_order(ticks)
+    times = ticks.times
     open_us, close_us = (to_micros(datetime.combine(_EPOCH, clock))
                          for clock in (window.open, window.close))
-    take = ticks.take if columns else (lambda idx: tuple(ticks[i] for i in idx))
     sessions = []
     p = 0
     # Session `day` runs from `first` to `last` and session days rise with
     # time, so each session, and each run of dropped ticks between two, is
-    # one block of the sorted times: one bisection finds its end.
-    while p < len(ordered):
-        day, tod = divmod(ordered[p], _DAY_US)
+    # one block of the ordered times: one bisection finds its end.
+    while p < len(times):
+        day, tod = divmod(times[p], _DAY_US)
         if window.overnight and tod >= open_us:
             day += 1
         first = (day - window.overnight) * _DAY_US + open_us
         last = day * _DAY_US + close_us
-        if first <= ordered[p] <= last:
-            q = bisect_right(ordered, last, p)
+        if first <= times[p] <= last:
+            q = bisect_right(times, last, p)
             if day >= _LAST_DAY:
-                raise ValueError(f"tick at {from_micros(ordered[p]):%Y-%m-%d %H:%M:%S} is in "
+                raise ValueError(f"tick at {from_micros(times[p]):%Y-%m-%d %H:%M:%S} is in "
                                  f"a session that closes after {date.max}, the last date")
-            sessions.append(Session(date.fromordinal(day + 1), take(order[p:q])))
+            sessions.append(Session(date.fromordinal(day + 1), ticks.take(range(p, q))))
         else:
-            q = bisect_left(ordered, first if ordered[p] < first else first + _DAY_US, p)
+            q = bisect_left(times, first if times[p] < first else first + _DAY_US, p)
         p = q
-    return SessionizeResult(tuple(sessions), len(order) - sum(len(s.ticks) for s in sessions))
+    return SessionizeResult(tuple(sessions), len(times) - sum(len(s.ticks) for s in sessions))

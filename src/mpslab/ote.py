@@ -170,8 +170,10 @@ class OteExtractor:
         return list(self._records)
 
     def push(self, tick: Tick) -> list[OteRecord]:
-        """Consume one tick; return any record it closes."""
+        """Consume one tick; return any record it closes.  Off-grid ticks
+        raise, indicative or not."""
         if tick.indicative and not self.include_indicative:
+            self.spec.to_deltas(tick.price)
             return []
         times = self._ticks.times
         if times and to_micros(tick.timestamp) < times[-1]:
@@ -261,13 +263,13 @@ def extract_otes(ticks: Sequence[Tick], filtering_cost: Rational, cost: Rational
     """All optimal trades of one time-ordered tick session.
 
     ``TickColumns`` on ``spec`` are scanned in place and the records span
-    them; other sequences are converted to columns first.
+    them; other sequences become columns first, which refuses any tick off the grid.
     """
     extractor = OteExtractor(filtering_cost, cost, spec, include_indicative)
-    if not include_indicative:
-        ticks = trade_ticks(ticks)
     if not (isinstance(ticks, TickColumns) and ticks.spec == spec):
         ticks = TickColumns.of(ticks, spec)
+    if not include_indicative:
+        ticks = trade_ticks(ticks)
     if any(map(gt, ticks.times, islice(ticks.times, 1, None))):
         raise ValueError("ticks must be time-ordered")
     extractor._ticks = ticks

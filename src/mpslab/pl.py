@@ -5,9 +5,11 @@ C_1..C_n is
 
     PL = k * (P_n * sum(U_i) - sum(P_i * U_i)) - sum(C_i * |U_i|) - C_n * |sum(U_i)|
 
-where k converts full price points to dollars.  Everything here is computed
-in exact rational arithmetic; a three-tick ES example (buy 2369.50, sell
-2370.00 at $5/contract) comes out as exactly $15.00.
+where k converts full price points to dollars.  Each price is converted
+once to its grid count N_i = P_i / delta, refusing one off the grid, so the
+price leg is k*delta times an integer sum; costs and results are exact
+Fractions.  A three-tick ES example (buy 2369.50, sell 2370.00 at
+$5/contract) comes out as exactly $15.00.
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ class PlBreakdown:
             raise ValueError("breakdown legs must sum to the total")
 
 
-def _checked_prices(prices: Sequence[Rational], spec: ContractSpec) -> tuple[Fraction, ...]:
-    ps = as_fractions(prices)
-    for p in ps:
-        spec.to_deltas(p)  # raises GridError off-grid
-    return ps
-
-
 def pl(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
        spec: ContractSpec) -> PlBreakdown:
     """Evaluate the marked-to-market P&L of one strategy."""
@@ -48,11 +43,11 @@ def pl(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
         raise ValueError(
             f"length mismatch: {len(prices)} prices, {n} actions, {len(costs)} costs"
         )
-    ps = _checked_prices(prices, spec)
+    deltas = [spec.to_deltas(p) for p in prices]
     u = strategy.actions
     cs = costs.per_contract
     net = sum(u)
-    price_leg = spec.k * (ps[-1] * net - sum(p * a for p, a in zip(ps, u)))
+    price_leg = spec.delta_dollars * (deltas[-1] * net - sum(d * a for d, a in zip(deltas, u)))
     cost_leg = -sum(c * abs(a) for c, a in zip(cs, u)) - cs[-1] * abs(net)
     return PlBreakdown(price_leg + cost_leg, price_leg, cost_leg)
 
@@ -76,20 +71,18 @@ def pl_matrix(price_scenarios: Sequence[Sequence[Rational]],
         raise ValueError("ragged scenario matrix")
     if any(len(row) != s_count for row in strategies):
         raise ValueError("ragged strategy matrix")
-    p_cols = [[as_fraction(price_scenarios[i][r]) for i in range(n)] for r in range(q)]
+    delta_cols = [[spec.to_deltas(price_scenarios[i][r]) for i in range(n)] for r in range(q)]
     c_cols = [[as_fraction(costs[i][r]) for i in range(n)] for r in range(q)]
     u_cols = [[int(strategies[i][j]) for i in range(n)] for j in range(s_count)]
-    for col in p_cols:
-        for p in col:
-            spec.to_deltas(p)
     for j, col in enumerate(u_cols):
         if sum(col) != 0:
             raise ValueError(f"strategy column {j} has non-zero net action")
+    kd = spec.delta_dollars
     out = []
     for r in range(q):
         row = []
         for u in u_cols:
-            price_leg = -spec.k * sum(p * a for p, a in zip(p_cols[r], u))
+            price_leg = -kd * sum(d * a for d, a in zip(delta_cols[r], u))
             cost_leg = -sum(c * abs(a) for c, a in zip(c_cols[r], u))
             row.append(price_leg + cost_leg)
         out.append(row)
@@ -107,8 +100,7 @@ def pl_prefix(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
     n = len(strategy)
     if len(prices) != n or len(costs) != n:
         raise ValueError("length mismatch")
-    ps = _checked_prices(prices, spec)
-    deltas = [spec.to_deltas(p) for p in ps]
+    deltas = [spec.to_deltas(p) for p in prices]
     u = strategy.actions
     cs = costs.per_contract
     kd = spec.delta_dollars
@@ -134,8 +126,8 @@ def ote_pl(start_tick_index: int, end_tick_index: int, limit: int,
         raise ValueError("trade start must precede its end")
     if limit < 1:
         raise ValueError("position limit must be >= 1")
-    ns = spec.to_deltas(as_fraction(prices[s]))
-    ne = spec.to_deltas(as_fraction(prices[e]))
+    ns = spec.to_deltas(prices[s])
+    ne = spec.to_deltas(prices[e])
     cs = costs.per_contract
     return spec.delta_dollars * limit * abs(ne - ns) - limit * (cs[s] + cs[e])
 

@@ -3,12 +3,13 @@
 import json
 import random
 from datetime import datetime, timedelta
+from itertools import accumulate
 
 from conftest import ticks_from_deltas, zigzag_levels
 from mpslab import (PRESETS, Tick, Tolerances, extract_otes, serialize_ticks,
                     sessionize)
 from mpslab.cli import main
-from mpslab.ingest import session_window_of
+from mpslab.ingest import TickColumns, session_window_of
 from mpslab.numeric import fmt_price
 from mpslab.ote import HeadShouldersMonitor
 
@@ -91,6 +92,52 @@ def test_mps_requires_input(capsys):
     code, _, err = run(capsys, ["mps", "--cost", "5"])
     assert code == 1
     assert "prices" in err
+
+
+def _ordered_and_shuffled(tmp_path, rng, n=400):
+    """Tick files of one seeded ES walk, one tick per second and some
+    indicative, so that no two ticks share a time: in time order, and with
+    the lines shuffled."""
+    levels = list(accumulate(rng.choice((-1, 1)) for _ in range(n)))
+    ticks = ticks_from_deltas(levels, PRESETS["ES"], step_seconds=1,
+                              sizes=[rng.choice((0, 1, 2, 3)) for _ in levels])
+    lines = serialize_ticks(ticks).splitlines(keepends=True)
+    ordered, shuffled = tmp_path / "ordered.tsv", tmp_path / "shuffled.tsv"
+    ordered.write_text("".join(lines))
+    rng.shuffle(lines)
+    shuffled.write_text("".join(lines))
+    return ordered, shuffled
+
+
+def test_mps_takes_file_ticks_in_time_order(tmp_path, capsys):
+    lines = ["2017/04/10 09:00:00 2349.50 1\n", "2017/04/10 09:00:01 2350.00 1\n",
+             "2017/04/10 09:00:02 2350.50 1\n", "2017/04/10 09:00:03 2351.50 1\n"]
+    path = tmp_path / "ticks.tsv"
+    path.write_text("".join([lines[2], lines[0], lines[1], lines[3]]))
+    assert run(capsys, ["mps", "--cost", "1", str(path)]) == \
+        (0, "pl=98.00\nstrategy=1,0,0,-1\ntrade\t0\t3\tlong\n", "")
+    for seed in range(3):
+        ordered, shuffled = _ordered_and_shuffled(tmp_path, random.Random(seed))
+        for w in ("1", "3"):
+            argv = ["mps", "--cost", "4.68", "--W", w]
+            expected = run(capsys, argv + [str(ordered)])
+            assert expected[0] == 0 and "trade\t" in expected[1]
+            assert run(capsys, argv + [str(shuffled)]) == expected
+
+
+def test_contract_without_session_window_sorts_ticks(tmp_path, capsys):
+    config = tmp_path / "contracts.ini"
+    config.write_text("[NW]\nk = 50\ndelta = 0.25\n")
+    ordered, shuffled = _ordered_and_shuffled(tmp_path, random.Random(0))
+    for argv in (["ote", "--fc", "12.49", "--cost", "4.68"],
+                 ["pattern", "--fc", "12.49", "--cost", "4.68", "--eq-tol", "1"]):
+        # every tick lies inside the ES window, so ES gives the same output
+        expected = run(capsys, argv + [str(ordered)])
+        assert expected[0] == 0 and expected[2] == ""
+        assert "SOTE" in expected[1] or "# 1 matches" in expected[1]
+        argv += ["--contract", "NW", "--config", str(config)]
+        assert run(capsys, argv + [str(ordered)]) == expected
+        assert run(capsys, argv + [str(shuffled)]) == expected
 
 
 def test_ote_pipeline(tmp_path, capsys):
@@ -180,7 +227,7 @@ def _reference_pattern(ticks, fc, cost, tol):
     [t_birth, t_end] of the window's last trade, in order."""
     es = PRESETS["ES"]
     lines, hits = ["session\twindow_end\tmatched_at\tprice"], 0
-    for session in sessionize(ticks, session_window_of(es)).sessions:
+    for session in sessionize(TickColumns.of(ticks, es), session_window_of(es)).sessions:
         records = extract_otes(list(session.ticks), fc, cost, es)
         for end in range(6, len(records) + 1):
             try:

@@ -10,7 +10,7 @@ import hashlib
 import random
 
 from mpslab.cli import main
-from mpslab.ingest import TickColumns, read_ticks, trade_ticks
+from mpslab.ingest import TickColumns, parse_ticks, trade_ticks
 
 DAY = 86_400
 OPEN = 17 * 3600                  # ES session open, the calendar day before
@@ -107,9 +107,21 @@ def test_golden_stdout_digests_of_unordered_ticks(tmp_path, capsys):
     assert got == UNORDERED_TICK_COMMANDS
 
 
+def test_mps_builds_no_price_fraction_per_tick(tmp_path, capsys, monkeypatch):
+    # mps reads the grid counts of the parsed columns, never their prices
+    def no_price(self, i):
+        raise AssertionError("TickColumns.price called")
+
+    path = tmp_path / "ticks.txt"
+    path.write_text(_tick_text())
+    monkeypatch.setattr(TickColumns, "price", no_price)
+    argv = ("mps", "--cost", "4.68", "--W", "3")
+    assert _stdout_digest(argv + (str(path),), capsys) == TICK_COMMANDS[argv]
+
+
 def test_all_indicative_ticks(tmp_path, capsys, es):
     lines = ["2017/04/10 09:00:00 2350.00 0", "2017/04/10 09:00:01 2350.25 0 E"]
-    traded = trade_ticks(read_ticks(lines, es))
+    traded = trade_ticks(parse_ticks(lines, es))
     assert isinstance(traded, TickColumns) and len(traded) == 0
     assert (traded.times, traded.deltas, traded.sizes, traded.conditions) == ([], [], [], [])
     path = tmp_path / "ticks.txt"

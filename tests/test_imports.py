@@ -25,7 +25,7 @@ def numpy_loaded(step, expected=False):
 cli.build_parser()
 numpy_loaded("import mpslab.cli; build_parser()")
 import mpslab
-assert mpslab.ingest.read_ticks and "mpslab.ote" not in sys.modules
+assert mpslab.ingest.parse_ticks and "mpslab.ote" not in sys.modules
 numpy_loaded("mpslab.ingest")
 ticks, samples, out = sys.argv[1:4]
 steps = [["counts", "--W", "1", "--n", "3"], ["dist", "--W", "1", "--n", "4"],

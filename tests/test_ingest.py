@@ -4,6 +4,7 @@ import io
 import random
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from mpslab import (PRESETS, ContractSpec, GridError, SessionWindow, Tick, ingest,
                     parse_ticks, serialize_ticks, sessionize, trade_ticks)
-from mpslab.ingest import (ParseError, TickColumns, contract_for,
-                           load_contract_config, read_ticks, session_window_of)
+from mpslab.ingest import (ParseError, TickColumns, contract_for, in_time_order,
+                           load_contract_config, session_window_of)
 
 
 def test_parse_globex_line(es):
@@ -62,7 +63,7 @@ def test_round_trip(es):
     ticks = parse_ticks(lines, es)
     out = serialize_ticks(ticks)
     again = parse_ticks(io.StringIO(out), es)
-    assert again == ticks
+    assert list(again) == list(ticks)
     assert serialize_ticks(again) == out
 
 
@@ -74,7 +75,7 @@ def test_serialized_prices_are_exact(es):
     for price in [es.delta * (2 ** 52 + 1), es.delta * (2 ** 55 + 1),
                   10 ** 20 + Fraction(1, 4)]:
         line = serialize_ticks([Tick(datetime(2017, 4, 10, 9), price, 1)])
-        assert read_ticks([line], es)[0].price == price
+        assert parse_ticks([line], es)[0].price == price
     assert text(2 ** 52 + 1) == "1125899906842624.25"
     assert text(4 * 10 ** 20 + 1) == "100000000000000000000.25"
     # the text a float repr already gave exactly stays as it was
@@ -82,7 +83,7 @@ def test_serialized_prices_are_exact(es):
         ["2350", "2350.25", "2350.5", "2350.75"]
     third = ContractSpec("T", 1, Fraction(1, 3))
     line = serialize_ticks([Tick(datetime(2017, 4, 10, 9), Fraction(7, 3), 1)])
-    assert line.split()[2] == "7/3" and read_ticks([line], third)[0].price == Fraction(7, 3)
+    assert line.split()[2] == "7/3" and parse_ticks([line], third)[0].price == Fraction(7, 3)
 
 
 _GRIDS = [PRESETS["ES"], ContractSpec("B", 1000, Fraction(1, 64)),
@@ -98,7 +99,7 @@ _GRIDS = [PRESETS["ES"], ContractSpec("B", 1000, Fraction(1, 64)),
 def test_serialize_read_round_trip(spec, rows):
     ticks = [Tick(t, spec.delta * n, size, condition) for t, n, size, condition in rows]
     text = serialize_ticks(ticks)
-    assert list(read_ticks(text.splitlines(), spec)) == ticks
+    assert list(parse_ticks(text.splitlines(), spec)) == ticks
     for tick, line in zip(ticks, text.splitlines()):
         try:
             old = repr(float(tick.price))
@@ -141,8 +142,9 @@ def test_sessionize_stable_for_equal_timestamps(es):
     window = session_window_of(es)
     a = Tick(datetime(2017, 4, 10, 9, 0, 0), "2350.00", 1, "first")
     b = Tick(datetime(2017, 4, 10, 9, 0, 0), "2350.25", 2, "second")
-    result = sessionize([a, b], window)
-    assert result.sessions[0].ticks == (a, b)
+    later = Tick(datetime(2017, 4, 10, 9, 0, 1), "2350.50", 3, "later")
+    result = sessionize(TickColumns.of([later, a, b], es), window)
+    assert list(result.sessions[0].ticks) == [a, b, later]
 
 
 def test_daytime_window():
@@ -150,7 +152,7 @@ def test_daytime_window():
     assert not window.overnight
     tick = Tick(datetime(2017, 4, 10, 10, 0, 0), "100", 1)
     out = Tick(datetime(2017, 4, 10, 8, 0, 0), "100", 1)
-    result = sessionize([tick, out], window)
+    result = sessionize(TickColumns.of([tick, out], PRESETS["ES"]), window)
     assert result.dropped == 1
     assert result.sessions[0].day == date(2017, 4, 10)
 
@@ -223,6 +225,10 @@ def _reference_parse_ticks(source, spec):
     return ticks
 
 
+def _parsed(lines, spec):
+    return list(parse_ticks(lines, spec))
+
+
 def _outcome(parse, lines, spec):
     try:
         return parse(lines, spec)
@@ -261,7 +267,7 @@ _lines = st.one_of(
 @given(st.one_of(st.lists(_good_lines, max_size=30), st.lists(_lines, max_size=12)))
 def test_parse_matches_reference_parser(lines):
     es = contract_for("ES")
-    assert _outcome(parse_ticks, lines, es) == _outcome(_reference_parse_ticks, lines, es)
+    assert _outcome(_parsed, lines, es) == _outcome(_reference_parse_ticks, lines, es)
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
@@ -280,7 +286,7 @@ def test_clock_edge_cases_after_their_minute_is_cached(es, seed):
                  _ARABIC_INDIC), f"{head}:" + "05".translate(_ARABIC_INDIC), f"{head}:05.0"]
     for edge in edges:
         lines = fill + [f"2017/04/10 {edge} 2350.25 1", f"2017/04/10 {head}:59 2350.50 1"]
-        assert _outcome(parse_ticks, lines, es) == _outcome(_reference_parse_ticks, lines, es)
+        assert _outcome(_parsed, lines, es) == _outcome(_reference_parse_ticks, lines, es)
 
 
 def test_parse_rejects_overflow_and_zero_division_with_line_numbers(es):
@@ -308,14 +314,15 @@ def test_parse_rejects_exponent_prices_before_building_fractions(es, monkeypatch
 
 def test_columns_round_trip_and_index(es):
     lines = ["2017/04/10 11:18:21 2342 1", "2017/04/10 11:18:22 2342.25 0 E"]
-    cols = read_ticks(lines, es)
+    cols = parse_ticks(lines, es)
     assert cols.deltas == [9368, 9369] and cols.sizes == [1, 0]
-    assert list(cols) == parse_ticks(lines, es)
+    assert list(cols) == _reference_parse_ticks(lines, es)
     assert cols[1] == Tick(datetime(2017, 4, 10, 11, 18, 22), Fraction("2342.25"), 0, "E")
-    assert list(trade_ticks(cols)) == trade_ticks(parse_ticks(lines, es))
+    assert list(trade_ticks(cols)) == [t for t in _reference_parse_ticks(lines, es)
+                                       if not t.indicative]
     assert list(TickColumns.of(list(cols), es)) == list(cols)
     # with no indicative tick to drop, the columns come back uncopied
-    traded = read_ticks(lines[:1], es)
+    traded = parse_ticks(lines[:1], es)
     assert trade_ticks(traded) is traded
 
 
@@ -332,12 +339,7 @@ def test_sessionize_columns_match_tick_lists(es, window):
     # exact open and close instants, which both belong to the session
     ticks += [Tick(datetime.combine(date(2017, 4, 9), window.open), "2250", 1, "open"),
               Tick(datetime.combine(date(2017, 4, 9), window.close), "2250", 1, "close")]
-    from_ticks = sessionize(ticks, window)
-    from_columns = sessionize(TickColumns.of(ticks, es), window)
-    assert from_columns.dropped == from_ticks.dropped > 0
-    assert [s.day for s in from_columns.sessions] == [s.day for s in from_ticks.sessions]
-    assert [list(s.ticks) for s in from_columns.sessions] == \
-        [list(s.ticks) for s in from_ticks.sessions]
+    result = sessionize(TickColumns.of(ticks, es), window)
     # the reference: stable sort, then each tick's own session day
     expected = {}
     for tick in sorted(ticks, key=lambda t: t.timestamp):
@@ -346,7 +348,9 @@ def test_sessionize_columns_match_tick_lists(es, window):
             expected.setdefault(day + timedelta(days=1), []).append(tick)
         elif (tod <= window.close) if window.overnight else (window.open <= tod <= window.close):
             expected.setdefault(day, []).append(tick)
-    assert {s.day: list(s.ticks) for s in from_ticks.sessions} == expected
+    assert [s.day for s in result.sessions] == sorted(expected)
+    assert {s.day: list(s.ticks) for s in result.sessions} == expected
+    assert result.dropped == len(ticks) - sum(map(len, expected.values())) > 0
 
 
 # seconds of the day at and next to both windows' open and close, in their
@@ -362,26 +366,32 @@ _EDGE_SECONDS = [h * 3600 + m * 60 + d for h, m in ((17, 0), (15, 15), (9, 30), 
                           st.integers(1, 3)),
                 max_size=40))
 def test_sessionize_ordered_columns_match_sorted_path(window, runs):
-    # time-ordered columns are cut into sessions without sorting; a list of
-    # their ticks always goes through the stable sort
+    # time-ordered columns are cut into sessions without sorting; the same
+    # ticks with their runs of equal times in reverse go through the stable
+    # sort, which puts them back in order
     es = PRESETS["ES"]
     start = datetime(2017, 4, 8)
     stamps = sorted(start + timedelta(days=day, seconds=second)
                     for day, second, repeat in runs for _ in range(repeat))
-    cols = TickColumns.of([Tick(ts, es.delta * (9000 + j % 7), 1 + j % 3, str(j))
-                           for j, ts in enumerate(stamps)], es)
-    ordered, by_sort = sessionize(cols, window), sessionize(list(cols), window)
+    ticks = [Tick(ts, es.delta * (9000 + j % 7), 1 + j % 3, str(j))
+             for j, ts in enumerate(stamps)]
+    cols = TickColumns.of(ticks, es)
+    runs_of_time = [list(run) for _, run in groupby(ticks, key=lambda t: t.timestamp)]
+    unordered = TickColumns.of([t for run in reversed(runs_of_time) for t in run], es)
+    assert in_time_order(cols) is cols
+    assert (in_time_order(unordered) is unordered) == (len(runs_of_time) < 2)
+    ordered, by_sort = sessionize(cols, window), sessionize(unordered, window)
     assert ordered.dropped == by_sort.dropped
     assert [s.day for s in ordered.sessions] == [s.day for s in by_sort.sessions]
     assert [list(s.ticks) for s in ordered.sessions] == [list(s.ticks) for s in by_sort.sessions]
-    assert all(isinstance(s.ticks, TickColumns) for s in ordered.sessions)
+    assert all(isinstance(s.ticks, TickColumns) for s in ordered.sessions + by_sort.sessions)
 
 
 def test_sessionize_refuses_past_date_max_alike_ordered_and_sorted(es):
     cols = TickColumns.of([Tick(datetime(9999, 12, 30, 9, 0), "2350", 1),
                            Tick(datetime(9999, 12, 31, 18, 0), "2350.25", 1)], es)
     messages = []
-    for ticks in (cols, list(cols)):
+    for ticks in (cols, TickColumns.of(reversed(cols), es)):
         with pytest.raises(ValueError, match="last date") as refused:
             sessionize(ticks, session_window_of(es))
         messages.append(str(refused.value))
@@ -389,7 +399,7 @@ def test_sessionize_refuses_past_date_max_alike_ordered_and_sorted(es):
 
 
 def test_take_cuts_ranges_like_index_lists(es):
-    cols = read_ticks([f"2017/04/10 09:00:{s:02d} {2350 + s / 4:.2f} {s % 3}" for s in range(6)],
+    cols = parse_ticks([f"2017/04/10 09:00:{s:02d} {2350 + s / 4:.2f} {s % 3}" for s in range(6)],
                       es)
     for positions in (range(6), range(1, 4), range(0, 6, 2), range(5, 0, -2), range(4, 2),
                       range(-2, 6), range(-3, -1)):

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import ticks_from_deltas, zigzag_levels
-from mpslab import (PRESETS, OteExtractor, OteType, Scenario, Tick, Tolerances,
+from mpslab import (PRESETS, GridError, OteExtractor, OteType, Scenario, Tick, Tolerances,
                     birth_threshold, classify_scenario, extract_otes,
                     head_and_shoulders, mps0, on_permitted_grid, ote_stats,
                     permitted_profit_grid, sample_stats, serialize_ticks)
-from mpslab.ingest import read_ticks
+from mpslab.ingest import parse_ticks
 from mpslab import ote as ote_module
 from mpslab.ote import HeadShouldersMonitor, head_and_shoulders_hits
 
@@ -208,6 +208,21 @@ def test_indicative_ticks_excluded(es):
     spoiler = Tick(ticks[3].timestamp + timedelta(seconds=1), es.delta * 9100, 0)
     with_indicative = sorted(ticks + [spoiler], key=lambda t: t.timestamp)
     assert extract_otes(with_indicative, FC4999, C, es) == extract_otes(ticks, FC4999, C, es)
+
+
+def test_off_grid_indicative_tick_refused(es):
+    # a Tick list becomes columns before indicative ticks are dropped, so an
+    # off-grid indicative tick is refused like an off-grid line in a file
+    ticks = ticks_from_deltas(zigzag_levels([0, 12, 2]), es)
+    off_grid = Tick(ticks[3].timestamp + timedelta(seconds=1), Fraction("2250.10"), 0)
+    with_off_grid = sorted(ticks + [off_grid], key=lambda t: t.timestamp)
+    for include_indicative in (False, True):
+        with pytest.raises(GridError, match="not a multiple of delta"):
+            extract_otes(with_off_grid, FC4999, C, es, include_indicative)
+        extractor = OteExtractor(FC4999, C, es, include_indicative)
+        with pytest.raises(GridError, match="not a multiple of delta"):
+            for tick in with_off_grid:
+                extractor.push(tick)
 
 
 def test_unordered_ticks_rejected(es):
@@ -459,7 +474,7 @@ def test_batch_on_columns_matches_batch_on_ticks(es):
         level += rng.choice([-3, -1, 0, 1, 3])
         levels.append(level)
     ticks = ticks_from_deltas(levels, es, sizes=[rng.choice([0, 1, 2]) for _ in levels])
-    columns = read_ticks(serialize_ticks(ticks).splitlines(), es)
+    columns = parse_ticks(serialize_ticks(ticks).splitlines(), es)
     for fc in (FC4999, "12.49"):
         for indicative in (False, True):
             assert extract_otes(columns, fc, C, es, indicative) == \
