@@ -20,7 +20,7 @@ _EXPORTS = {
     "distribution": "abs_action_cov action_cdf action_count action_cov action_pmf char_fn "
     "extreme_gain_strategies industry_gain limit_pmf moment pl_variance position_cov "
     "slice_sums universe_counts",
-    "ingest": "PRESETS SessionWindow parse_ticks serialize_ticks sessionize trade_ticks",
+    "ingest": "PRESETS parse_ticks serialize_ticks sessionize trade_ticks",
     "magma": "CappedInt cayley_stats cayley_table ominus oplus positions_oplus solution_set "
     "strategies_compose",
     "model": "ContractSpec CostModel GridError PositionSeries Strategy Tick "

@@ -113,14 +113,7 @@ def _session_trades(args, spec) -> list:
     """The tick -> trade pipeline of ``ote`` and ``pattern``: read, drop
     indicative ticks, split into sessions, pair each with its trades."""
     from . import ingest, ote as ote_mod
-    ticks = _read_ticks(args, spec)
-    try:
-        window = ingest.session_window_of(spec)
-    except ValueError:
-        ticks = ingest.in_time_order(ticks)
-        sessions = [ingest.Session(ticks[0].timestamp.date() if ticks else None, ticks)]
-    else:
-        sessions = ingest.sessionize(ticks, window).sessions
+    sessions = ingest.sessionize(_read_ticks(args, spec)).sessions
     fc, cost = as_fraction(args.fc), as_fraction(args.cost)
     return [(session, ote_mod.extract_otes(session.ticks, fc, cost, spec))
             for session in sessions]

@@ -23,23 +23,6 @@ from .model import ContractSpec, GridError, Tick
 from .numeric import as_fraction
 
 
-@dataclass(frozen=True)
-class SessionWindow:
-    """Daily trading window; open may sit on the previous calendar day."""
-
-    open: time
-    close: time
-    timezone: str = "exchange-local"
-
-    def __post_init__(self):
-        if self.open == self.close:
-            raise ValueError("session open and close must differ")
-
-    @property
-    def overnight(self) -> bool:
-        return self.open > self.close
-
-
 PRESETS = {
     # E-mini S&P 500: $50 per point, 0.25 minimum fluctuation,
     # 17:00 previous day - 15:15 close.
@@ -80,12 +63,6 @@ def contract_for(name: str, config_path: Optional[str] = None) -> ContractSpec:
     if name.upper() in PRESETS:
         return PRESETS[name.upper()]
     raise ValueError(f"unknown contract {name!r}; presets: {sorted(set(PRESETS))}")
-
-
-def session_window_of(spec: ContractSpec) -> SessionWindow:
-    if spec.session_open is None or spec.session_close is None:
-        raise ValueError(f"contract {spec.symbol} has no session window")
-    return SessionWindow(spec.session_open, spec.session_close)
 
 
 def _parse_time(text: str) -> time:
@@ -146,10 +123,7 @@ class TickColumns(Sequence[Tick]):
         self.conditions.append(tick.condition)
 
     def take(self, indices: Iterable[int]) -> "TickColumns":
-        """The ticks at the given positions, as new columns; a ``range`` is cut as list slices."""
-        cut = isinstance(indices, range) and slice(indices.start, indices.stop, indices.step)
-        if cut and range(len(self))[cut] == indices:        # every position in bounds
-            return self._columns(lambda column: column[cut])
+        """The ticks at the given positions, as new columns."""
         idx = list(indices)
         return self._columns(lambda column: list(map(column.__getitem__, idx)))
 
@@ -326,16 +300,29 @@ class SessionizeResult:
     dropped: int
 
 
-def sessionize(ticks: TickColumns, window: SessionWindow) -> SessionizeResult:
-    """Partition ticks into [open, close] sessions, dropping the rest.
+def sessionize(ticks: TickColumns) -> SessionizeResult:
+    """Partition ticks into their contract's [open, close] sessions, dropping
+    the rest; a contract with neither ``session_open`` nor ``session_close``
+    keeps every tick, in one session labeled by its first tick's date.
 
     The ticks are put ``in_time_order`` first, and each session is a slice
     of the ordered columns.
     """
+    spec = ticks.spec
+    opens, closes = spec.session_open, spec.session_close
+    if (opens is None) != (closes is None):
+        missing = "session_open" if opens is None else "session_close"
+        raise ValueError(f"contract {spec.symbol} has no {missing} for its session window")
+    if opens is not None and opens == closes:
+        raise ValueError("session open and close must differ")
     ticks = in_time_order(ticks)
     times = ticks.times
+    if opens is None:
+        whole = [Session(date.fromordinal(times[0] // _DAY_US + 1), ticks)] if times else []
+        return SessionizeResult(tuple(whole), 0)
+    overnight = opens > closes
     open_us, close_us = (to_micros(datetime.combine(_EPOCH, clock))
-                         for clock in (window.open, window.close))
+                         for clock in (opens, closes))
     sessions = []
     p = 0
     # Session `day` runs from `first` to `last` and session days rise with
@@ -343,16 +330,16 @@ def sessionize(ticks: TickColumns, window: SessionWindow) -> SessionizeResult:
     # one block of the ordered times: one bisection finds its end.
     while p < len(times):
         day, tod = divmod(times[p], _DAY_US)
-        if window.overnight and tod >= open_us:
+        if overnight and tod >= open_us:
             day += 1
-        first = (day - window.overnight) * _DAY_US + open_us
+        first = (day - overnight) * _DAY_US + open_us
         last = day * _DAY_US + close_us
         if first <= times[p] <= last:
             q = bisect_right(times, last, p)
             if day >= _LAST_DAY:
                 raise ValueError(f"tick at {from_micros(times[p]):%Y-%m-%d %H:%M:%S} is in "
                                  f"a session that closes after {date.max}, the last date")
-            sessions.append(Session(date.fromordinal(day + 1), ticks.take(range(p, q))))
+            sessions.append(Session(date.fromordinal(day + 1), ticks._columns(lambda c: c[p:q])))
         else:
             q = bisect_left(times, first if times[p] < first else first + _DAY_US, p)
         p = q

@@ -9,7 +9,7 @@ from conftest import ticks_from_deltas, zigzag_levels
 from mpslab import (PRESETS, Tick, Tolerances, extract_otes, serialize_ticks,
                     sessionize)
 from mpslab.cli import main
-from mpslab.ingest import TickColumns, session_window_of
+from mpslab.ingest import TickColumns
 from mpslab.numeric import fmt_price
 from mpslab.ote import HeadShouldersMonitor
 
@@ -140,6 +140,29 @@ def test_contract_without_session_window_sorts_ticks(tmp_path, capsys):
         assert run(capsys, argv + [str(shuffled)]) == expected
 
 
+def _run_with_window(tmp_path, capsys, window: str):
+    """``ote`` and ``pattern`` results on a two-tick file for a config
+    contract HALF with the given session keys."""
+    path, config = tmp_path / "ticks.tsv", tmp_path / "contracts.ini"
+    path.write_text("2017/04/10 09:30:00 2350.00 1\n2017/04/10 09:30:01 2350.25 1\n")
+    config.write_text("[HALF]\nk = 50\ndelta = 0.25\n" + window)
+    return [run(capsys, [command, "--fc", "1", "--cost", "0.5", "--contract", "HALF",
+                         "--config", str(config), str(path)])
+            for command in ("ote", "pattern")]
+
+
+def test_session_window_that_opens_at_its_close_is_refused(tmp_path, capsys):
+    results = _run_with_window(tmp_path, capsys, "session_open = 09:30\nsession_close = 09:30\n")
+    assert results == [(1, "", "error: session open and close must differ\n")] * 2
+
+
+def test_session_window_with_one_end_is_refused(tmp_path, capsys):
+    for key, other in (("session_open", "session_close"), ("session_close", "session_open")):
+        results = _run_with_window(tmp_path, capsys, f"{key} = 09:30\n")
+        message = f"error: contract HALF has no {other} for its session window\n"
+        assert results == [(1, "", message)] * 2
+
+
 def test_ote_pipeline(tmp_path, capsys):
     es = PRESETS["ES"]
     ticks = ticks_from_deltas(zigzag_levels([0, 8, 0, 8, 0, 8, 0]), es)
@@ -227,7 +250,7 @@ def _reference_pattern(ticks, fc, cost, tol):
     [t_birth, t_end] of the window's last trade, in order."""
     es = PRESETS["ES"]
     lines, hits = ["session\twindow_end\tmatched_at\tprice"], 0
-    for session in sessionize(TickColumns.of(ticks, es), session_window_of(es)).sessions:
+    for session in sessionize(TickColumns.of(ticks, es)).sessions:
         records = extract_otes(list(session.ticks), fc, cost, es)
         for end in range(6, len(records) + 1):
             try:

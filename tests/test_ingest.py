@@ -2,6 +2,7 @@
 
 import io
 import random
+from dataclasses import replace
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
 from itertools import groupby
@@ -10,10 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpslab import (PRESETS, ContractSpec, GridError, SessionWindow, Tick, ingest,
-                    parse_ticks, serialize_ticks, sessionize, trade_ticks)
+from mpslab import (PRESETS, ContractSpec, GridError, Tick, ingest, parse_ticks,
+                    serialize_ticks, sessionize, trade_ticks)
 from mpslab.ingest import (ParseError, TickColumns, contract_for, in_time_order,
-                           load_contract_config, session_window_of)
+                           load_contract_config)
+
+
+def _windowed(session_open, session_close):
+    """ES economics with the given daily session window."""
+    return replace(PRESETS["ES"], session_open=session_open, session_close=session_close)
 
 
 def test_parse_globex_line(es):
@@ -110,8 +116,7 @@ def test_serialize_read_round_trip(spec, rows):
 
 
 def test_sessionize_overnight_window(es):
-    window = session_window_of(es)
-    assert window.overnight
+    assert es.session_open > es.session_close
     ticks = parse_ticks([
         "2017/04/09 17:02:54 2350.75 1",   # next day's session
         "2017/04/10 11:00:00 2351.00 1",
@@ -120,7 +125,7 @@ def test_sessionize_overnight_window(es):
         "2017/04/10 15:45:00 2352.00 1",   # maintenance range, dropped
         "2017/04/10 17:30:00 2352.25 1",   # 04-11 session
     ], es)
-    result = sessionize(ticks, window)
+    result = sessionize(ticks)
     assert result.dropped == 2
     assert [s.day for s in result.sessions] == [date(2017, 4, 10), date(2017, 4, 11)]
     assert len(result.sessions[0].ticks) == 3
@@ -128,38 +133,56 @@ def test_sessionize_overnight_window(es):
 
 
 def test_sessionize_totality(es):
-    window = session_window_of(es)
     ticks = parse_ticks([
         "2017/04/09 16:00:00 2350.00 1",
         "2017/04/09 18:00:00 2350.25 1",
         "2017/04/10 09:00:00 2350.50 1",
     ], es)
-    result = sessionize(ticks, window)
+    result = sessionize(ticks)
     assert sum(len(s.ticks) for s in result.sessions) + result.dropped == len(ticks)
 
 
 def test_sessionize_stable_for_equal_timestamps(es):
-    window = session_window_of(es)
     a = Tick(datetime(2017, 4, 10, 9, 0, 0), "2350.00", 1, "first")
     b = Tick(datetime(2017, 4, 10, 9, 0, 0), "2350.25", 2, "second")
     later = Tick(datetime(2017, 4, 10, 9, 0, 1), "2350.50", 3, "later")
-    result = sessionize(TickColumns.of([later, a, b], es), window)
+    result = sessionize(TickColumns.of([later, a, b], es))
     assert list(result.sessions[0].ticks) == [a, b, later]
 
 
 def test_daytime_window():
-    window = SessionWindow(time(9, 0), time(16, 0))
-    assert not window.overnight
+    spec = _windowed(time(9, 0), time(16, 0))
+    assert not spec.session_open > spec.session_close
     tick = Tick(datetime(2017, 4, 10, 10, 0, 0), "100", 1)
     out = Tick(datetime(2017, 4, 10, 8, 0, 0), "100", 1)
-    result = sessionize(TickColumns.of([tick, out], PRESETS["ES"]), window)
+    result = sessionize(TickColumns.of([tick, out], spec))
     assert result.dropped == 1
     assert result.sessions[0].day == date(2017, 4, 10)
 
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        SessionWindow(time(9, 0), time(9, 0))
+        sessionize(TickColumns(_windowed(time(9, 0), time(9, 0))))
+    # a window with one end is refused, not taken as no window
+    for key in ("session_open", "session_close"):
+        half = replace(_windowed(time(9, 0), time(16, 0)), symbol="HALF", **{key: None})
+        with pytest.raises(ValueError, match=f"contract HALF has no {key}"):
+            sessionize(TickColumns(half))
+
+
+def test_sessionize_without_window_keeps_every_tick_in_one_session():
+    spec = _windowed(None, None)
+    # equal times keep their arrival order; 16:00 lies outside the ES window
+    a = Tick(datetime(2017, 4, 10, 16, 0, 0), "2350.00", 1, "first")
+    b = Tick(datetime(2017, 4, 10, 16, 0, 0), "2350.25", 2, "second")
+    earlier = Tick(datetime(2017, 4, 9, 23, 0, 0), "2350.50", 3, "earlier")
+    result = sessionize(TickColumns.of([a, b, earlier], spec))
+    assert result.dropped == 0
+    # labeled by the first tick's own date, not a session's closing day
+    assert [s.day for s in result.sessions] == [date(2017, 4, 9)]
+    assert list(result.sessions[0].ticks) == [earlier, a, b]
+    empty = sessionize(TickColumns(spec))
+    assert (empty.sessions, empty.dropped) == ((), 0)
 
 
 def test_presets():
@@ -326,27 +349,30 @@ def test_columns_round_trip_and_index(es):
     assert trade_ticks(traded) is traded
 
 
-_WINDOWS = [SessionWindow(time(17, 0), time(15, 15)), SessionWindow(time(9, 30), time(16, 0))]
+# ES economics with an overnight and a daytime session window
+_WINDOWS = [_windowed(time(17, 0), time(15, 15)), _windowed(time(9, 30), time(16, 0))]
 
 
 @pytest.mark.parametrize("window", _WINDOWS)
-def test_sessionize_columns_match_tick_lists(es, window):
+def test_sessionize_columns_match_tick_lists(window):
     rng = random.Random(5)
     start = datetime(2017, 4, 8, 0, 0, 0)
     ticks = [Tick(start + timedelta(seconds=rng.randrange(4 * 86400) // 900 * 900),
-                  es.delta * rng.randint(9000, 9010), rng.randint(1, 3), str(j))
+                  window.delta * rng.randint(9000, 9010), rng.randint(1, 3), str(j))
              for j in range(600)]
     # exact open and close instants, which both belong to the session
-    ticks += [Tick(datetime.combine(date(2017, 4, 9), window.open), "2250", 1, "open"),
-              Tick(datetime.combine(date(2017, 4, 9), window.close), "2250", 1, "close")]
-    result = sessionize(TickColumns.of(ticks, es), window)
+    opens, closes = window.session_open, window.session_close
+    ticks += [Tick(datetime.combine(date(2017, 4, 9), opens), "2250", 1, "open"),
+              Tick(datetime.combine(date(2017, 4, 9), closes), "2250", 1, "close")]
+    result = sessionize(TickColumns.of(ticks, window))
     # the reference: stable sort, then each tick's own session day
+    overnight = opens > closes
     expected = {}
     for tick in sorted(ticks, key=lambda t: t.timestamp):
         tod, day = tick.timestamp.time(), tick.timestamp.date()
-        if window.overnight and tod >= window.open:
+        if overnight and tod >= opens:
             expected.setdefault(day + timedelta(days=1), []).append(tick)
-        elif (tod <= window.close) if window.overnight else (window.open <= tod <= window.close):
+        elif (tod <= closes) if overnight else (opens <= tod <= closes):
             expected.setdefault(day, []).append(tick)
     assert [s.day for s in result.sessions] == sorted(expected)
     assert {s.day: list(s.ticks) for s in result.sessions} == expected
@@ -369,18 +395,17 @@ def test_sessionize_ordered_columns_match_sorted_path(window, runs):
     # time-ordered columns are cut into sessions without sorting; the same
     # ticks with their runs of equal times in reverse go through the stable
     # sort, which puts them back in order
-    es = PRESETS["ES"]
     start = datetime(2017, 4, 8)
     stamps = sorted(start + timedelta(days=day, seconds=second)
                     for day, second, repeat in runs for _ in range(repeat))
-    ticks = [Tick(ts, es.delta * (9000 + j % 7), 1 + j % 3, str(j))
+    ticks = [Tick(ts, window.delta * (9000 + j % 7), 1 + j % 3, str(j))
              for j, ts in enumerate(stamps)]
-    cols = TickColumns.of(ticks, es)
+    cols = TickColumns.of(ticks, window)
     runs_of_time = [list(run) for _, run in groupby(ticks, key=lambda t: t.timestamp)]
-    unordered = TickColumns.of([t for run in reversed(runs_of_time) for t in run], es)
+    unordered = TickColumns.of([t for run in reversed(runs_of_time) for t in run], window)
     assert in_time_order(cols) is cols
     assert (in_time_order(unordered) is unordered) == (len(runs_of_time) < 2)
-    ordered, by_sort = sessionize(cols, window), sessionize(unordered, window)
+    ordered, by_sort = sessionize(cols), sessionize(unordered)
     assert ordered.dropped == by_sort.dropped
     assert [s.day for s in ordered.sessions] == [s.day for s in by_sort.sessions]
     assert [list(s.ticks) for s in ordered.sessions] == [list(s.ticks) for s in by_sort.sessions]
@@ -393,7 +418,7 @@ def test_sessionize_refuses_past_date_max_alike_ordered_and_sorted(es):
     messages = []
     for ticks in (cols, TickColumns.of(reversed(cols), es)):
         with pytest.raises(ValueError, match="last date") as refused:
-            sessionize(ticks, session_window_of(es))
+            sessionize(ticks)
         messages.append(str(refused.value))
     assert messages[0] == messages[1]
 
