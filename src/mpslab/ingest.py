@@ -36,21 +36,26 @@ PRESETS["CORN"] = PRESETS["ZC"]
 def load_contract_config(path: str) -> dict[str, ContractSpec]:
     """Contract specs from an INI file, one [SYMBOL] section each.
 
-    Keys: k, delta, session_open, session_close (HH:MM or HH:MM:SS).
+    Keys: k, delta, session_open, session_close (HH:MM or HH:MM:SS); bad input is a ValueError.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"bad config: {' '.join(exc.message.split())}") from None
     specs = {}
     for symbol in parser.sections():
-        section = parser[symbol]
-        specs[symbol] = ContractSpec(
-            symbol=symbol,
-            k=as_fraction(section["k"]),
-            delta=as_fraction(section["delta"]),
-            session_open=_parse_time(section["session_open"]) if "session_open" in section else None,
-            session_close=_parse_time(section["session_close"]) if "session_close" in section else None,
-        )
+        section, fields = parser[symbol], {}
+        for key, parse in (("k", as_fraction), ("delta", as_fraction),
+                           ("session_open", _parse_time), ("session_close", _parse_time)):
+            if key not in section and key in ("k", "delta"):
+                raise ValueError(f"contract {symbol} has no {key}")
+            try:
+                fields[key] = parse(section[key]) if key in section else None
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                raise ValueError(f"contract {symbol}: bad {key} {section[key]!r}: {exc}") from None
+        specs[symbol] = ContractSpec(symbol, **fields)
     return specs
 
 

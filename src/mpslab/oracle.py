@@ -21,8 +21,7 @@ from .numeric import (BudgetExceeded, Rational, as_fraction, as_fractions, money
                       scaled_ints)
 
 DEFAULT_BUDGET = 10 ** 7
-_CHUNK_ROWS = 1 << 16
-_FLOAT_EXACT = 1 << 53  # doubles hold every integer below this exactly
+_CHUNK_ROWS = 1 << 14  # one chunk's float arrays stay cache-sized
 
 
 def _check_budget(p: UniverseParams, budget: int) -> None:
@@ -64,15 +63,21 @@ def _int_dtype(bound: int) -> np.dtype:
     return dtype
 
 
+def _sum_dtype(p: UniverseParams) -> type:
+    """float32 if a full chunk's sums (4nW^2 a row) stay below 2^24, else float64."""
+    return np.float32 if _CHUNK_ROWS * 4 * p.n * p.limit ** 2 < 1 << 24 else np.float64
+
+
 def position_chunks(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
     """Stream the universe as integer position arrays of shape (rows, n).
 
     The dtype is the smallest that holds +-W.  A chunk has at most
     ``_CHUNK_ROWS`` rows, and few enough that its sums of one product per
-    strategy, each at most 4nW^2, stay below 2^53 (exact in float64; see
-    ``sweep``).
+    strategy, each at most 4nW^2, stay below the exact-integer bound of
+    ``_sum_dtype(p)``: 2^24 for float32, 2^53 for float64 (see ``sweep``).
     """
-    return _chunks(p, budget, min(_CHUNK_ROWS, (_FLOAT_EXACT - 1) // (4 * p.n * p.limit ** 2)))
+    exact = 1 << (np.finfo(_sum_dtype(p)).nmant + 1)
+    return _chunks(p, budget, min(_CHUNK_ROWS, (exact - 1) // (4 * p.n * p.limit ** 2)))
 
 
 def _chunks(p: UniverseParams, budget: int, rows: int) -> Iterator[np.ndarray]:
@@ -168,11 +173,12 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     """Full enumeration sweep accumulating every sum the tests compare.
 
     A strategy adds at most 4nW^2 to any sum (|U_i| <= 2W, T_j <= 2nW).  Each
-    chunk's products and reductions run on float64 operands, so numpy hands
-    them to BLAS; ``position_chunks`` keeps a chunk's sums below 2^53, so they
-    are exact integers in any summation order and are cast back to int64
-    before they are accumulated.  A universe whose sums could reach 2^63 is
-    refused with ``BudgetExceeded``.
+    chunk's products and reductions run through BLAS on ``_sum_dtype(p)``
+    operands: float32 when a full chunk's sums stay below 2^24, else
+    float64.  ``position_chunks`` keeps a chunk's sums below that dtype's
+    exact-integer bound (2^24 or 2^53), so they are exact integers in any
+    summation order and are cast back to int64 before they are accumulated.
+    A universe whose sums could reach 2^63 is refused with ``BudgetExceeded``.
     """
     _check_budget(p, budget)
     n, w = p.n, p.limit
@@ -188,17 +194,16 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     ga = np.zeros((n, n), dtype=np.int64)
     max_row = -1
     max_row_count = 0
+    dtype = _sum_dtype(p)
     for block in position_chunks(p, budget):
-        assert block.shape[0] * per_row < _FLOAT_EXACT
+        assert block.shape[0] * per_row < 1 << (np.finfo(dtype).nmant + 1)
         u = _actions_of(block, w)
         counts += np.bincount((u + 2 * w).ravel(), minlength=4 * w + 1)
-        wf = block.astype(np.float64)
-        uf = u.astype(np.float64)
+        wf = block.astype(dtype)
+        uf = u.astype(dtype)
         af = np.abs(uf)
-        # np.dot, not @: numpy 2.4's matmul took 30x longer for (59049, 12) @ (12,)
-        # (OpenBLAS 0.3.31, 2-vCPU Xeon VM)
-        rows = np.dot(af, np.ones(n))
-        slice_abs += np.dot(np.ones(len(af)), af).astype(np.int64)
+        rows = np.dot(af, np.ones(n, dtype))
+        slice_abs += np.dot(np.ones(len(af), dtype), af).astype(np.int64)
         slice_row_abs += np.dot(rows, uf).astype(np.int64)
         gw += (wf.T @ wf).astype(np.int64)
         gu += (uf.T @ uf).astype(np.int64)
@@ -209,7 +214,7 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
         if row_max == max_row:
             max_row_count += int((rows == row_max).sum())
         # free this chunk's float copies before the next chunk's are built;
-        # held across iterations they add about 5 MB to verify's peak RSS
+        # held across iterations they add about 2 MB to verify's peak RSS
         del wf, uf, af, rows
 
     return UniverseSums(

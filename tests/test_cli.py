@@ -163,6 +163,28 @@ def test_session_window_with_one_end_is_refused(tmp_path, capsys):
         assert results == [(1, "", message)] * 2
 
 
+def test_malformed_config_is_one_error_line(tmp_path, capsys):
+    path, config = tmp_path / "ticks.tsv", tmp_path / "contracts.ini"
+    path.write_text("2017/04/10 09:30:00 2350.00 1\n")
+    cases = {
+        "[NK]\ndelta = 5\n": "contract NK has no k",
+        "[NK]\nk = 500\n": "contract NK has no delta",
+        "k = 500\ndelta = 5\n":
+            f"bad config: File contains no section headers. file: {str(config)!r}, "
+            "line: 1 'k = 500\\n'",
+        "[NK]\nk = 500\ndelta = 5\nsession_open = 25:00\nsession_close = 15:15\n":
+            "contract NK: bad session_open '25:00': hour must be in 0..23",
+        "[NK]\nk = 500%\ndelta = 5\n":
+            "contract NK: bad k '500%': Invalid literal for Fraction: '500%'",
+    }
+    for text, message in cases.items():
+        config.write_text(text)
+        for argv in (["ote", "--fc", "1", "--cost", "0.5"],
+                     ["pattern", "--fc", "1", "--cost", "0.5"], ["mps", "--cost", "0.5"]):
+            argv += ["--contract", "NK", "--config", str(config), str(path)]
+            assert run(capsys, argv) == (1, "", f"error: {message}\n"), argv
+
+
 def test_ote_pipeline(tmp_path, capsys):
     es = PRESETS["ES"]
     ticks = ticks_from_deltas(zigzag_levels([0, 8, 0, 8, 0, 8, 0]), es)

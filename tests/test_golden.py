@@ -82,6 +82,9 @@ COMMANDS = {
         "26a1eae39b81e7130c255e2632274e92c5b9e02b9ecfdddf3340545ca0844473",
     ("verify", "--max-universe", "1000"):
         "c3fe3ca6756848b282f69b0232db86253f99c45a988338edd91d170e12b8188c",
+    # the verify_1e6 benchmark command: 43 universes through the float32 sweep
+    ("verify", "--max-universe", "1000000"):
+        "a8ff7dcde353c32540640648e9cab87d0b56a948ccf6aceaac6d1e367dacf207",
 }
 
 

@@ -1,6 +1,7 @@
 """Enumeration oracle: decode, sweeps, brute-force extrema, budget guard."""
 
 import dataclasses
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -331,6 +332,53 @@ def test_chunks_keep_float64_sums_exact():
         assert 1 <= rows and rows * 4 * p.n * p.limit ** 2 < 2 ** 53
 
 
+def test_verify_universes_sum_in_float32():
+    # a silent fallback to float64 would undo the float32 sweep's speed-up
+    for p in verify.default_pairs(10 ** 6):
+        assert oracle._sum_dtype(p) is np.float32, p
+    assert oracle._sum_dtype(UniverseParams(10 ** 5, 2)) is np.float64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sweep_chunks_stay_below_their_dtype_bound(data):
+    w = data.draw(st.integers(1, 400))
+    max_n = 2
+    while (2 * w + 1) ** max_n <= 5000:
+        max_n += 1
+    p = UniverseParams(w, data.draw(st.integers(2, max_n)))
+    per_row = 4 * p.n * p.limit ** 2
+    rows = data.draw(st.integers(1, 1 << 16))
+    used, real = [], oracle._sum_dtype
+
+    def spy(q):
+        used.append(real(q))
+        return used[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_ROWS", rows)
+        mp.setattr(oracle, "_sum_dtype", spy)
+        sweep(p)
+        dtype = used[-1]
+        chunks = [len(block) for block in position_chunks(p)]
+    assert set(used) == {dtype}
+    assert (dtype is np.float32) == (rows * per_row < 2 ** 24)
+    assert sum(chunks) == p.size
+    assert all(r * per_row < 2 ** (np.finfo(dtype).nmant + 1) for r in chunks)
+
+
+def test_sweep_matches_frozen_int64_sweep_in_either_dtype(monkeypatch):
+    # _CHUNK_ROWS at the most rows that keep float32 exact, then one more
+    rng = random.Random(15)
+    for _ in range(8):
+        p = UniverseParams(rng.randint(1, 40), rng.randint(2, 3))
+        edge = (2 ** 24 - 1) // (4 * p.n * p.limit ** 2)
+        for rows, dtype in ((edge, np.float32), (edge + 1, np.float64)):
+            monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
+            assert oracle._sum_dtype(p) is dtype
+            assert _fields(sweep(p)) == _fields(_reference_sweep(p, chunk_rows=rows)), (p, rows)
+
+
 def test_large_limits_are_exact_or_refused():
     # W = 3*10**6, n = 2 is inside the default budget; its sums would pass
     # 2^63 (sum W_1^2 alone is about 1.8e19), so the sweep refuses it up front
@@ -376,10 +424,10 @@ def test_brute_force_chunks_are_not_sized_by_the_float_bound(monkeypatch):
     monkeypatch.setattr(oracle, "_actions_of", counting)
     p = UniverseParams(3 * 10 ** 6, 2)
     assert brute_force_mps([1, 2], [0, 0], p).best_pl == 3 * 10 ** 6
-    assert len(calls) == -(-p.size // oracle._CHUNK_ROWS) == 92
+    assert len(calls) == -(-p.size // oracle._CHUNK_ROWS) == 367
     assert sum(calls) == p.size
     calls.clear()
     assert brute_force_mls([1, 2], [0, 0], UniverseParams(10 ** 6, 2)).worst_pl == -10 ** 6
-    assert len(calls) == 31
+    assert len(calls) == -(-UniverseParams(10 ** 6, 2).size // oracle._CHUNK_ROWS) == 123
     # sweep keeps the float64 bound
     assert len(next(position_chunks(p))) * 4 * p.n * p.limit ** 2 < 2 ** 53
