@@ -36,7 +36,8 @@ PRESETS["CORN"] = PRESETS["ZC"]
 def load_contract_config(path: str) -> dict[str, ContractSpec]:
     """Contract specs from an INI file, one [SYMBOL] section each.
 
-    Keys: k, delta, session_open, session_close (HH:MM or HH:MM:SS); bad input is a ValueError.
+    Keys: k, delta (both positive), session_open, session_close (H:M or
+    H:M:S); bad input is a ValueError that names the contract and the key.
     """
     parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
@@ -55,7 +56,10 @@ def load_contract_config(path: str) -> dict[str, ContractSpec]:
                 fields[key] = parse(section[key]) if key in section else None
             except (ValueError, TypeError, ArithmeticError) as exc:
                 raise ValueError(f"contract {symbol}: bad {key} {section[key]!r}: {exc}") from None
-        specs[symbol] = ContractSpec(symbol, **fields)
+        try:
+            specs[symbol] = ContractSpec(symbol, **fields)
+        except ValueError as exc:                   # k or delta not positive
+            raise ValueError(f"contract {symbol}: {exc}") from None
     return specs
 
 
@@ -71,10 +75,10 @@ def contract_for(name: str, config_path: Optional[str] = None) -> ContractSpec:
 
 
 def _parse_time(text: str) -> time:
-    parts = [int(p) for p in text.strip().split(":")]
-    while len(parts) < 3:
-        parts.append(0)
-    return time(*parts)
+    parts = text.strip().split(":")
+    if len(parts) not in (2, 3):
+        raise ValueError("a clock is H:M or H:M:S")
+    return time(*map(int, parts))
 
 
 _DAY_US = 86_400_000_000

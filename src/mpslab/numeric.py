@@ -71,26 +71,27 @@ def scaled_ints(values: Sequence[Fraction], scale: int) -> list[int]:
 
 def fmt_dollars(x: Fraction) -> str:
     """Render a dollar amount, exact to the cent when it is one."""
-    cents = x * 100
-    if cents.denominator == 1:
-        sign = "-" if cents < 0 else ""
-        c = abs(cents.numerator)
-        return f"{sign}{c // 100}.{c % 100:02d}"
-    return repr(float(x))
+    cents, rest = divmod(x.numerator * 100, x.denominator)
+    if rest:
+        return repr(float(x))
+    sign = "-" if cents < 0 else ""
+    whole, cents = divmod(abs(cents), 100)
+    return f"{sign}{whole}.{cents:02d}"
 
 
 def fmt_price(x: Fraction, delta: Fraction) -> str:
     """Quote-style price text with the decimals the grid needs (0.25 -> 2)."""
     for places in range(13):
-        if (delta * 10 ** places).denominator == 1:
+        if 10 ** places % delta.denominator == 0:
             break
     else:
         return repr(float(x))
-    scaled = x * 10 ** places
-    if scaled.denominator != 1:
+    scale = 10 ** places
+    scaled, rest = divmod(x.numerator * scale, x.denominator)
+    if rest:
         return repr(float(x))
     sign = "-" if scaled < 0 else ""
-    digits = abs(scaled.numerator)
     if places == 0:
-        return f"{sign}{digits}"
-    return f"{sign}{digits // 10 ** places}.{digits % 10 ** places:0{places}d}"
+        return f"{sign}{abs(scaled)}"
+    whole, part = divmod(abs(scaled), scale)
+    return f"{sign}{whole}.{part:0{places}d}"

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -24,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 from .ingest import TickColumns, from_micros, to_micros, trade_ticks
 from .model import ContractSpec, Tick
-from .numeric import Rational, as_fraction
+from .numeric import Rational, as_fraction, money_scale
 
 
 class OteType(enum.Enum):
@@ -330,60 +329,69 @@ def sample_stats(values: Sequence[Rational], bins: Optional[int] = None) -> OteS
     Variance uses the n-1 divisor; skewness is the adjusted Fisher-Pearson
     estimate sqrt(n(n-1))/(n-2) * m3/m2^(3/2) (n >= 3) and excess kurtosis
     the matching bias-corrected estimate (n >= 4; None below).
+
+    On the samples scaled to integers x by their common denominator D, with
+    S their sum, m_k = sum((n x - S)^k) / (n^(k+1) D^k) exactly, and each
+    float is rounded once from an exact rational.  The k histogram bins have
+    edges (lo k + (hi - lo) j) / (k D); all are (left, right] but the first,
+    which is closed, although it prints as (left, right] too.
     """
     n = len(values)
     if n < 2:
         raise ValueError("need at least 2 samples")
-    xs = sorted(as_fraction(v) for v in values)
-    mean = sum(xs) / n
-    m2 = sum((x - mean) ** 2 for x in xs) / n
-    m3 = sum((x - mean) ** 3 for x in xs) / n
-    m4 = sum((x - mean) ** 4 for x in xs) / n
-    variance = n * m2 / (n - 1)
-    counter = Counter(xs)
-    lo, hi = xs[0], xs[-1]
+    fs = [as_fraction(v) for v in values]
+    d = money_scale(fs)
+    xs = sorted([f.numerator * (d // f.denominator) for f in fs])
     k = _bin_count(n, bins)
+    s = sum(xs)
+    p2 = p3 = p4 = 0
+    for x in xs:
+        e = n * x - s
+        e2 = e * e
+        p2 += e2
+        p3 += e2 * e
+        p4 += e2 * e2
+    nd = n * d
+    variance = Fraction(p2, nd ** 2 * (n - 1))
+    lo, hi = xs[0], xs[-1]
     try:
         std_dev = math.sqrt(variance)
-        skewness = None
-        if n >= 3 and m2 > 0:
-            g1 = float(m3) / float(m2) ** 1.5
+        skewness = excess_kurtosis = None
+        if n >= 3 and p2 > 0:
+            m2 = p2 / (nd ** 2 * n)
+            g1 = (p3 / (nd ** 3 * n)) / m2 ** 1.5
             skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
-        excess_kurtosis = None
-        if n >= 4 and m2 > 0:
-            g2 = float(m4) / float(m2) ** 2 - 3
-            excess_kurtosis = ((n + 1) * g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
-        histogram = []
+            if n >= 4:
+                g2 = (p4 / (nd ** 4 * n)) / m2 ** 2 - 3
+                excess_kurtosis = ((n + 1) * g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
         if hi == lo:
-            histogram.append((float(lo), float(hi), n))
+            histogram = [(lo / d, hi / d, n)]
         else:
-            width = (hi - lo) / k
-            edges = [lo + width * j for j in range(k + 1)]
-            for j in range(k):
-                left, right = edges[j], edges[j + 1]
-                if j == 0:
-                    count = sum(1 for x in xs if left <= x <= right)
-                else:
-                    count = sum(1 for x in xs if left < x <= right)
-                histogram.append((float(left), float(right), count))
+            histogram, left, below, kd = [], lo * k, 0, k * d
+            for j in range(1, k + 1):
+                right = lo * k + (hi - lo) * j
+                upto = bisect_right(xs, right // k)     # x k <= right iff x <= floor(right / k)
+                histogram.append((left / kd, right / kd, upto - below))
+                left, below = right, upto
     except OverflowError:
         # once these floats fit, so do the mean, extremes and variance printed from them
         raise ValueError("samples too large for float statistics") from None
 
-    ecdf = []
-    cum = 0
-    for value in sorted(counter):
-        cum += counter[value]
-        ecdf.append((value, Fraction(cum, n)))
-    epmf = tuple((value, counter[value]) for value in sorted(counter))
-
+    ecdf, epmf, i = [], [], 0
+    while i < n:
+        x = xs[i]
+        j = bisect_right(xs, x, i)
+        value = Fraction(x, d)
+        epmf.append((value, j - i))
+        ecdf.append((value, Fraction(j, n)))
+        i = j
     return OteStats(
-        count=n, mean=mean,
-        minimum=lo, min_count=counter[lo],
-        maximum=hi, max_count=counter[hi],
+        count=n, mean=Fraction(s, nd),
+        minimum=epmf[0][0], min_count=epmf[0][1],
+        maximum=epmf[-1][0], max_count=epmf[-1][1],
         variance=variance, std_dev=std_dev,
         skewness=skewness, excess_kurtosis=excess_kurtosis,
-        histogram=tuple(histogram), ecdf=tuple(ecdf), epmf=epmf,
+        histogram=tuple(histogram), ecdf=tuple(ecdf), epmf=tuple(epmf),
     )
 
 

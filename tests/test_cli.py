@@ -176,6 +176,15 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys):
             "contract NK: bad session_open '25:00': hour must be in 0..23",
         "[NK]\nk = 500%\ndelta = 5\n":
             "contract NK: bad k '500%': Invalid literal for Fraction: '500%'",
+        "[NK]\nk = 0\ndelta = 5\n": "contract NK: k must be positive",
+        "[NK]\nk = 500\ndelta = -1/4\n": "contract NK: delta must be positive",
+        "[NK]\nk = 500\ndelta = 5\nsession_open = 1:2:3:4:5\nsession_close = 15:15\n":
+            "contract NK: bad session_open '1:2:3:4:5': a clock is H:M or H:M:S",
+        # four fields were read as microseconds, 09:30:00.000005
+        "[NK]\nk = 500\ndelta = 5\nsession_open = 9:30:00:5\nsession_close = 15:15\n":
+            "contract NK: bad session_open '9:30:00:5': a clock is H:M or H:M:S",
+        "[NK]\nk = 500\ndelta = 5\nsession_open = 17:00\nsession_close = 15\n":
+            "contract NK: bad session_close '15': a clock is H:M or H:M:S",
     }
     for text, message in cases.items():
         config.write_text(text)

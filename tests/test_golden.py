@@ -52,6 +52,8 @@ TICK_COMMANDS = {
         "f4a4535e0ea090ea590741fb73a2546f1a00c6636d36e592bdc35f8785ca51b9",
     ("ote", "--fc", "49.99", "--cost", "4.68", "--include-open"):
         "dd8491deeb1e547baaf133d910235ecbd0e4f1bd5aae36d32b458bc931556b77",
+    ("ote", "--fc", "49.99", "--cost", "4.68", "--bins", "3", "--include-open"):
+        "b24df38841693677bfbc614f4e7d6c269d3e30200fbe6cadb07ce7dd69fad11c",
     ("pattern", "--fc", "12.49", "--cost", "4.68", "--eq-tol", "1"):
         "1dbd7b4d9be0cf26cbbea36cf540c94031f6a7420ad58e35a67c9133c56f854f",
     ("mps", "--cost", "4.68", "--W", "3"):
@@ -69,6 +71,19 @@ UNORDERED_TICK_COMMANDS = {
         "f4a4535e0ea090ea590741fb73a2546f1a00c6636d36e592bdc35f8785ca51b9",
     ("pattern", "--fc", "12.49", "--cost", "4.68", "--eq-tol", "1"):
         "ac19a561086a4f5682939184e9b7e6c3d34c57e901cd9646638acb1c12a54fb9",
+}
+
+# 17 samples with decimals, thirds, negatives and ties, for ``stats``; the
+# default bin count (6) differs from both pinned ones
+SAMPLES = "1.25 -3.5 1/3 2\n-3.5 7.125 1/3\n0 2 2 -0.01 100.75\n2.5e1 -0.01 1/3\n-7 12.5\n"
+
+SAMPLE_COMMANDS = {
+    ("stats",):
+        "7a3ad42d97f8b0770f80f372a763ca4c9fabb291e746409d2dfb905875feeb81",
+    ("stats", "--bins", "1"):
+        "74e28373d9c55aea4bd07fc5724b821005469b9eb320f66f1973f64cb538820a",
+    ("stats", "--bins", "5"):
+        "47523e56ab8124ac38796ed01b0adee1f8961951b366711f3f4deab9f709b147",
 }
 
 COMMANDS = {
@@ -101,6 +116,13 @@ def test_golden_stdout_digests(tmp_path, capsys):
     got = {argv: _stdout_digest(argv + (str(path),), capsys) for argv in TICK_COMMANDS}
     got.update((argv, _stdout_digest(argv, capsys)) for argv in COMMANDS)
     assert got == {**TICK_COMMANDS, **COMMANDS}
+
+
+def test_golden_stats_digests(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_text(SAMPLES)
+    got = {argv: _stdout_digest(argv + (str(path),), capsys) for argv in SAMPLE_COMMANDS}
+    assert got == SAMPLE_COMMANDS
 
 
 def test_golden_stdout_digests_of_unordered_ticks(tmp_path, capsys):

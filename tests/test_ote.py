@@ -1,8 +1,11 @@
 """Optimal trading elements: extraction, scenarios, statistics, patterns."""
 
+import math
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 from datetime import datetime, timedelta
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 
@@ -18,7 +21,8 @@ from mpslab import (PRESETS, GridError, OteExtractor, OteType, Scenario, Tick, T
                     permitted_profit_grid, sample_stats, serialize_ticks)
 from mpslab.ingest import parse_ticks
 from mpslab import ote as ote_module
-from mpslab.ote import HeadShouldersMonitor, head_and_shoulders_hits
+from mpslab.numeric import as_fraction
+from mpslab.ote import HeadShouldersMonitor, OteStats, head_and_shoulders_hits
 
 FC100 = "100"
 FC4999 = "49.99"
@@ -341,6 +345,103 @@ def test_ecdf_and_epmf():
     assert stats.ecdf[-1][1] == 1
     fracs = [f for _, f in stats.ecdf]
     assert fracs == sorted(fracs)
+
+
+def _fraction_sample_stats(values, bins=None):
+    """``sample_stats`` as it was in Fraction arithmetic, frozen as the oracle."""
+    n = len(values)
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    xs = sorted(as_fraction(v) for v in values)
+    mean = sum(xs) / n
+    m2 = sum((x - mean) ** 2 for x in xs) / n
+    m3 = sum((x - mean) ** 3 for x in xs) / n
+    m4 = sum((x - mean) ** 4 for x in xs) / n
+    variance = n * m2 / (n - 1)
+    counter = Counter(xs)
+    lo, hi = xs[0], xs[-1]
+    k = ote_module._bin_count(n, bins)
+    try:
+        std_dev = math.sqrt(variance)
+        skewness = None
+        if n >= 3 and m2 > 0:
+            g1 = float(m3) / float(m2) ** 1.5
+            skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
+        excess_kurtosis = None
+        if n >= 4 and m2 > 0:
+            g2 = float(m4) / float(m2) ** 2 - 3
+            excess_kurtosis = ((n + 1) * g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
+        histogram = []
+        if hi == lo:
+            histogram.append((float(lo), float(hi), n))
+        else:
+            width = (hi - lo) / k
+            edges = [lo + width * j for j in range(k + 1)]
+            for j in range(k):
+                left, right = edges[j], edges[j + 1]
+                if j == 0:
+                    count = sum(1 for x in xs if left <= x <= right)
+                else:
+                    count = sum(1 for x in xs if left < x <= right)
+                histogram.append((float(left), float(right), count))
+    except OverflowError:
+        raise ValueError("samples too large for float statistics") from None
+    ecdf = []
+    cum = 0
+    for value in sorted(counter):
+        cum += counter[value]
+        ecdf.append((value, Fraction(cum, n)))
+    epmf = tuple((value, counter[value]) for value in sorted(counter))
+    return OteStats(
+        count=n, mean=mean, minimum=lo, min_count=counter[lo], maximum=hi,
+        max_count=counter[hi], variance=variance, std_dev=std_dev, skewness=skewness,
+        excess_kurtosis=excess_kurtosis, histogram=tuple(histogram), ecdf=tuple(ecdf),
+        epmf=epmf,
+    )
+
+
+def _outcome(stats_fn, values, bins):
+    """The repr of each field (so 1 and Fraction(1) differ), or the error."""
+    try:
+        stats = stats_fn(values, bins)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(f.name, repr(getattr(stats, f.name))) for f in fields(OteStats)]
+
+
+_SAMPLE = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=400, min_value=-1000, max_value=1000),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3,
+                min_value=-10 ** 5, max_value=10 ** 5).map(str),
+    st.fractions(max_denominator=12, min_value=-50, max_value=50).map(str),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1000, 1000, allow_nan=False, width=32),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(_SAMPLE, min_size=2, max_size=60),
+                 st.tuples(_SAMPLE, st.integers(2, 60)).map(lambda vn: [vn[0]] * vn[1])),
+       st.one_of(st.none(), st.integers(1, 12)))
+def test_sample_stats_matches_the_fraction_oracle(values, bins):
+    assert _outcome(sample_stats, values, bins) == _outcome(_fraction_sample_stats, values, bins)
+
+
+def test_sample_stats_oracle_edges():
+    cases = [
+        ([1e300, -1e300], None),            # a variance past the float range
+        ([1e300, 1e300, 1], 3),
+        ([0, 0, 1e-300], None),             # m2 > 0 rounds to 0.0: float division by zero
+        ([Fraction(1, 3), "2/3", 1.0, Decimal("0.5")], 12),
+        ([0, 1, 1, 2, 2, 3], 3),            # samples on the inner edges 1 and 2
+        (list(range(-5, 6)), 5),            # and on -3, -1, 1 and 3
+    ]
+    for values, bins in cases:
+        assert _outcome(sample_stats, values, bins) == \
+            _outcome(_fraction_sample_stats, values, bins), values
+    assert _outcome(sample_stats, [1e300, -1e300], None) == \
+        ("ValueError", "samples too large for float statistics")
 
 
 def test_ote_stats_over_records(es):
