@@ -14,26 +14,30 @@ characteristic function's cosines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .model import Strategy
+from .model import Strategy, _checked_make
 from .numeric import Rational, as_fraction, as_fractions
 
 
-@dataclass(frozen=True)
-class UniverseParams:
-    """Position limit W >= 1 and tick count n >= 2."""
-
+class _UniverseFields(NamedTuple):
     limit: int
     n: int
 
-    def __post_init__(self):
-        if self.limit < 1:
+
+class UniverseParams(_UniverseFields):
+    """Position limit W >= 1 and tick count n >= 2."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, limit: int, n: int):
+        if limit < 1:
             raise ValueError("position limit must be >= 1")
-        if self.n < 2:
+        if n < 2:
             raise ValueError("formulas need n >= 2 (n=1 leaves only the do-nothing strategy)")
+        return super().__new__(cls, limit, n)
 
     @property
     def base(self) -> int:
@@ -46,24 +50,28 @@ class UniverseParams:
         return self.base ** (self.n - 1)
 
 
-@dataclass(frozen=True)
-class UniverseCounts:
+class UniverseCounts(NamedTuple):
     strategies: int
     actions_total: int
     do_nothing: int
     transactions: int
 
 
-@dataclass(frozen=True)
-class ActionDistribution:
-    """Exact action-type counts over the universe; total = n(2W+1)^(n-1)."""
-
+class _ActionFields(NamedTuple):
     counts: Mapping[int, int]
     total: int
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
+
+class ActionDistribution(_ActionFields):
+    """Exact action-type counts over the universe; total = n(2W+1)^(n-1)."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, counts: Mapping[int, int], total: int):
+        if sum(counts.values()) != total:
             raise ValueError("action counts must sum to the total")
+        return super().__new__(cls, counts, total)
 
     def pmf(self) -> dict[int, Fraction]:
         return {m: Fraction(c, self.total) for m, c in sorted(self.counts.items())}
@@ -175,8 +183,7 @@ def variance(p: UniverseParams) -> Fraction:
     return Fraction(2 * w * (w + 1) * (n - 1), 3 * n)
 
 
-@dataclass(frozen=True)
-class IndustryGain:
+class IndustryGain(NamedTuple):
     total_dollars: Fraction
     mean_pl: Fraction
 
@@ -191,8 +198,7 @@ def industry_gain(cost: Rational, p: UniverseParams) -> IndustryGain:
     return IndustryGain(total, -total / p.size)
 
 
-@dataclass(frozen=True)
-class ExtremeGain:
+class ExtremeGain(NamedTuple):
     """Extreme industry gains: coefficients are dollars per unit cost."""
 
     max_gain: int
@@ -217,8 +223,7 @@ def extreme_gain_strategies(p: UniverseParams) -> ExtremeGain:
                        witnesses=(witness, -witness))
 
 
-@dataclass(frozen=True)
-class SliceSums:
+class SliceSums(NamedTuple):
     sum_u: int
     sum_abs_u: int
     sum_u2: int
@@ -309,8 +314,7 @@ def abs_action_cov(i: int, r: int, p: UniverseParams) -> int:
     return value.numerator
 
 
-@dataclass(frozen=True)
-class PlVariance:
+class PlVariance(NamedTuple):
     var_price_leg: Fraction
     var_cost_leg: Fraction
     var_total: Fraction

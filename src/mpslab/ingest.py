@@ -10,14 +10,12 @@ Timestamps are naive exchange-local clock times throughout.
 
 from __future__ import annotations
 
-import configparser
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
 from itertools import compress, islice
 from operator import gt
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
 from .numeric import as_fraction
@@ -39,6 +37,8 @@ def load_contract_config(path: str) -> dict[str, ContractSpec]:
     Keys: k, delta (both positive), session_open, session_close (H:M or
     H:M:S); bad input is a ValueError that names the contract and the key.
     """
+    import configparser                 # only a --config needs it
+
     parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         try:
@@ -295,16 +295,14 @@ def serialize_ticks(ticks: Sequence[Tick]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     """Ticks of one trading session, labeled by the closing calendar day."""
 
     day: date
     ticks: TickColumns
 
 
-@dataclass(frozen=True)
-class SessionizeResult:
+class SessionizeResult(NamedTuple):
     sessions: tuple[Session, ...]
     dropped: int
 

@@ -9,24 +9,23 @@ the minimum-absolute-value one is the canonical result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .model import PositionSeries, Strategy, validate_membership
+from .model import PositionSeries, Record, Strategy, validate_membership
 
 
-@dataclass(frozen=True)
-class CappedInt:
+class CappedInt(Record):
     """An integer confined to [-limit, limit]."""
 
-    value: int
-    limit: int
+    __slots__ = ("value", "limit")
 
-    def __post_init__(self):
-        if self.limit < 1:
+    def __init__(self, value: int, limit: int):
+        if limit < 1:
             raise ValueError("limit must be >= 1")
-        if abs(self.value) > self.limit:
-            raise ValueError(f"|{self.value}| exceeds limit {self.limit}")
+        if abs(value) > limit:
+            raise ValueError(f"|{value}| exceeds limit {limit}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "limit", limit)
 
     def __neg__(self) -> "CappedInt":
         return CappedInt(-self.value, self.limit)
@@ -79,8 +78,7 @@ def solution_set(b: CappedInt, c: CappedInt) -> tuple[CappedInt, ...]:
     return tuple(CappedInt(x, w) for x in range(lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class CayleyStats:
+class CayleyStats(NamedTuple):
     pairs: int
     clamped: int
     ordinary: int

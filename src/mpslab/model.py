@@ -3,16 +3,20 @@
 A strategy is the chain of integer actions U_1..U_n (buys positive, sells
 negative, zeros do nothing); the running position W_i = W_0 + sum(U_1..U_i)
 determines it and vice versa, so the two representations are carried by a
-pair of small frozen dataclasses plus the conversion functions.
+pair of small immutable records plus the conversion functions.
+
+Records need no generated code: plain ones are ``NamedTuple``s, and one
+that checks its fields adds a ``__new__`` on top of one.  A record that must
+not behave as a tuple (its own ``len``, no tuple ``+`` or ordering) is a
+``Record``: fields in ``__slots__``, set once, compared by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, time
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numeric import Rational, as_fraction, as_fractions
 
@@ -21,23 +25,65 @@ class GridError(ValueError):
     """A price is not an integer multiple of the contract's delta."""
 
 
-@dataclass(frozen=True)
-class ContractSpec:
-    """Contract economics: dollars per full point and the price grid."""
+class Record:
+    """An immutable record that is not a tuple: a subclass lists its fields
+    in ``__slots__`` and sets each once in ``__init__`` through
+    ``object.__setattr__``; equality, hash, repr and pickling go by value."""
 
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _checked_make(cls, fields):
+    """``_make``, and so ``_replace``, of a checked NamedTuple: through its ``__new__``."""
+    return cls(*fields)
+
+
+class _ContractFields(NamedTuple):
     symbol: str
     k: Fraction                      # dollars per full price point
     delta: Fraction                  # minimum price fluctuation, points
-    session_open: Optional[time] = None
-    session_close: Optional[time] = None
+    session_open: Optional[time]
+    session_close: Optional[time]
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", as_fraction(self.k))
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        if self.k <= 0:
+
+class ContractSpec(_ContractFields):
+    """Contract economics: dollars per full point and the price grid."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, symbol: str, k: Rational, delta: Rational,
+                session_open: Optional[time] = None, session_close: Optional[time] = None):
+        k, delta = as_fraction(k), as_fraction(delta)
+        if k <= 0:
             raise ValueError("k must be positive")
-        if self.delta <= 0:
+        if delta <= 0:
             raise ValueError("delta must be positive")
+        return super().__new__(cls, symbol, k, delta, session_open, session_close)
 
     @property
     def delta_dollars(self) -> Fraction:
@@ -62,35 +108,40 @@ class ContractSpec:
         return True
 
 
-@dataclass(frozen=True)
-class Tick:
-    """One Time & Sales record. size == 0 marks an indicative price."""
-
+class _TickFields(NamedTuple):
     timestamp: datetime
     price: Fraction
     size: int
-    condition: Optional[str] = None
+    condition: Optional[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "price", as_fraction(self.price))
-        if self.price <= 0:
+
+class Tick(_TickFields):
+    """One Time & Sales record. size == 0 marks an indicative price."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, timestamp: datetime, price: Rational, size: int,
+                condition: Optional[str] = None):
+        price = as_fraction(price)
+        if price <= 0:
             raise ValueError("tick price must be positive")
-        if self.size < 0:
+        if size < 0:
             raise ValueError("tick size must be non-negative")
+        return super().__new__(cls, timestamp, price, size, condition)
 
     @property
     def indicative(self) -> bool:
         return self.size == 0
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """Chain of integer actions; the trading strategy itself."""
 
-    actions: tuple[int, ...]
+    __slots__ = ("actions",)
 
-    def __post_init__(self):
-        acts = tuple(int(a) for a in self.actions)
+    def __init__(self, actions: Sequence[int]):
+        acts = tuple(int(a) for a in actions)
         if len(acts) < 1:
             raise ValueError("a strategy needs at least one action")
         object.__setattr__(self, "actions", acts)
@@ -114,18 +165,17 @@ class Strategy:
         return all(a == 0 for a in self.actions)
 
 
-@dataclass(frozen=True)
-class PositionSeries:
+class PositionSeries(Record):
     """Chain of positions W_1..W_n reached after each tick's action."""
 
-    positions: tuple[int, ...]
-    w0: int = 0
+    __slots__ = ("positions", "w0")
 
-    def __post_init__(self):
-        pos = tuple(int(w) for w in self.positions)
+    def __init__(self, positions: Sequence[int], w0: int = 0):
+        pos = tuple(int(w) for w in positions)
         if len(pos) < 1:
             raise ValueError("a position series needs at least one entry")
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "w0", w0)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -161,14 +211,13 @@ def validate_membership(s: Strategy, limit: int) -> bool:
     return w == 0
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record):
     """Per-contract transaction costs C_1..C_n, non-negative dollars."""
 
-    per_contract: tuple[Fraction, ...]
+    __slots__ = ("per_contract",)
 
-    def __post_init__(self):
-        cs = as_fractions(self.per_contract)
+    def __init__(self, per_contract: Sequence[Rational]):
+        cs = as_fractions(per_contract)
         if any(c < 0 for c in cs):
             raise ValueError("transaction costs must be non-negative")
         object.__setattr__(self, "per_contract", cs)

@@ -32,10 +32,9 @@ would, and the DP carries the P&L coordinate only.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import ContractSpec, Strategy, strategy_to_positions
 from .numeric import BudgetExceeded, Rational, as_fraction, money_scale, scaled_ints
@@ -45,8 +44,7 @@ from .numeric import BudgetExceeded, Rational, as_fraction, money_scale, scaled_
 MAX_DP_STATES = 10 ** 7
 
 
-@dataclass(frozen=True)
-class MpsTrade:
+class MpsTrade(NamedTuple):
     """One optimal trade: entry tick, exit tick, +1 long or -1 short."""
 
     start: int
@@ -54,8 +52,7 @@ class MpsTrade:
     direction: int
 
 
-@dataclass(frozen=True)
-class MpsResult:
+class MpsResult(NamedTuple):
     strategy: Strategy
     pl: Fraction
     trades: tuple[MpsTrade, ...]

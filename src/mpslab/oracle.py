@@ -9,9 +9,8 @@ materialising it, with all counting done on the chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,8 +120,7 @@ def _actions_of(positions: np.ndarray, limit: int) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class UniverseSums:
+class UniverseSums(NamedTuple):
     """All per-universe exact sums one sweep can deliver."""
 
     params: UniverseParams
@@ -238,8 +236,7 @@ def empirical_action_counts(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> 
     return ActionDistribution(sums.action_counts, p.n * p.size)
 
 
-@dataclass(frozen=True)
-class EmpiricalPlVariance:
+class EmpiricalPlVariance(NamedTuple):
     var_price_leg: Fraction
     var_cost_leg: Fraction
     var_total: Fraction
@@ -254,14 +251,12 @@ def empirical_pl_variance(prices: Sequence[Rational], cost: Rational,
     return sweep(p, budget).pl_variance(prices, cost, k)
 
 
-@dataclass(frozen=True)
-class MpsSweepResult:
+class MpsSweepResult(NamedTuple):
     best_pl: Fraction
     witnesses: tuple[Strategy, ...]
 
 
-@dataclass(frozen=True)
-class MlsSweepResult:
+class MlsSweepResult(NamedTuple):
     worst_pl: Fraction
     witnesses: tuple[Strategy, ...]
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import gt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .ingest import TickColumns, from_micros, to_micros, trade_ticks
 from .model import ContractSpec, Tick
@@ -66,8 +65,7 @@ def on_permitted_grid(pl_value: Rational, filtering_cost: Rational, cost: Ration
     return steps.denominator == 1 and steps >= 0
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class OteRecord:
+class OteRecord(NamedTuple):
     """One optimal trade: a span of shared tick columns and its result.
 
     The trade runs from tick ``start`` to tick ``stop - 1`` of ``columns``
@@ -128,6 +126,10 @@ class OteRecord:
         if not isinstance(other, OteRecord):
             return NotImplemented
         return self._values() == other._values()
+
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -296,8 +298,7 @@ def classify_scenario(current: OteRecord, subsequent: Sequence[Tick],
     return Scenario.SESSION_ENDED
 
 
-@dataclass(frozen=True)
-class OteStats:
+class OteStats(NamedTuple):
     """Sample statistics block for one trade metric."""
 
     count: int
@@ -358,11 +359,16 @@ def sample_stats(values: Sequence[Rational], bins: Optional[int] = None) -> OteS
         std_dev = math.sqrt(variance)
         skewness = excess_kurtosis = None
         if n >= 3 and p2 > 0:
+            # where a power of the float m2 underflows to 0.0, the scale-free
+            # exact ratios g1 = sqrt(n) p3 / p2^1.5 and g2 + 3 = n p4 / p2^2
             m2 = p2 / (nd ** 2 * n)
-            g1 = (p3 / (nd ** 3 * n)) / m2 ** 1.5
+            m2_3 = m2 ** 1.5
+            g1 = (p3 / (nd ** 3 * n)) / m2_3 if m2_3 else \
+                math.sqrt(n * p3 * p3 / p2 ** 3) * (-1 if p3 < 0 else 1)
             skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
             if n >= 4:
-                g2 = (p4 / (nd ** 4 * n)) / m2 ** 2 - 3
+                m2_4 = m2 ** 2
+                g2 = ((p4 / (nd ** 4 * n)) / m2_4 if m2_4 else n * p4 / (p2 * p2)) - 3
                 excess_kurtosis = ((n + 1) * g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
         if hi == lo:
             histogram = [(lo / d, hi / d, n)]
@@ -420,8 +426,7 @@ def ote_stats(records: Sequence, metric: str = "profit",
     return sample_stats(values, bins)
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Slack for the pattern comparisons, in delta units.
 
     Equality holds within eq_deltas; "less than" requires the right side to

@@ -14,25 +14,29 @@ $5/contract) comes out as exactly $15.00.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .model import ContractSpec, CostModel, Strategy
+from .model import ContractSpec, CostModel, Strategy, _checked_make
 from .numeric import Rational, as_fraction, as_fractions
 
 
-@dataclass(frozen=True)
-class PlBreakdown:
-    """Total P&L split into its price leg and its cost leg."""
-
+class _PlFields(NamedTuple):
     pl_total: Fraction
     pl_price_leg: Fraction
     pl_cost_leg: Fraction
 
-    def __post_init__(self):
-        if self.pl_total != self.pl_price_leg + self.pl_cost_leg:
+
+class PlBreakdown(_PlFields):
+    """Total P&L split into its price leg and its cost leg."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, pl_total: Fraction, pl_price_leg: Fraction, pl_cost_leg: Fraction):
+        if pl_total != pl_price_leg + pl_cost_leg:
             raise ValueError("breakdown legs must sum to the total")
+        return super().__new__(cls, pl_total, pl_price_leg, pl_cost_leg)
 
 
 def pl(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
@@ -132,8 +136,7 @@ def ote_pl(start_tick_index: int, end_tick_index: int, limit: int,
     return spec.delta_dollars * limit * abs(ne - ns) - limit * (cs[s] + cs[e])
 
 
-@dataclass(frozen=True)
-class PriceIncrementStats:
+class PriceIncrementStats(NamedTuple):
     """Sample statistics of a price chain and of its adjacent increments."""
 
     mean_price: Fraction

@@ -10,9 +10,8 @@ are exact rational eliminations, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .distribution import UniverseParams
 from .model import Strategy
@@ -20,8 +19,7 @@ from .model import Strategy
 FAMILY_KINDS = ("eta", "lambda", "nu", "theta", "bhs")
 
 
-@dataclass(frozen=True)
-class OrthFamily:
+class OrthFamily(NamedTuple):
     kind: str
     n: int
     members: tuple[Strategy, ...]
@@ -154,8 +152,7 @@ def rank_of_universe(n: int, limit: int = 1) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class MaxOrthResult:
+class MaxOrthResult(NamedTuple):
     size: int
     witness: tuple[Strategy, ...]
 

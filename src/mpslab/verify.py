@@ -10,8 +10,8 @@ seeded random price grids.  All comparisons are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import distribution as dist
 from . import oracle
@@ -24,8 +24,7 @@ _K = 50
 _COST = Fraction(117, 25)  # $4.68
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     limit: int
     n: int
     check: str

@@ -420,6 +420,14 @@ def test_stats_refuses_samples_too_large_for_floats(tmp_path, capsys):
     assert code == 0 and "Mean                = 5e+149" in out
 
 
+def test_stats_skewness_where_the_float_variance_underflows(tmp_path, capsys):
+    # m2 > 0 rounds to 0.0: skewness sqrt(3) from the exact ratio, not a traceback
+    samples = tmp_path / "samples.txt"
+    samples.write_text("0 0 1e-300\n")
+    code, out, _ = run(capsys, ["stats", str(samples)])
+    assert code == 0 and "Skewness            = 1.7320508075688772\n" in out
+
+
 def test_bad_cost_text_is_named_not_a_traceback(capsys):
     for text in ("abc", "1/0"):
         code, out, err = run(capsys, ["mps", "--cost", text, "--prices", "2370"])

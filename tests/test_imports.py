@@ -1,5 +1,7 @@
 """What importing the package and running the CLI loads: numpy only for
-``verify``, and every lazy export the object its module defines."""
+``verify``, ``configparser`` only for a ``--config`` file, no
+``dataclasses`` at all, and every lazy export the object its module
+defines."""
 
 import importlib
 import os
@@ -19,26 +21,31 @@ _GUARD = """
 import sys
 import mpslab.cli as cli
 
-def numpy_loaded(step, expected=False):
-    assert ("numpy" in sys.modules) == expected, f"numpy loaded: {step}"
+def loaded(step, numpy=False, config=False):
+    assert ("numpy" in sys.modules) == numpy, f"numpy loaded: {step}"
+    # numpy imports inspect itself
+    unwanted = ["dataclasses"] + ["configparser"] * (not config) + ["inspect"] * (not numpy)
+    assert not set(unwanted) & set(sys.modules), f"{set(unwanted) & set(sys.modules)}: {step}"
 
 cli.build_parser()
-numpy_loaded("import mpslab.cli; build_parser()")
+loaded("import mpslab.cli; build_parser()")
 import mpslab
 assert mpslab.ingest.parse_ticks and "mpslab.ote" not in sys.modules
-numpy_loaded("mpslab.ingest")
-ticks, samples, out = sys.argv[1:4]
+loaded("mpslab.ingest")
+ticks, samples, config, out = sys.argv[1:5]
+ote = ["ote", "--fc", "49.99", "--cost", "4.68", ticks]
 steps = [["counts", "--W", "1", "--n", "3"], ["dist", "--W", "1", "--n", "4"],
          ["magma-table", "--W", "2"], ["rank", "--n", "5"],
          ["mps", "--cost", "5", "--prices", "2369.50,2369.75,2370.00"],
-         ["mps", "--cost", "4.68", "--W", "2", ticks],
-         ["ote", "--fc", "49.99", "--cost", "4.68", ticks],
+         ["mps", "--cost", "4.68", "--W", "2", ticks], ote,
          ["pattern", "--fc", "49.99", "--cost", "4.68", ticks], ["stats", samples]]
 for argv in steps:
     assert cli.main(argv + ["--out", out]) == 0, argv
-    numpy_loaded(argv[0])
+    loaded(argv[0])
+assert cli.main(ote + ["--contract", "NW", "--config", config, "--out", out]) == 0
+loaded("ote --config", config=True)
 assert cli.main(["verify", "--max-universe", "100", "--out", out]) == 0
-numpy_loaded("verify", expected=True)
+loaded("verify", numpy=True, config=True)
 import mpslab.pl
 assert mpslab.pl is sys.modules["mpslab.pl"].pl, "mpslab.pl is not the function"
 """
@@ -50,9 +57,11 @@ def test_only_verify_loads_numpy(tmp_path):
     path.write_text(serialize_ticks(ticks))
     samples = tmp_path / "samples.txt"
     samples.write_text("1.5\n2\n")
+    config = tmp_path / "contracts.ini"
+    config.write_text("[NW]\nk = 50\ndelta = 0.25\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _GUARD, str(path), str(samples),
+    done = subprocess.run([sys.executable, "-c", _GUARD, str(path), str(samples), str(config),
                            str(tmp_path / "out.txt")],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

@@ -2,7 +2,6 @@
 
 import io
 import random
-from dataclasses import replace
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
 from itertools import groupby
@@ -19,7 +18,7 @@ from mpslab.ingest import (ParseError, TickColumns, contract_for, in_time_order,
 
 def _windowed(session_open, session_close):
     """ES economics with the given daily session window."""
-    return replace(PRESETS["ES"], session_open=session_open, session_close=session_close)
+    return PRESETS["ES"]._replace(session_open=session_open, session_close=session_close)
 
 
 def test_parse_globex_line(es):
@@ -165,7 +164,7 @@ def test_window_validation():
         sessionize(TickColumns(_windowed(time(9, 0), time(9, 0))))
     # a window with one end is refused, not taken as no window
     for key in ("session_open", "session_close"):
-        half = replace(_windowed(time(9, 0), time(16, 0)), symbol="HALF", **{key: None})
+        half = _windowed(time(9, 0), time(16, 0))._replace(symbol="HALF", **{key: None})
         with pytest.raises(ValueError, match=f"contract HALF has no {key}"):
             sessionize(TickColumns(half))
 

@@ -1,6 +1,5 @@
 """Enumeration oracle: decode, sweeps, brute-force extrema, budget guard."""
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -249,12 +248,11 @@ def _reference_sweep(p, chunk_rows=1 << 16):
 def _fields(sums):
     """Every UniverseSums field, arrays as nested lists of ints."""
     out = {}
-    for f in dataclasses.fields(sums):
-        value = getattr(sums, f.name)
+    for name, value in sums._asdict().items():
         if isinstance(value, np.ndarray):
             assert value.dtype == np.int64
             value = value.tolist()
-        out[f.name] = value
+        out[name] = value
     return out
 
 

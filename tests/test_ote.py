@@ -3,7 +3,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import fields, replace
 from datetime import datetime, timedelta
 from decimal import Decimal
 from fractions import Fraction
@@ -176,7 +175,7 @@ def test_closed_records_immutable_under_appended_ticks(es):
     assert full_records[0].columns is not prefix_records[0].columns
     assert {hash(r) for r in closed_prefix} == {hash(r) for r in full_records[:len(closed_prefix)]}
     assert full_records[0] != full_records[2]
-    assert replace(full_records[0], birth=full_records[0].birth + 1) != full_records[0]
+    assert full_records[0]._replace(birth=full_records[0].birth + 1) != full_records[0]
 
 
 def test_streaming_equals_batch(es):
@@ -363,13 +362,17 @@ def _fraction_sample_stats(values, bins=None):
     k = ote_module._bin_count(n, bins)
     try:
         std_dev = math.sqrt(variance)
+        # where a power of float(m2) underflows to 0.0: the exact ratios
+        # m3^2 / m2^3 and m4 / m2^2, rounded once
         skewness = None
         if n >= 3 and m2 > 0:
-            g1 = float(m3) / float(m2) ** 1.5
+            m2_3 = float(m2) ** 1.5
+            g1 = float(m3) / m2_3 if m2_3 else math.sqrt(m3 * m3 / m2 ** 3) * (-1 if m3 < 0 else 1)
             skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
         excess_kurtosis = None
         if n >= 4 and m2 > 0:
-            g2 = float(m4) / float(m2) ** 2 - 3
+            m2_4 = float(m2) ** 2
+            g2 = (float(m4) / m2_4 if m2_4 else float(m4 / m2 ** 2)) - 3
             excess_kurtosis = ((n + 1) * g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
         histogram = []
         if hi == lo:
@@ -406,7 +409,7 @@ def _outcome(stats_fn, values, bins):
         stats = stats_fn(values, bins)
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
-    return [(f.name, repr(getattr(stats, f.name))) for f in fields(OteStats)]
+    return [(name, repr(getattr(stats, name))) for name in OteStats._fields]
 
 
 _SAMPLE = st.one_of(
@@ -432,7 +435,9 @@ def test_sample_stats_oracle_edges():
     cases = [
         ([1e300, -1e300], None),            # a variance past the float range
         ([1e300, 1e300, 1], 3),
-        ([0, 0, 1e-300], None),             # m2 > 0 rounds to 0.0: float division by zero
+        ([0, 0, 1e-300], None),             # m2 > 0 rounds to 0.0: the exact ratios
+        ([0, 0, 0, -1e-90], 2),             # only m2^2 underflows
+        ([0, 0, 2.456321145223924e+77], None),  # m2^2 overflows, and n = 3 needs none
         ([Fraction(1, 3), "2/3", 1.0, Decimal("0.5")], 12),
         ([0, 1, 1, 2, 2, 3], 3),            # samples on the inner edges 1 and 2
         (list(range(-5, 6)), 5),            # and on -3, -1, 1 and 3
@@ -442,6 +447,10 @@ def test_sample_stats_oracle_edges():
             _outcome(_fraction_sample_stats, values, bins), values
     assert _outcome(sample_stats, [1e300, -1e300], None) == \
         ("ValueError", "samples too large for float statistics")
+    # the exact skewness and kurtosis: sqrt(3), and -2 and 4
+    assert sample_stats([0, 0, 1e-300]).skewness == pytest.approx(math.sqrt(3), rel=1e-15)
+    tiny = sample_stats([0, 0, 0, -1e-300])
+    assert (tiny.skewness, tiny.excess_kurtosis) == pytest.approx((-2, 4), rel=1e-15)
 
 
 def test_ote_stats_over_records(es):
