@@ -7,12 +7,20 @@ profit strategy / optimal trading element pipeline over tick data.
 """
 
 import importlib
-
-# Bound now: once the submodule mpslab.pl is imported, its attribute on the
-# package would hide a lazily exported function of the same name.
-from .pl import pl
+import sys
+import types
 
 __version__ = "0.1.0"
+
+
+class _Package(types.ModuleType):
+    # mpslab.pl is the function of the submodule of that name, loaded on first
+    # use; the import system's binding of the submodule here is ignored
+    pl = property(lambda self: importlib.import_module(".pl", __name__).pl,
+                  lambda self, value: None)
+
+
+sys.modules[__name__].__class__ = _Package
 
 # The other exports load their module on first use (PEP 562), so only the
 # enumeration oracle, and what imports it, loads numpy.
@@ -27,11 +35,9 @@ _EXPORTS = {
     "positions_to_strategy strategy_to_positions validate_membership",
     "mps": "MpsResult mps0 trades_of",
     "numeric": "BudgetExceeded",
-    "oracle": "brute_force_mls brute_force_mps decode empirical_action_counts iter_strategies "
-    "iter_universe",
-    "ote": "OteExtractor OteType Scenario Tolerances birth_threshold classify_scenario "
-    "extract_otes head_and_shoulders on_permitted_grid ote_stats permitted_profit_grid "
-    "sample_stats",
+    "oracle": "brute_force_mls brute_force_mps decode iter_strategies iter_universe",
+    "ote": "OteExtractor OteType Scenario Tolerances birth_threshold extract_otes "
+    "on_permitted_grid ote_stats permitted_profit_grid sample_stats",
     "pl": "ote_pl pl_matrix pl_prefix price_increment_stats",
     "vectors": "gen_bhs_basis gen_family max_orthogonal_subset rank_of_universe rotation_matrix",
 }

@@ -54,6 +54,7 @@ def _check_args(args) -> None:
         (get("n") is not None and args.n < 2, "tick count n must be >= 2"),
         (fc is not None and fc < 0, "filtering cost must be non-negative"),
         (cost is not None and cost < 0, "cost must be non-negative"),
+        (fc is not None and cost >= fc, "actual cost C must be below the filtering cost FC"),
         (get("eq_tol", 0) < 0 or get("lt_tol", 0) < 0, "tolerances must be non-negative"),
     ]:
         if failed:

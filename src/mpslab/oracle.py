@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .distribution import ActionDistribution, UniverseParams
+from .distribution import UniverseParams
 from .model import PositionSeries, Strategy, positions_to_strategy
 from .numeric import (BudgetExceeded, Rational, as_fraction, as_fractions, money_scale,
                       scaled_ints)
@@ -228,12 +228,6 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
         max_abs_row=max_row,
         max_abs_row_count=max_row_count,
     )
-
-
-def empirical_action_counts(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> ActionDistribution:
-    """Exact action-type counts by full sweep."""
-    sums = sweep(p, budget)
-    return ActionDistribution(sums.action_counts, p.n * p.size)
 
 
 class EmpiricalPlVariance(NamedTuple):

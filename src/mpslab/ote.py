@@ -36,6 +36,11 @@ class Scenario(enum.Enum):
     SESSION_ENDED = "SessionEnded"
 
 
+# the members as plain globals: reading them off the class costs a lookup per record
+_BOTE, _SOTE = OteType
+_GREW, _REPLACED, _ENDED = Scenario
+
+
 def birth_threshold(filtering_cost: Rational, spec: ContractSpec) -> int:
     """Deltas the price must retrace to prove a new trade: floor(2FC/(dk))+1."""
     fc = as_fraction(filtering_cost)
@@ -209,10 +214,11 @@ class OteExtractor:
                     self._min_i = i
                 if n > deltas[self._max_i]:
                     self._max_i = i
+                # a birth: direction, start, and the birth tick as the first extreme
                 if n - deltas[self._min_i] >= threshold:
-                    self._begin(+1, self._min_i, i)
+                    self._dir, self._start_i, self._birth_i, self._ext_i = 1, self._min_i, i, i
                 elif deltas[self._max_i] - n >= threshold:
-                    self._begin(-1, self._max_i, i)
+                    self._dir, self._start_i, self._birth_i, self._ext_i = -1, self._max_i, i, i
             i += 1
         closed = []
         if self._dir == 0:
@@ -226,37 +232,33 @@ class OteExtractor:
             elif (ext - n) * direction >= threshold:
                 self._ext_i = ext_i
                 closed.append(self._build_record(replaced=True))
-                self._begin(-direction, ext_i, i)
-                direction, ext, ext_i = -direction, n, i
+                # the opposite trade starts at the extreme and is born here
+                self._dir = direction = -direction
+                self._start_i, self._birth_i = ext_i, i
+                ext, ext_i = n, i
         self._ext_i = ext_i
         self._records.extend(closed)
         return closed
-
-    def _begin(self, direction: int, start_i: int, birth_i: int) -> None:
-        self._dir = direction
-        self._start_i = start_i
-        self._birth_i = birth_i
-        self._ext_i = birth_i
 
     def _build_record(self, replaced: Optional[bool]) -> OteRecord:
         """Record of the born trade; ``replaced`` None gives the live
         snapshot, which spans every tick so far and leaves the end open."""
         s, b, deltas = self._start_i, self._birth_i, self._ticks.deltas
-        live = replaced is None
-        stop = len(deltas) if live else self._ext_i + 1
-        if live:
-            pl = scenario = None
+        kind = _BOTE if self._dir > 0 else _SOTE
+        if replaced is None:
+            return tuple.__new__(OteRecord, (kind, self._ticks, s, b, len(deltas), False,
+                                             None, self.fc, None, False))
+        end = self._ext_i
+        move = abs(deltas[end] - deltas[s])
+        pl = self._pl_of.get(move)
+        if pl is None:
+            pl = self._pl_of[move] = self.spec.delta_dollars * move - 2 * self.cost
+        if (deltas[end] - deltas[b]) * self._dir > 0:
+            scenario = _GREW
         else:
-            move = abs(deltas[stop - 1] - deltas[s])
-            pl = self._pl_of.get(move)
-            if pl is None:
-                pl = self._pl_of[move] = self.spec.delta_dollars * move - 2 * self.cost
-            if (deltas[stop - 1] - deltas[b]) * self._dir > 0:
-                scenario = Scenario.PROFIT_GREW
-            else:
-                scenario = Scenario.REPLACED if replaced else Scenario.SESSION_ENDED
-        return OteRecord(OteType.BOTE if self._dir > 0 else OteType.SOTE, self._ticks,
-                         s, b, stop, not live, pl, self.fc, scenario, bool(replaced))
+            scenario = _REPLACED if replaced else _ENDED
+        return tuple.__new__(OteRecord, (kind, self._ticks, s, b, end + 1, True, pl, self.fc,
+                                         scenario, replaced))
 
 
 def extract_otes(ticks: Sequence[Tick], filtering_cost: Rational, cost: Rational,
@@ -277,25 +279,6 @@ def extract_otes(ticks: Sequence[Tick], filtering_cost: Rational, cost: Rational
     extractor._scan()
     extractor.finish()
     return extractor.records
-
-
-def classify_scenario(current: OteRecord, subsequent: Sequence[Tick],
-                      spec: ContractSpec) -> Scenario:
-    """First thing that happens to a born trade: growth, replacement, or end.
-
-    Growth means a tick at least one delta beyond the trade's profit-side
-    extreme; replacement means the opposite-type birth arrives first.
-    """
-    threshold = birth_threshold(current.filtering_cost, spec)
-    direction = 1 if current.ote_type is OteType.BOTE else -1
-    ext = spec.to_deltas(current.p_end if current.p_end is not None else current.p_birth)
-    for tick in subsequent:
-        n = spec.to_deltas(tick.price)
-        if (n - ext) * direction > 0:
-            return Scenario.PROFIT_GREW
-        if (ext - n) * direction >= threshold:
-            return Scenario.REPLACED
-    return Scenario.SESSION_ENDED
 
 
 class OteStats(NamedTuple):
@@ -437,10 +420,19 @@ class Tolerances(NamedTuple):
     lt_deltas: int = 0
 
 
+def _shoulders_ok(first1: int, first3: int, first5: int, last1: int, last3: int, last5: int,
+                  eq_deltas: int, lt_deltas: int) -> bool:
+    """The fixed comparisons of the pattern, on the grid counts at which B1,
+    B3 and B5 start and end: B1 starts and ends below B3, and B5 starts level
+    with B3 and ends below it."""
+    return (first1 < first3 - lt_deltas and abs(first3 - first5) <= eq_deltas
+            and last1 < last3 - lt_deltas and last5 < last3 - lt_deltas)
+
+
 class HeadShouldersMonitor:
     """Head-and-shoulders test over a six-trade chain (B1,S2,B3,S4,B5,S6).
 
-    The five fixed comparisons are evaluated once at construction, on grid
+    The fixed comparisons are evaluated once at construction, on grid
     counts; per-tick monitoring only compares the arriving price with B5's
     birth price, ``monitored_deltas`` deltas.
     """
@@ -456,14 +448,8 @@ class HeadShouldersMonitor:
         b1, _, b3, _, b5, _ = window
         first = lambda r: r.columns.deltas[r.start]
         last = lambda r: r.columns.deltas[r.stop - 1]
-        eq = lambda x, y: abs(x - y) <= tolerances.eq_deltas
-        lt = lambda x, y: x < y - tolerances.lt_deltas
-        self.fixed_ok = (
-            lt(first(b1), first(b3))
-            and eq(first(b3), first(b5))
-            and lt(last(b1), last(b3))
-            and lt(last(b5), last(b3))
-        )
+        self.fixed_ok = _shoulders_ok(first(b1), first(b3), first(b5), last(b1), last(b3),
+                                      last(b5), tolerances.eq_deltas, tolerances.lt_deltas)
         self.eq_deltas = tolerances.eq_deltas
         self.monitored_deltas = b5.columns.deltas[b5.birth]
         self._delta = spec.delta
@@ -474,29 +460,30 @@ class HeadShouldersMonitor:
             abs(as_fraction(price) / self._delta - self.monitored_deltas) <= self.eq_deltas
 
 
-def head_and_shoulders(chain: Sequence[OteRecord], current_price: Rational,
-                       tolerances: Tolerances, spec: ContractSpec) -> bool:
-    """One-shot evaluation of the pattern predicate at the current price."""
-    return HeadShouldersMonitor(chain, tolerances, spec).check(current_price)
-
-
 def head_and_shoulders_hits(records: Sequence[OteRecord], tolerances: Tolerances,
                             spec: ContractSpec) -> Iterator[tuple[int, int]]:
     """First match of each six-trade window of one session's records: yields
     (window end, tick index), the window being ``records[end - 6:end]`` and the
     index one of its last trade's columns, tried from the first tick sharing
-    that trade's birth time to the last sharing its end time."""
-    for end in range(6, len(records) + 1):
-        try:
-            monitor = HeadShouldersMonitor(records[end - 6:end], tolerances, spec)
-        except ValueError:
-            continue
-        if not monitor.fixed_ok:
-            continue
-        last = records[end - 1]
-        times, deltas = last.columns.times, last.columns.deltas
-        for i in range(bisect_left(times, times[last.birth]),
-                       bisect_right(times, times[last.stop - 1])):
-            if abs(deltas[i] - monitor.monitored_deltas) <= monitor.eq_deltas:
-                yield end, i
-                break
+    that trade's birth time to the last sharing its end time.
+
+    Trade types and end grid counts are read once; a monitor is built only
+    for a window that alternates from a BOTE and passes the fixed comparisons.
+    """
+    kinds = "".join(["B" if r.ote_type is _BOTE else "S" for r in records])
+    firsts = [r.columns.deltas[r.start] for r in records]
+    lasts = [r.columns.deltas[r.stop - 1] for r in records]
+    eq, lt = tolerances.eq_deltas, tolerances.lt_deltas
+    s = kinds.find("BSBSBS")
+    while s >= 0:
+        if _shoulders_ok(firsts[s], firsts[s + 2], firsts[s + 4],
+                         lasts[s], lasts[s + 2], lasts[s + 4], eq, lt):
+            monitor = HeadShouldersMonitor(records[s:s + 6], tolerances, spec)
+            last = records[s + 5]
+            times, deltas = last.columns.times, last.columns.deltas
+            for i in range(bisect_left(times, times[last.birth]),
+                           bisect_right(times, times[last.stop - 1])):
+                if abs(deltas[i] - monitor.monitored_deltas) <= monitor.eq_deltas:
+                    yield s + 6, i
+                    break
+        s = kinds.find("BSBSBS", s + 1)

@@ -369,6 +369,19 @@ def test_argument_checks_run_before_dispatch(capsys):
         assert err.startswith(f"error: {message}")
 
 
+def test_cost_at_or_above_fc_is_refused_whatever_the_ticks(tmp_path, capsys):
+    empty, gap_only = tmp_path / "empty.tsv", tmp_path / "gap.tsv"
+    empty.write_text("")
+    gap_only.write_text("2017/04/10 15:30:00 2342.00 1\n2017/04/10 16:59:00 2342.25 2\n")
+    for command in ("ote", "pattern"):
+        for path in (empty, gap_only):
+            for cost in ("4.68", "4"):
+                code, out, err = run(capsys, [command, "--fc", "4", "--cost", cost, str(path)])
+                assert (code, out) == (1, ""), (command, path.name, cost)
+                assert err == "error: actual cost C must be below the filtering cost FC\n"
+            assert run(capsys, [command, "--fc", "4", "--cost", "3.99", str(path)])[0] == 0
+
+
 def test_mps_refuses_oversized_tables(capsys):
     code, out, err = run(capsys, ["mps", "--contract", "ES", "--cost", "1",
                                   "--W", "1000000000000", "--prices", "2370,2371"])

@@ -56,6 +56,11 @@ TICK_COMMANDS = {
         "b24df38841693677bfbc614f4e7d6c269d3e30200fbe6cadb07ce7dd69fad11c",
     ("pattern", "--fc", "12.49", "--cost", "4.68", "--eq-tol", "1"):
         "1dbd7b4d9be0cf26cbbea36cf540c94031f6a7420ad58e35a67c9133c56f854f",
+    # with a strictness slack: 2 matches, and 4 at the one-delta birth threshold
+    ("pattern", "--fc", "12.49", "--cost", "4.68", "--eq-tol", "2", "--lt-tol", "1"):
+        "65f27476dcdbcf4abaa2eceba7fed482995db6130786afdf83625a943b89b852",
+    ("pattern", "--fc", "4.69", "--cost", "4.68", "--eq-tol", "3", "--lt-tol", "1"):
+        "5ced2faf1b657d506d333271f4d55b044284b4c9a378db3fe72187c870a31d0f",
     ("mps", "--cost", "4.68", "--W", "3"):
         "fb9c7f727658319ceed640c75fcfd7c3ed24bc02bcfab2bc9ec1111748641d30",
     ("mps", "--cost", "4.68", "--W", "20"):

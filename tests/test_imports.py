@@ -1,7 +1,7 @@
 """What importing the package and running the CLI loads: numpy only for
 ``verify``, ``configparser`` only for a ``--config`` file, no
-``dataclasses`` at all, and every lazy export the object its module
-defines."""
+``dataclasses`` and no ``mpslab.pl`` at all, and every lazy export the
+object its module defines."""
 
 import importlib
 import os
@@ -26,6 +26,8 @@ def loaded(step, numpy=False, config=False):
     # numpy imports inspect itself
     unwanted = ["dataclasses"] + ["configparser"] * (not config) + ["inspect"] * (not numpy)
     assert not set(unwanted) & set(sys.modules), f"{set(unwanted) & set(sys.modules)}: {step}"
+    # no subcommand calls the pl family, so mpslab.pl loads only when asked for
+    assert "mpslab.pl" not in sys.modules, f"mpslab.pl loaded: {step}"
 
 cli.build_parser()
 loaded("import mpslab.cli; build_parser()")

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpslab import (CostModel, Strategy, brute_force_mls, brute_force_mps,
-                    decode, empirical_action_counts, iter_strategies,
-                    iter_universe, oracle, validate_membership, verify)
-from mpslab.distribution import UniverseParams, pl_variance
+                    decode, iter_strategies, iter_universe, oracle,
+                    validate_membership, verify)
+from mpslab.distribution import ActionDistribution, UniverseParams, pl_variance
 from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
 from mpslab.oracle import (BudgetExceeded, EmpiricalPlVariance, UniverseSums,
                            empirical_pl_variance, position_chunks, sweep)
@@ -45,17 +45,22 @@ def test_every_member_validates():
         assert validate_membership(s, 2)
 
 
+def _empirical_action_counts(p, budget=oracle.DEFAULT_BUDGET):
+    """Exact action-type counts by full sweep."""
+    return ActionDistribution(sweep(p, budget).action_counts, p.n * p.size)
+
+
 def test_empirical_counts_goldens():
-    d = empirical_action_counts(UniverseParams(3, 5))
+    d = _empirical_action_counts(UniverseParams(3, 5))
     assert d.counts[-3] == 1274
-    d13 = empirical_action_counts(UniverseParams(1, 3))
+    d13 = _empirical_action_counts(UniverseParams(1, 3))
     assert [d13.counts[m] for m in range(-2, 3)] == [1, 8, 9, 8, 1]
     assert sum(d13.counts.values()) == 27
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
-        empirical_action_counts(UniverseParams(1, 20), budget=10 ** 4)
+        _empirical_action_counts(UniverseParams(1, 20), budget=10 ** 4)
     with pytest.raises(BudgetExceeded):
         list(iter_universe(UniverseParams(5, 12), budget=10 ** 6))
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from datetime import datetime, timedelta
 from decimal import Decimal
@@ -15,8 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import ticks_from_deltas, zigzag_levels
 from mpslab import (PRESETS, GridError, OteExtractor, OteType, Scenario, Tick, Tolerances,
-                    birth_threshold, classify_scenario, extract_otes,
-                    head_and_shoulders, mps0, on_permitted_grid, ote_stats,
+                    birth_threshold, extract_otes, mps0, on_permitted_grid, ote_stats,
                     permitted_profit_grid, sample_stats, serialize_ticks)
 from mpslab.ingest import parse_ticks
 from mpslab import ote as ote_module
@@ -275,6 +275,24 @@ def test_extraction_boundaries_match_mps0_under_hypothesis(steps, fc):
     _assert_boundaries_match_mps0(list(accumulate(steps, initial=0)), fc, PRESETS["ES"])
 
 
+def _classify_scenario(current, subsequent, spec):
+    """First thing that happens to a born trade: growth, replacement, or end.
+
+    Growth means a tick at least one delta beyond the trade's profit-side
+    extreme; replacement means the opposite-type birth arrives first.
+    """
+    threshold = birth_threshold(current.filtering_cost, spec)
+    direction = 1 if current.ote_type is OteType.BOTE else -1
+    ext = spec.to_deltas(current.p_end if current.p_end is not None else current.p_birth)
+    for tick in subsequent:
+        n = spec.to_deltas(tick.price)
+        if (n - ext) * direction > 0:
+            return Scenario.PROFIT_GREW
+        if (ext - n) * direction >= threshold:
+            return Scenario.REPLACED
+    return Scenario.SESSION_ENDED
+
+
 def test_classify_scenarios(es):
     threshold = birth_threshold(FC4999, es)  # 8 deltas
     up = ticks_from_deltas(zigzag_levels([0, 10]), es)
@@ -283,12 +301,12 @@ def test_classify_scenarios(es):
     later = lambda levels: ticks_from_deltas(levels, es,
                                              start=up[-1].timestamp + timedelta(seconds=1))
     # price extends beyond the extreme by >= 1 delta before reversing
-    assert classify_scenario(bote, later([11, 12]), es) is Scenario.PROFIT_GREW
+    assert _classify_scenario(bote, later([11, 12]), es) is Scenario.PROFIT_GREW
     # opposite birth (8 deltas down from the extreme) with no extension
-    assert classify_scenario(bote, later([5, 2]), es) is Scenario.REPLACED
+    assert _classify_scenario(bote, later([5, 2]), es) is Scenario.REPLACED
     # nothing decisive before the feed ends
-    assert classify_scenario(bote, later([9, 9, 9]), es) is Scenario.SESSION_ENDED
-    assert classify_scenario(bote, [], es) is Scenario.SESSION_ENDED
+    assert _classify_scenario(bote, later([9, 9, 9]), es) is Scenario.SESSION_ENDED
+    assert _classify_scenario(bote, [], es) is Scenario.SESSION_ENDED
 
 
 def test_scenario_labels_from_extraction(es):
@@ -480,23 +498,28 @@ def _hs_chain(es, fifth_start=8):
     return records
 
 
+def _head_and_shoulders(chain, current_price, tolerances, spec):
+    """One-shot evaluation of the pattern predicate at the current price."""
+    return HeadShouldersMonitor(chain, tolerances, spec).check(current_price)
+
+
 def test_head_and_shoulders_true_at_monitored_price(es):
     chain = _hs_chain(es)
     b5_birth = chain[4].p_birth
-    assert head_and_shoulders(chain, b5_birth, Tolerances(), es)
+    assert _head_and_shoulders(chain, b5_birth, Tolerances(), es)
 
 
 def test_head_and_shoulders_false_when_price_differs(es):
     chain = _hs_chain(es)
     price = chain[4].p_birth + es.delta
-    assert not head_and_shoulders(chain, price, Tolerances(), es)
+    assert not _head_and_shoulders(chain, price, Tolerances(), es)
 
 
 def test_head_and_shoulders_false_on_broken_clause(es):
     chain = _hs_chain(es, fifth_start=10)   # P_s^B3 != P_s^B5 (8 vs 10)
-    assert not head_and_shoulders(chain, chain[4].p_birth, Tolerances(), es)
+    assert not _head_and_shoulders(chain, chain[4].p_birth, Tolerances(), es)
     # a 2-delta equality tolerance repairs it
-    assert head_and_shoulders(chain, chain[4].p_birth, Tolerances(eq_deltas=2), es)
+    assert _head_and_shoulders(chain, chain[4].p_birth, Tolerances(eq_deltas=2), es)
 
 
 def test_head_and_shoulders_monitor_caches_fixed_clauses(es):
@@ -526,7 +549,8 @@ def test_head_and_shoulders_hits_scan_the_last_trade(es, monkeypatch):
     assert list(head_and_shoulders_hits(chain, Tolerances(), es)) == [(6, chain[5].birth)]
     assert chain[5].p_birth == chain[4].p_birth
     # the scan builds its monitors from the module attribute, so a wrapper
-    # swapped in there sees every window
+    # swapped in there sees every window that passes the fixed comparisons,
+    # and only those
     built = []
 
     class Counting(HeadShouldersMonitor):
@@ -538,15 +562,103 @@ def test_head_and_shoulders_hits_scan_the_last_trade(es, monkeypatch):
     records = chain + chain
     hits = list(head_and_shoulders_hits(records, Tolerances(), es))
     assert hits == [(6, chain[5].birth), (12, chain[5].birth)]
-    assert len(built) == len(records) - 5
+    assert built == [records[0:6], records[6:12]]
 
 
 def test_head_and_shoulders_chain_validation(es):
     chain = _hs_chain(es)
     with pytest.raises(ValueError):
-        head_and_shoulders(chain[:5], 1, Tolerances(), es)
+        _head_and_shoulders(chain[:5], 1, Tolerances(), es)
     with pytest.raises(ValueError):
-        head_and_shoulders(chain[1:] + chain[:1], 1, Tolerances(), es)
+        _head_and_shoulders(chain[1:] + chain[:1], 1, Tolerances(), es)
+
+
+def _reference_hs_hits(records, tolerances, spec):
+    """head_and_shoulders_hits as it was: every six-trade window tried with
+    the monitor's own type check and fixed comparisons, then its last
+    trade's ticks scanned for B5's birth price."""
+    expected = [OteType.BOTE, OteType.SOTE] * 3
+    eq = lambda x, y: abs(x - y) <= tolerances.eq_deltas
+    lt = lambda x, y: x < y - tolerances.lt_deltas
+    first = lambda r: r.columns.deltas[r.start]
+    last = lambda r: r.columns.deltas[r.stop - 1]
+    hits = []
+    for end in range(6, len(records) + 1):
+        window = records[end - 6:end]
+        if [r.ote_type for r in window] != expected:
+            continue
+        b1, _, b3, _, b5, s6 = window
+        if not (lt(first(b1), first(b3)) and eq(first(b3), first(b5))
+                and lt(last(b1), last(b3)) and lt(last(b5), last(b3))):
+            continue
+        monitored = b5.columns.deltas[b5.birth]
+        times, deltas = s6.columns.times, s6.columns.deltas
+        for i in range(bisect_left(times, times[s6.birth]),
+                       bisect_right(times, times[s6.stop - 1])):
+            if eq(deltas[i], monitored):
+                hits.append((end, i))
+                break
+    return hits
+
+
+def _crowded_session(levels, gaps, spec):
+    """Ticks at the given delta levels, each ``gaps[j]`` seconds after the
+    one before, so that a zero gap makes two ticks share a time."""
+    start = datetime(2017, 4, 10, 9, 0, 0)
+    times = accumulate(gaps[:len(levels)] + [1] * (len(levels) - len(gaps)), initial=0)
+    return [Tick(start + timedelta(seconds=t), (9000 + n) * spec.delta, 1)
+            for t, n in zip(times, levels)]
+
+
+_HS_FCS = ["4.69", "12.49", "24.99"]
+_HS_TOLS = st.builds(Tolerances, st.integers(0, 3), st.integers(0, 3))
+
+
+def test_head_and_shoulders_hits_match_the_window_by_window_scan(es):
+    rng = random.Random(18)
+    total = 0
+    for _ in range(40):
+        walk = list(accumulate((rng.randint(-3, 3) for _ in range(400)), initial=0))
+        gaps = [rng.choice((0, 0, 1, 5)) for _ in walk]
+        ticks = _crowded_session(walk, gaps, es)
+        for fc in _HS_FCS:
+            records = extract_otes(ticks, fc, C, es)
+            for tol in (Tolerances(), Tolerances(1, 0), Tolerances(2, 1), Tolerances(3, 3)):
+                hits = list(head_and_shoulders_hits(records, tol, es))
+                assert hits == _reference_hs_hits(records, tol, es)
+                total += len(hits)
+    assert total > 0
+    # hand-built chains: B5 or B1 in place of S6, a doubled B1, B3 in place of B1
+    chain = _hs_chain(es)
+    for broken in (chain[:5] + chain[4:5], chain[:5] + chain[:1], chain[:1] + chain[:5],
+                   chain[2:3] + chain[1:]):
+        for tol in (Tolerances(), Tolerances(3, 0)):
+            assert list(head_and_shoulders_hits(broken, tol, es)) == \
+                _reference_hs_hits(broken, tol, es) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(st.integers(-3, 3), max_size=250).map(
+                     lambda steps: list(accumulate(steps, initial=0))),
+                 st.lists(st.integers(-12, 12), min_size=2, max_size=30).map(zigzag_levels)),
+       st.lists(st.sampled_from([0, 1, 7]), max_size=250),
+       st.sampled_from(_HS_FCS), _HS_TOLS, st.data())
+def test_head_and_shoulders_hits_match_under_hypothesis(levels, gaps, fc, tol, data):
+    es = PRESETS["ES"]
+    records = extract_otes(_crowded_session(levels, gaps, es), fc, C, es)
+    assert list(head_and_shoulders_hits(records, tol, es)) == \
+        _reference_hs_hits(records, tol, es)
+    if records:
+        # chains that need not alternate: records drawn at random, and a run
+        # of the session's chain with a few records swapped for others
+        index = st.integers(0, len(records) - 1)
+        chain = [records[j] for j in data.draw(st.lists(index, max_size=40))]
+        run = records[data.draw(index):][:12]
+        for _ in range(data.draw(st.integers(0, 2))):
+            run[data.draw(st.integers(0, len(run) - 1))] = records[data.draw(index)]
+        for chain in (chain, run):
+            assert list(head_and_shoulders_hits(chain, tol, es)) == \
+                _reference_hs_hits(chain, tol, es)
 
 
 def _old_samples(ticks, start, stop):
