@@ -33,7 +33,7 @@ _EXPORTS = {
     "strategies_compose",
     "model": "ContractSpec CostModel GridError PositionSeries Strategy Tick "
     "positions_to_strategy strategy_to_positions validate_membership",
-    "mps": "MpsResult mps0 trades_of",
+    "mps": "MpsResult mps0",
     "numeric": "BudgetExceeded",
     "oracle": "brute_force_mls brute_force_mps decode iter_strategies iter_universe",
     "ote": "OteExtractor OteType Scenario Tolerances birth_threshold extract_otes "

@@ -13,8 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
-from itertools import compress, islice
-from operator import gt
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
@@ -262,11 +261,16 @@ def trade_ticks(ticks: TickColumns) -> TickColumns:
     return ticks if all(ticks.sizes) else ticks._columns(lambda c: list(compress(c, ticks.sizes)))
 
 
+def time_ordered(times: list[int]) -> bool:
+    """True iff no time is earlier than the one before it."""
+    return times == sorted(times)
+
+
 def in_time_order(ticks: TickColumns) -> TickColumns:
     """The ticks stably sorted by time, which keeps arrival order for equal
     times; time-ordered columns come back themselves."""
     times = ticks.times
-    if not any(map(gt, times, islice(times, 1, None))):
+    if time_ordered(times):
         return ticks
     return ticks.take(sorted(range(len(times)), key=times.__getitem__))
 

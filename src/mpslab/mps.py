@@ -1,47 +1,31 @@
-"""Maximum-profit strategy without reinvestment (MPS0).
+"""Maximum-profit strategy without reinvestment (MPS0), and the trade scan.
 
-Dynamic program over position states -W..W: best P&L of any prefix ending
-at tick i with position w, paying the per-contract cost on every contract
-moved, with the strategy forced flat at the last tick.  Exact integer
-arithmetic after scaling all dollar amounts to a common denominator.  Ties
-are broken toward fewer traded contracts, then earlier transactions, which
-makes the result deterministic and lines the trade boundaries up with first
-occurrences of price extremes.
-
-A state's key (scaled pl, -traded contracts, -sum of i*|U_i|) lives in Z^3
-under lexicographic order, a totally ordered abelian group.  At tick i,
-moving w up by one contract (buying) adds buy = (-(p_i+c), -1, -i) to the
-key and moving it down by one (selling) adds -sell, where
-sell = (-(p_i-c), +1, +i); sell - buy = (2c, 2, 2i) > 0, so the move cost
-is concave in the move, and the value function V_i(w) stays concave on the
-2W+1 states.  One tick clamps each unit slope V(w+1) - V(w) into
-[buy, sell] (the "slope trick" for max-plus convolution of concave
-functions), and the best previous state of w is w clamped into the range
-where the slopes were left alone.  V is carried as runs of equal slopes,
-falling from left to right; each tick pushes at most two runs, so the DP
-takes amortised O(n) time and O(n) memory whatever W is.
-
-After tick 0 every slope of V is the buy or sell slope of a tick j < i.
-If its P&L equals that of tick i's sell slope, its key ranks below sell
-(its second coordinate is -1 against +1, or its third is j < i);
-likewise, if it equals that of buy, it ranks above buy.  So comparing P&L
-alone, with strict inequalities, clamps exactly the runs the full keys
-would, and the DP carries the P&L coordinate only.
+The best P&L of any strategy whose position stays in [-W, W] and ends
+flat, paying the per-contract cost on every contract moved.  The limits
+on a path's positions form an interval matrix, which is totally
+unimodular (Hoffman and Kruskal, 1956), so the optimum at limit W is W
+times the optimum at W = 1: the same trades, of W contracts each.  At
+W = 1 the optimum is the trade chain of the trailing-extreme scan below,
+with the birth threshold floor(2c/(delta k)) + 1 deltas, the least move
+that pays the round trip 2c.  Trades start and end at first occurrences
+of extremes, which breaks ties toward fewer traded contracts, then
+earlier transactions.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
-from math import inf
 from typing import NamedTuple, Sequence
 
-from .model import ContractSpec, Strategy, strategy_to_positions
+from .model import ContractSpec, Strategy
 from .numeric import BudgetExceeded, Rational, as_fraction, money_scale, scaled_ints
 
 # a request of more position states than this, n*(2W+1), is refused (exit 2)
-# before any work; the DP itself takes O(n) time and memory
+# before any work; the scan itself takes O(n) time and memory
 MAX_DP_STATES = 10 ** 7
+
+# the scan state before any tick: no trade born, tick 0 the first extremes
+SCAN_START = (0, 0, 0, 0)
 
 
 class MpsTrade(NamedTuple):
@@ -58,23 +42,51 @@ class MpsResult(NamedTuple):
     trades: tuple[MpsTrade, ...]
 
 
-def trades_of(strategy: Strategy) -> tuple[MpsTrade, ...]:
-    """Trades as maximal constant-sign position runs of a strategy."""
-    positions = strategy_to_positions(strategy).positions
+def scan_trades(deltas: Sequence[int], threshold: int, state: tuple,
+                i: int) -> tuple[list[tuple[int, int, int, int]], tuple]:
+    """Trailing-extreme scan of the grid counts ``deltas[i:]`` from ``state``.
+
+    A trade is born once the price has retraced ``threshold`` deltas from
+    the trailing extreme, the first occurrence of the live trade's best
+    price or, before the first birth, of the minimum or maximum so far.
+    The birth closes the live trade at that extreme and starts the opposite
+    one there.  Returns the trades closed, as (direction, start, birth,
+    end) with direction +1 long and -1 short, and the state to resume
+    from: (direction, start, birth, extreme) of the live trade, or
+    (0, minimum, 0, maximum) before the first birth.
+    """
+    direction, start, birth, ext_i = state
+    stop = len(deltas)
     trades = []
-    start = None
-    sign = 0
-    for i, w in enumerate(positions):
-        s = (w > 0) - (w < 0)
-        if s != sign:
-            if sign != 0:
-                trades.append(MpsTrade(start, i, sign))
-            start = i if s != 0 else None
-            sign = s
-    if sign != 0:
-        # flat at the end is guaranteed for universe members
-        trades.append(MpsTrade(start, len(positions) - 1, sign))
-    return tuple(trades)
+    if direction == 0:
+        lo_i, hi_i = start, ext_i
+        for i in range(i, stop):
+            n = deltas[i]
+            if n < deltas[lo_i]:
+                lo_i = i
+            elif n > deltas[hi_i]:
+                hi_i = i
+            if n - deltas[lo_i] >= threshold:
+                direction, start = 1, lo_i
+                break
+            if deltas[hi_i] - n >= threshold:
+                direction, start = -1, hi_i
+                break
+        else:
+            return trades, (0, lo_i, 0, hi_i)
+        birth = ext_i = i
+        i += 1
+    ext = deltas[ext_i]
+    for i in range(i, stop):
+        n = deltas[i]
+        if (n - ext) * direction > 0:
+            ext, ext_i = n, i
+        elif (ext - n) * direction >= threshold:
+            trades.append((direction, start, birth, ext_i))
+            # the opposite trade starts at the extreme and is born here
+            direction, start, birth = -direction, ext_i, i
+            ext, ext_i = n, i
+    return trades, (direction, start, birth, ext_i)
 
 
 def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
@@ -95,13 +107,8 @@ def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
     if n * width > MAX_DP_STATES:
         raise BudgetExceeded(f"n*(2W+1) = {n * width} DP states, "
                              f"over the limit of {MAX_DP_STATES}")
-    grid: dict = {}
-    deltas = []
-    for x in prices:
-        d = grid.get(x)
-        if d is None:
-            d = grid[x] = spec.to_deltas(x)
-        deltas.append(d)
+    grid = {x: spec.to_deltas(x) for x in dict.fromkeys(prices)}   # each price once
+    deltas = [grid[x] for x in prices]
     c = as_fraction(cost_per_transaction)
     if c < 0:
         raise ValueError("cost must be non-negative")
@@ -109,35 +116,14 @@ def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
     scale = money_scale([kd, c])
     kd_i, c_i = scaled_ints([kd, c], scale)
 
-    # runs (P&L slope, count) of V over w = 0..2W, starting as the one
-    # reachable state w = W; the infinite slopes are clamped at tick 0
-    runs = deque(((inf, limit), (-inf, limit)))
-    his, los = [], []
-    for d in deltas:
-        price_i = kd_i * d
-        buy, sell = -price_i - c_i, c_i - price_i
-        hi = 0
-        while runs and runs[0][0] > sell:
-            hi += runs.popleft()[1]
-        if hi:
-            runs.appendleft((sell, hi))
-        popped = 0
-        while runs and runs[-1][0] < buy:
-            popped += runs.pop()[1]
-        if popped:
-            runs.append((buy, popped))
-        # the best previous state of w is w clamped into [hi, lo]: w < hi is
-        # best reached by selling from hi, w > lo by buying from lo
-        his.append(hi)
-        los.append(2 * limit - popped)
-
-    actions = []
-    w = limit
-    for hi, lo in zip(reversed(his), reversed(los)):
-        prev = min(max(w, hi), lo)
-        actions.append(w - prev)
-        w = prev
-    actions.reverse()
-    strategy = Strategy(tuple(actions))
-    pl = -sum(kd_i * d * u + c_i * abs(u) for d, u in zip(deltas, actions))
-    return MpsResult(strategy, Fraction(pl, scale), trades_of(strategy))
+    trades, live = scan_trades(deltas, 2 * c_i // kd_i + 1, SCAN_START, 0)
+    if live[0]:
+        trades.append(live)           # the last trade ends at its extreme
+    actions = [0] * n
+    for direction, start, _, end in trades:
+        actions[start] += direction * limit
+        actions[end] -= direction * limit
+    pl = -sum(kd_i * d * u + c_i * abs(u) for d, u in zip(deltas, actions) if u)
+    return MpsResult(Strategy(actions), Fraction(pl, scale),
+                     tuple(MpsTrade(start, end, direction)
+                           for direction, start, _, end in trades))

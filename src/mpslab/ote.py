@@ -5,9 +5,9 @@ turns a tick session into a chain of alternating optimal trades.  A new
 trade is born when the price has retraced floor(2 FC / (delta k)) + 1 deltas
 from the trailing extreme; the birth closes the previous trade at that
 extreme.  Each closed trade is priced with the actual cost C < FC, which
-pins its profit to the lattice PL_min + k*delta*i.  The trailing-extreme
-scan below is equivalent to the trade boundaries of the dynamic program for
-W = 1 and constant cost (that equivalence is a test, not an assumption).
+pins its profit to the lattice PL_min + k*delta*i.  The trades are those
+of ``mps.scan_trades``, the scan that also gives ``mps0`` its trades, so
+they are the MPS's trades at W = 1 and cost FC by construction.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import islice
-from operator import gt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .ingest import TickColumns, from_micros, to_micros, trade_ticks
+from . import mps
+from .ingest import TickColumns, from_micros, time_ordered, to_micros, trade_ticks
 from .model import ContractSpec, Tick
 from .numeric import Rational, as_fraction, money_scale
 
@@ -146,29 +145,22 @@ class OteExtractor:
     Ticks are kept as integer columns and scanned on their grid counts.
     ``push`` appends one tick and batch extraction hands over whole
     columns; both then run the same scan, so streaming and batch modes
-    produce identical records by construction.
+    produce identical records by construction.  Indicative ticks are
+    checked for the grid and skipped.
     """
 
-    def __init__(self, filtering_cost: Rational, cost: Rational,
-                 spec: ContractSpec, include_indicative: bool = False):
+    def __init__(self, filtering_cost: Rational, cost: Rational, spec: ContractSpec):
         self.fc = as_fraction(filtering_cost)
         self.cost = as_fraction(cost)
         if self.cost >= self.fc:
             raise ValueError("actual cost C must be below the filtering cost FC")
         self.spec = spec
-        self.include_indicative = include_indicative
         self.threshold = birth_threshold(self.fc, spec)
         self._ticks = TickColumns(spec)
         self._seen = 0                    # ticks scanned so far
+        self._state = mps.SCAN_START      # of ``mps.scan_trades``: the live trade, if born
         self._records: list[OteRecord] = []
         self._pl_of: dict[int, Fraction] = {}      # profit per price move
-        # before the first birth: earliest minimum and maximum ticks so far
-        self._min_i: Optional[int] = None
-        self._max_i: Optional[int] = None
-        # current born trade: +1 BOTE / -1 SOTE, start, birth, and the
-        # first occurrence of the trailing profit-side extreme
-        self._dir = 0
-        self._start_i = self._birth_i = self._ext_i = 0
 
     @property
     def records(self) -> list[OteRecord]:
@@ -178,7 +170,7 @@ class OteExtractor:
     def push(self, tick: Tick) -> list[OteRecord]:
         """Consume one tick; return any record it closes.  Off-grid ticks
         raise, indicative or not."""
-        if tick.indicative and not self.include_indicative:
+        if tick.indicative:
             self.spec.to_deltas(tick.price)
             return []
         times = self._ticks.times
@@ -189,91 +181,63 @@ class OteExtractor:
 
     def finish(self) -> list[OteRecord]:
         """Finalize the session-terminated trade, if one was born."""
-        if self._dir == 0:
+        if self._state[0] == 0:
             return []
-        record = self._build_record(replaced=False)
-        self._records.append(record)
-        self._dir = 0
-        return [record]
+        records = self._close([self._state], replaced=False)
+        self._state = (0, self._seen, 0, self._seen)     # a later push starts a new chain
+        return records
 
     def current(self) -> Optional[OteRecord]:
         """Snapshot of the live trade: born, not ended, end fields None."""
-        return None if self._dir == 0 else self._build_record(replaced=None)
+        direction, start, birth, _ = self._state
+        if direction == 0:
+            return None
+        return tuple.__new__(OteRecord, (_BOTE if direction > 0 else _SOTE, self._ticks, start,
+                                         birth, len(self._ticks), False, None, self.fc, None,
+                                         False))
 
     def _scan(self) -> list[OteRecord]:
-        """Run the trailing-extreme scan over the ticks not scanned yet."""
-        deltas, threshold = self._ticks.deltas, self.threshold
-        i, stop = self._seen, len(deltas)
-        self._seen = stop
-        while self._dir == 0 and i < stop:
-            n = deltas[i]
-            if self._min_i is None:
-                self._min_i = self._max_i = i
-            else:
-                if n < deltas[self._min_i]:
-                    self._min_i = i
-                if n > deltas[self._max_i]:
-                    self._max_i = i
-                # a birth: direction, start, and the birth tick as the first extreme
-                if n - deltas[self._min_i] >= threshold:
-                    self._dir, self._start_i, self._birth_i, self._ext_i = 1, self._min_i, i, i
-                elif deltas[self._max_i] - n >= threshold:
-                    self._dir, self._start_i, self._birth_i, self._ext_i = -1, self._max_i, i, i
-            i += 1
-        closed = []
-        if self._dir == 0:
-            return closed
-        direction, ext_i = self._dir, self._ext_i
-        ext = deltas[ext_i]
-        for i in range(i, stop):
-            n = deltas[i]
-            if (n - ext) * direction > 0:
-                ext, ext_i = n, i
-            elif (ext - n) * direction >= threshold:
-                self._ext_i = ext_i
-                closed.append(self._build_record(replaced=True))
-                # the opposite trade starts at the extreme and is born here
-                self._dir = direction = -direction
-                self._start_i, self._birth_i = ext_i, i
-                ext, ext_i = n, i
-        self._ext_i = ext_i
-        self._records.extend(closed)
-        return closed
+        """Run the trade scan over the ticks not scanned yet."""
+        deltas = self._ticks.deltas
+        trades, self._state = mps.scan_trades(deltas, self.threshold, self._state, self._seen)
+        self._seen = len(deltas)
+        return self._close(trades, replaced=True)
 
-    def _build_record(self, replaced: Optional[bool]) -> OteRecord:
-        """Record of the born trade; ``replaced`` None gives the live
-        snapshot, which spans every tick so far and leaves the end open."""
-        s, b, deltas = self._start_i, self._birth_i, self._ticks.deltas
-        kind = _BOTE if self._dir > 0 else _SOTE
-        if replaced is None:
-            return tuple.__new__(OteRecord, (kind, self._ticks, s, b, len(deltas), False,
-                                             None, self.fc, None, False))
-        end = self._ext_i
-        move = abs(deltas[end] - deltas[s])
-        pl = self._pl_of.get(move)
-        if pl is None:
-            pl = self._pl_of[move] = self.spec.delta_dollars * move - 2 * self.cost
-        if (deltas[end] - deltas[b]) * self._dir > 0:
-            scenario = _GREW
-        else:
-            scenario = _REPLACED if replaced else _ENDED
-        return tuple.__new__(OteRecord, (kind, self._ticks, s, b, end + 1, True, pl, self.fc,
-                                         scenario, replaced))
+    def _close(self, trades: list, replaced: bool) -> list[OteRecord]:
+        """Records of trades (direction, start, birth, end) ended by a
+        replacement or by the session end."""
+        ticks, fc, pl_of = self._ticks, self.fc, self._pl_of
+        deltas = ticks.deltas
+        records = []
+        for direction, s, b, end in trades:
+            move = abs(deltas[end] - deltas[s])
+            pl = pl_of.get(move)
+            if pl is None:
+                pl = pl_of[move] = self.spec.delta_dollars * move - 2 * self.cost
+            if (deltas[end] - deltas[b]) * direction > 0:
+                scenario = _GREW
+            else:
+                scenario = _REPLACED if replaced else _ENDED
+            records.append(tuple.__new__(OteRecord, (_BOTE if direction > 0 else _SOTE, ticks,
+                                                     s, b, end + 1, True, pl, fc, scenario,
+                                                     replaced)))
+        self._records.extend(records)
+        return records
 
 
 def extract_otes(ticks: Sequence[Tick], filtering_cost: Rational, cost: Rational,
-                 spec: ContractSpec, include_indicative: bool = False) -> list[OteRecord]:
+                 spec: ContractSpec) -> list[OteRecord]:
     """All optimal trades of one time-ordered tick session.
 
     ``TickColumns`` on ``spec`` are scanned in place and the records span
-    them; other sequences become columns first, which refuses any tick off the grid.
+    them; other sequences become columns first, which refuses any tick off
+    the grid.  Indicative ticks are dropped.
     """
-    extractor = OteExtractor(filtering_cost, cost, spec, include_indicative)
+    extractor = OteExtractor(filtering_cost, cost, spec)
     if not (isinstance(ticks, TickColumns) and ticks.spec == spec):
         ticks = TickColumns.of(ticks, spec)
-    if not include_indicative:
-        ticks = trade_ticks(ticks)
-    if any(map(gt, ticks.times, islice(ticks.times, 1, None))):
+    ticks = trade_ticks(ticks)
+    if not time_ordered(ticks.times):
         raise ValueError("ticks must be time-ordered")
     extractor._ticks = ticks
     extractor._scan()

@@ -1,7 +1,7 @@
 """What importing the package and running the CLI loads: numpy only for
 ``verify``, ``configparser`` only for a ``--config`` file, no
-``dataclasses`` and no ``mpslab.pl`` at all, and every lazy export the
-object its module defines."""
+``dataclasses`` and no ``mpslab.pl`` at all, no ``mpslab.ote`` for ``mps``,
+and every lazy export the object its module defines."""
 
 import importlib
 import os
@@ -44,6 +44,8 @@ steps = [["counts", "--W", "1", "--n", "3"], ["dist", "--W", "1", "--n", "4"],
 for argv in steps:
     assert cli.main(argv + ["--out", out]) == 0, argv
     loaded(argv[0])
+    # mps runs the trade scan of mpslab.mps without loading mpslab.ote
+    assert argv[0] != "mps" or "mpslab.ote" not in sys.modules, f"mpslab.ote loaded: {argv}"
 assert cli.main(ote + ["--contract", "NW", "--config", config, "--out", out]) == 0
 loaded("ote --config", config=True)
 assert cli.main(["verify", "--max-universe", "100", "--out", out]) == 0

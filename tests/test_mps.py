@@ -1,17 +1,21 @@
-"""MPS0 dynamic program against the brute-force sweep."""
+"""MPS0 against the brute-force sweep and the dynamic programs it replaced."""
 
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpslab import (PRESETS, BudgetExceeded, CostModel, MpsResult, Strategy,
-                    brute_force_mps, mps0, trades_of, validate_membership)
+                    brute_force_mps, mps0, validate_membership)
 from mpslab import mps as mps_module
 from mpslab.distribution import UniverseParams
+from mpslab.model import strategy_to_positions
+from mpslab.mps import MpsTrade
 from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
 
 
@@ -94,6 +98,26 @@ def test_tie_break_prefers_earliest_entry(es):
     prices = ["2369.00", "2372.00", "2371.00", "2372.00", "2369.00"]
     result = mps0(prices, 1, 1, es)
     assert result.trades[0].end == 1
+
+
+def trades_of(strategy):
+    """Trades as maximal constant-sign position runs of a strategy, the
+    oracle for the trades ``mps0`` reports."""
+    positions = strategy_to_positions(strategy).positions
+    trades = []
+    start = None
+    sign = 0
+    for i, w in enumerate(positions):
+        s = (w > 0) - (w < 0)
+        if s != sign:
+            if sign != 0:
+                trades.append(MpsTrade(start, i, sign))
+            start = i if s != 0 else None
+            sign = s
+    if sign != 0:
+        # flat at the end is guaranteed for universe members
+        trades.append(MpsTrade(start, len(positions) - 1, sign))
+    return tuple(trades)
 
 
 def test_trades_of_handles_open_end():
@@ -235,7 +259,7 @@ def test_converts_each_distinct_price_once(es, monkeypatch):
     assert len(calls) == 3 + 30     # 3 distinct prices here, 30 in the reference
 
 
-# --- the slope runs against the two-pass DP they replaced ---------------------
+# --- the trade scan against the two-pass DP and the slope runs ----------------
 
 def _two_pass_mps0(prices, cost_per_transaction, limit, spec):
     """The O(n(2W+1)) two-pass DP mps0 used before the slope runs, kept as
@@ -296,16 +320,60 @@ def _two_pass_mps0(prices, cost_per_transaction, limit, spec):
     return MpsResult(strategy, Fraction(final[0], scale), trades_of(strategy))
 
 
+def _slope_runs_mps0(prices, cost_per_transaction, limit, spec):
+    """The slope-trick DP mps0 used before the trade scan, kept as the
+    oracle at any limit: the concave value function over positions carried
+    as runs of equal P&L slopes, each tick clamping the slopes into its
+    [buy, sell] range, in amortised O(n) time whatever W is."""
+    deltas = [spec.to_deltas(x) for x in as_fractions(prices)]
+    c = as_fraction(cost_per_transaction)
+    kd = spec.delta_dollars
+    scale = money_scale([kd, c])
+    kd_i, c_i = scaled_ints([kd, c], scale)
+
+    # runs (P&L slope, count) of V over w = 0..2W, starting as the one
+    # reachable state w = W; the infinite slopes are clamped at tick 0
+    runs = deque(((inf, limit), (-inf, limit)))
+    his, los = [], []
+    for d in deltas:
+        price_i = kd_i * d
+        buy, sell = -price_i - c_i, c_i - price_i
+        hi = 0
+        while runs and runs[0][0] > sell:
+            hi += runs.popleft()[1]
+        if hi:
+            runs.appendleft((sell, hi))
+        popped = 0
+        while runs and runs[-1][0] < buy:
+            popped += runs.pop()[1]
+        if popped:
+            runs.append((buy, popped))
+        # the best previous state of w is w clamped into [hi, lo]
+        his.append(hi)
+        los.append(2 * limit - popped)
+
+    actions = []
+    w = limit
+    for hi, lo in zip(reversed(his), reversed(los)):
+        prev = min(max(w, hi), lo)
+        actions.append(w - prev)
+        w = prev
+    actions.reverse()
+    strategy = Strategy(tuple(actions))
+    pl = -sum(kd_i * d * u + c_i * abs(u) for d, u in zip(deltas, actions))
+    return MpsResult(strategy, Fraction(pl, scale), trades_of(strategy))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(_walks, _two_levels).map(lambda steps: steps[:25]), _costs,
        st.integers(7, 12))
-def test_slope_runs_match_quadratic_reference_at_wide_limits(steps, cost, limit):
+def test_scan_matches_quadratic_reference_at_wide_limits(steps, cost, limit):
     es = PRESETS["ES"]
     prices = _chain(steps)
     assert mps0(prices, cost, limit, es) == _reference_mps0(prices, cost, limit, es)
 
 
-def test_slope_runs_match_two_pass_on_seeded_walks(es):
+def test_scan_matches_two_pass_on_seeded_walks(es):
     rng = random.Random(10)
     costs = (Fraction(0), Fraction(1, 3), Fraction(1, 100), Fraction(468, 100), Fraction(25))
     for trial in range(60):
@@ -317,7 +385,45 @@ def test_slope_runs_match_two_pass_on_seeded_walks(es):
             steps = [rng.choice((0, 0, 0, 1, -1, 2, -2, 5, -5)) for _ in range(n)]
         prices = _chain(steps)
         cost, limit = costs[trial % len(costs)], (20, 50)[trial % 2]
-        assert mps0(prices, cost, limit, es) == _two_pass_mps0(prices, cost, limit, es)
+        got = mps0(prices, cost, limit, es)
+        assert got == _two_pass_mps0(prices, cost, limit, es)
+        assert got == _slope_runs_mps0(prices, cost, limit, es)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_walks, _two_levels), _costs, st.sampled_from([2, 3, 7, 50]))
+def test_limit_w_is_w_times_the_limit_one_trades(steps, cost, limit):
+    es = PRESETS["ES"]
+    prices = _chain(steps)
+    one, got = mps0(prices, cost, 1, es), mps0(prices, cost, limit, es)
+    assert got.strategy == Strategy([limit * a for a in one.strategy.actions])
+    assert got.pl == limit * one.pl
+    assert got.trades == one.trades == trades_of(got.strategy) == trades_of(one.strategy)
+    assert got == _slope_runs_mps0(prices, cost, limit, es)
+    assert one == _slope_runs_mps0(prices, cost, 1, es)
+    if limit <= 3:
+        short = prices[:{2: 7, 3: 6}[limit]]
+        if len(short) >= 2:             # the universe needs n >= 2
+            expected = brute_force_mps(short, CostModel.constant(cost, len(short)),
+                                       UniverseParams(limit, len(short)), k=es.k)
+            result = mps0(short, cost, limit, es)
+            assert result.pl == expected.best_pl
+            assert result.strategy in expected.witnesses
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_walks, _two_levels), _costs, st.integers(1, 4), st.integers(-50, 50))
+def test_mirror_negates_and_translation_keeps_the_strategy(steps, cost, limit, shift):
+    # the walks stay within 200 deltas of 2250.00, the mirror's fixed price,
+    # so mirrored and shifted prices stay positive
+    es = PRESETS["ES"]
+    prices = _chain(steps)
+    got = mps0(prices, cost, limit, es)
+    mirrored = mps0([2 * Fraction(2250) - p for p in prices], cost, limit, es)
+    assert mirrored.strategy == -got.strategy
+    assert mirrored.pl == got.pl
+    assert mirrored.trades == tuple(t._replace(direction=-t.direction) for t in got.trades)
+    assert mps0([p + shift * es.delta for p in prices], cost, limit, es) == got
 
 
 def test_memory_does_not_grow_with_the_limit(es):

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import ticks_from_deltas, zigzag_levels
+from test_mps import _slope_runs_mps0
 from mpslab import (PRESETS, GridError, OteExtractor, OteType, Scenario, Tick, Tolerances,
                     birth_threshold, extract_otes, mps0, on_permitted_grid, ote_stats,
                     permitted_profit_grid, sample_stats, serialize_ticks)
 from mpslab.ingest import parse_ticks
+from mpslab import mps as mps_module
 from mpslab import ote as ote_module
 from mpslab.numeric import as_fraction
 from mpslab.ote import HeadShouldersMonitor, OteStats, head_and_shoulders_hits
@@ -219,13 +221,12 @@ def test_off_grid_indicative_tick_refused(es):
     ticks = ticks_from_deltas(zigzag_levels([0, 12, 2]), es)
     off_grid = Tick(ticks[3].timestamp + timedelta(seconds=1), Fraction("2250.10"), 0)
     with_off_grid = sorted(ticks + [off_grid], key=lambda t: t.timestamp)
-    for include_indicative in (False, True):
-        with pytest.raises(GridError, match="not a multiple of delta"):
-            extract_otes(with_off_grid, FC4999, C, es, include_indicative)
-        extractor = OteExtractor(FC4999, C, es, include_indicative)
-        with pytest.raises(GridError, match="not a multiple of delta"):
-            for tick in with_off_grid:
-                extractor.push(tick)
+    with pytest.raises(GridError, match="not a multiple of delta"):
+        extract_otes(with_off_grid, FC4999, C, es)
+    extractor = OteExtractor(FC4999, C, es)
+    with pytest.raises(GridError, match="not a multiple of delta"):
+        for tick in with_off_grid:
+            extractor.push(tick)
 
 
 def test_unordered_ticks_rejected(es):
@@ -239,12 +240,13 @@ def test_cost_must_be_below_filtering_cost(es):
         OteExtractor("4.68", "4.68", es)
 
 
-def _assert_boundaries_match_mps0(levels, fc, es):
-    """The zigzag scan gives the dynamic program's trades for W=1 and a
-    constant cost, down to the tick indices."""
+def _assert_boundaries_match_mps0(levels, fc, es, oracle=mps0):
+    """Extraction gives the MPS's trades for W=1 and a constant cost, down
+    to the tick indices; ``mps0`` runs the same scan, ``_slope_runs_mps0``
+    the dynamic program it replaced."""
     ticks = ticks_from_deltas(levels, es)
     records = extract_otes(ticks, fc, Fraction("4.00"), es)
-    trades = mps0([t.price for t in ticks], fc, 1, es).trades
+    trades = oracle([t.price for t in ticks], fc, 1, es).trades
     assert len(records) == len(trades)
     for record, trade in zip(records, trades):
         assert (record.start, record.stop - 1) == (trade.start, trade.end)
@@ -258,7 +260,7 @@ def _assert_boundaries_match_mps0(levels, fc, es):
 _MPS0_FCS = [Fraction("6.24"), Fraction("12.49"), Fraction("24.99")]
 
 
-def test_extraction_boundaries_match_mps0_trades(es):
+def _seeded_walks():
     rng = random.Random(2013)
     for _ in range(25):
         level = 0
@@ -266,13 +268,65 @@ def test_extraction_boundaries_match_mps0_trades(es):
         for _ in range(rng.randint(30, 120)):
             level += rng.choice([-3, -2, -1, 0, 1, 2, 3])
             levels.append(level)
-        _assert_boundaries_match_mps0(levels, rng.choice(_MPS0_FCS), es)
+        yield levels, rng.choice(_MPS0_FCS)
+
+
+def test_extraction_boundaries_match_mps0_trades(es):
+    for levels, fc in _seeded_walks():
+        _assert_boundaries_match_mps0(levels, fc, es)
+
+
+def test_extraction_boundaries_match_slope_runs_trades(es):
+    for levels, fc in _seeded_walks():
+        _assert_boundaries_match_mps0(levels, fc, es, _slope_runs_mps0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, 3), max_size=120), st.sampled_from(_MPS0_FCS))
 def test_extraction_boundaries_match_mps0_under_hypothesis(steps, fc):
     _assert_boundaries_match_mps0(list(accumulate(steps, initial=0)), fc, PRESETS["ES"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=120), st.sampled_from(_MPS0_FCS))
+def test_extraction_boundaries_match_slope_runs_under_hypothesis(steps, fc):
+    _assert_boundaries_match_mps0(list(accumulate(steps, initial=0)), fc, PRESETS["ES"],
+                                  _slope_runs_mps0)
+
+
+def test_ote_and_mps_run_one_scan(es, monkeypatch):
+    thresholds = []
+    real = mps_module.scan_trades
+    monkeypatch.setattr(mps_module, "scan_trades",
+                        lambda deltas, threshold, state, i:
+                        thresholds.append(threshold) or real(deltas, threshold, state, i))
+    ticks = ticks_from_deltas(zigzag_levels([0, 15, 3, 20, 5]), es)
+    threshold = birth_threshold(FC4999, es)
+    records = extract_otes(ticks, FC4999, C, es)
+    assert thresholds == [threshold]
+    trades = mps0([t.price for t in ticks], FC4999, 1, es).trades
+    assert thresholds == [threshold] * 2
+    assert [(r.start, r.stop - 1) for r in records] == [(t.start, t.end) for t in trades]
+    extractor = OteExtractor(FC4999, C, es)
+    for tick in ticks[:5]:
+        extractor.push(tick)
+    assert thresholds == [threshold] * 7
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=120), st.sampled_from(_MPS0_FCS),
+       st.integers(-50, 50))
+def test_mirror_swaps_and_translation_keeps_the_records(steps, fc, shift):
+    es = PRESETS["ES"]
+    levels = list(accumulate(steps, initial=0))
+    span = lambda r: (r.start, r.birth, r.stop, r.ended, r.pl, r.scenario, r.closed)
+    records = extract_otes(ticks_from_deltas(levels, es), fc, C, es)
+    mirrored = extract_otes(ticks_from_deltas([-n for n in levels], es), fc, C, es)
+    swap = {OteType.BOTE: OteType.SOTE, OteType.SOTE: OteType.BOTE}
+    assert [(swap[r.ote_type], span(r)) for r in mirrored] == \
+        [(r.ote_type, span(r)) for r in records]
+    shifted = extract_otes(ticks_from_deltas([n + shift for n in levels], es), fc, C, es)
+    assert [(r.ote_type, span(r)) for r in shifted] == [(r.ote_type, span(r)) for r in records]
 
 
 def _classify_scenario(current, subsequent, spec):
@@ -698,9 +752,7 @@ def test_batch_on_columns_matches_batch_on_ticks(es):
     ticks = ticks_from_deltas(levels, es, sizes=[rng.choice([0, 1, 2]) for _ in levels])
     columns = parse_ticks(serialize_ticks(ticks).splitlines(), es)
     for fc in (FC4999, "12.49"):
-        for indicative in (False, True):
-            assert extract_otes(columns, fc, C, es, indicative) == \
-                extract_otes(ticks, fc, C, es, indicative)
+        assert extract_otes(columns, fc, C, es) == extract_otes(ticks, fc, C, es)
 
 
 @settings(max_examples=60, deadline=None)
@@ -743,15 +795,14 @@ class OteStreamMachine(RuleBasedStateMachine):
         self.es = PRESETS["ES"]
         self.clock = datetime(2017, 4, 10, 9, 0, 0)
         self.level = 9000
-        self._start_session(False)
+        self._start_session()
 
-    def _start_session(self, include_indicative):
-        self.include = include_indicative
-        self.extractor = OteExtractor("24.99", C, self.es, include_indicative)
+    def _start_session(self):
+        self.extractor = OteExtractor("24.99", C, self.es)
         self.ticks, self.streamed = [], []
 
     def _batch(self):
-        return extract_otes(self.ticks, "24.99", C, self.es, self.include)
+        return extract_otes(self.ticks, "24.99", C, self.es)
 
     @rule(step=st.integers(-3, 3), seconds=st.sampled_from([0, 1, 7]),
           size=st.sampled_from([0, 1, 1, 2]))
@@ -762,11 +813,11 @@ class OteStreamMachine(RuleBasedStateMachine):
         self.ticks.append(tick)
         self.streamed.extend(self.extractor.push(tick))
 
-    @rule(include_indicative=st.booleans())
-    def finish(self, include_indicative):
+    @rule()
+    def finish(self):
         self.streamed.extend(self.extractor.finish())
         assert self.streamed == self._batch()
-        self._start_session(include_indicative)
+        self._start_session()
 
     @invariant()
     def records_and_live_trade_match_batch(self):
@@ -782,7 +833,7 @@ class OteStreamMachine(RuleBasedStateMachine):
         assert (live.ote_type, live.start, live.birth) == (last.ote_type, last.start, last.birth)
         assert (live.t_start, live.p_start, live.t_birth, live.p_birth) == \
             (last.t_start, last.p_start, last.t_birth, last.p_birth)
-        assert live.stop == sum(1 for t in self.ticks if self.include or not t.indicative)
+        assert live.stop == sum(1 for t in self.ticks if not t.indicative)
 
 
 TestOteStreamMachine = OteStreamMachine.TestCase
