@@ -67,21 +67,28 @@ def _sum_dtype(p: UniverseParams) -> type:
     return np.float32 if _CHUNK_ROWS * 4 * p.n * p.limit ** 2 < 1 << 24 else np.float64
 
 
-def position_chunks(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+def position_chunks(p: UniverseParams, budget: int = DEFAULT_BUDGET,
+                    width: int | None = None) -> Iterator[np.ndarray]:
     """Stream the universe as integer position arrays of shape (rows, n).
 
     The dtype is the smallest that holds +-W.  A chunk has at most
     ``_CHUNK_ROWS`` rows, and few enough that its sums of one product per
     strategy, each at most 4nW^2, stay below the exact-integer bound of
     ``_sum_dtype(p)``: 2^24 for float32, 2^53 for float64 (see ``sweep``).
+    With ``width`` (at least n) the rows are (rows, width): the first n
+    columns are the unpadded block and the rest are zero, so they add
+    nothing to any sum and ``_actions_of`` still reads each row's first
+    action as its first position.
     """
     exact = 1 << (np.finfo(_sum_dtype(p)).nmant + 1)
-    return _chunks(p, budget, min(_CHUNK_ROWS, (exact - 1) // (4 * p.n * p.limit ** 2)))
+    return _chunks(p, budget, min(_CHUNK_ROWS, (exact - 1) // (4 * p.n * p.limit ** 2)), width)
 
 
-def _chunks(p: UniverseParams, budget: int, rows: int) -> Iterator[np.ndarray]:
+def _chunks(p: UniverseParams, budget: int, rows: int,
+            width: int | None = None) -> Iterator[np.ndarray]:
     """The universe in position chunks of at most ``rows`` rows (at least
-    one).  Chunks start at multiples of (2W+1)^k, the largest power that
+    one), ``width`` columns wide (n by default; the columns after n are
+    zero).  Chunks start at multiples of (2W+1)^k, the largest power that
     fits, so the k lowest digit columns are the same in every chunk: they
     are built once, and each chunk fills only the higher ones.
     """
@@ -89,12 +96,13 @@ def _chunks(p: UniverseParams, budget: int, rows: int) -> Iterator[np.ndarray]:
     if p.size >= 1 << 63:
         raise BudgetExceeded(f"universe (2W+1)^(n-1) = {p.size} has row indices past int64")
     base, w, n = p.base, p.limit, p.n
+    width = n if width is None else width
     rows = max(1, min(rows, p.size))
     span, k = 1, 0
     while k < n - 1 and span * base <= rows:
         span, k = span * base, k + 1
     rows -= rows % span
-    low = np.zeros((rows, n), dtype=_int_dtype(w))
+    low = np.zeros((rows, width), dtype=_int_dtype(w))
     idx = np.arange(rows)
     for col in range(k):
         low[:, col] = idx % base - w
@@ -102,7 +110,7 @@ def _chunks(p: UniverseParams, budget: int, rows: int) -> Iterator[np.ndarray]:
     for lo in range(0, p.size, rows):
         block = low[:min(rows, p.size - lo)].copy()
         high = np.arange(lo // span, lo // span + block.shape[0] // span)
-        spans = block.reshape(-1, span, n)
+        spans = block.reshape(-1, span, width)
         for col in range(k, n - 1):
             spans[:, :, col] = (high % base - w)[:, None]
             high //= base
@@ -177,6 +185,21 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     exact-integer bound (2^24 or 2^53), so they are exact integers in any
     summation order and are cast back to int64 before they are accumulated.
     A universe whose sums could reach 2^63 is refused with ``BudgetExceeded``.
+
+    The chunks are n rounded up to a multiple of 4 columns wide.  OpenBLAS
+    runs a float32 Gram on its full-width kernels only at such widths: on a
+    13,122-row chunk (2-vCPU Xeon, OpenBLAS 0.3.31) widths 8 and 16 took 65
+    and 146 us, widths 7 and 13 took 284 and 223 us.  The pad columns are
+    zero, so every sum reads them as zero actions, and their count is taken
+    off ``action_counts[0]`` at the end.  An even row length also lets the
+    actions, shifted to 0..4W in uint8, pair up as uint16: while 4W+1 <= 256
+    one ``bincount`` over 256(4W+1) bins counts them two at a time, and the
+    bins are folded into per-value counts once per sweep.  Past that,
+    ``np.unique`` adds each chunk's counts into one (4W+1)-entry table.  The
+    action Gram is not formed per chunk: U = DW row by row, with D the
+    first difference and W_0 = 0, so sum UU' = D (sum WW') D', read off the
+    position Gram in exact int64.  Each chunk's float positions are freed
+    right after their Gram, before the action copies are built.
     """
     _check_budget(p, budget)
     n, w = p.n, p.limit
@@ -184,27 +207,37 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     if p.size * per_row >= 1 << 63:
         raise BudgetExceeded(
             f"sums up to size*4nW^2 = {p.size * per_row} would overflow int64")
-    counts = np.zeros(4 * w + 1, dtype=np.int64)
-    slice_abs = np.zeros(n, dtype=np.int64)
-    slice_row_abs = np.zeros(n, dtype=np.int64)
-    gw = np.zeros((n, n), dtype=np.int64)
-    gu = np.zeros((n, n), dtype=np.int64)
-    ga = np.zeros((n, n), dtype=np.int64)
+    width = -(-n // 4) * 4
+    values = 4 * w + 1
+    paired = values <= 256
+    counts = np.zeros(256 * values if paired else values, dtype=np.int64)
+    slice_abs = np.zeros(width, dtype=np.int64)
+    slice_row_abs = np.zeros(width, dtype=np.int64)
+    gw = np.zeros((width, width), dtype=np.int64)
+    ga = np.zeros((width, width), dtype=np.int64)
     max_row = -1
     max_row_count = 0
     dtype = _sum_dtype(p)
-    for block in position_chunks(p, budget):
+    ones = np.ones(width, dtype)
+    for block in position_chunks(p, budget, width=width):
         assert block.shape[0] * per_row < 1 << (np.finfo(dtype).nmant + 1)
-        u = _actions_of(block, w)
-        counts += np.bincount((u + 2 * w).ravel(), minlength=4 * w + 1)
         wf = block.astype(dtype)
+        gw += (wf.T @ wf).astype(np.int64)
+        del wf
+        u = _actions_of(block, w)
+        if paired:
+            shifted = u.astype(np.uint8)
+            shifted += 2 * w
+            counts += np.bincount(shifted.view(np.uint16).ravel(), minlength=256 * values)
+            del shifted
+        else:
+            seen, times = np.unique(u, return_counts=True)
+            counts[seen.astype(np.int64) + 2 * w] += times
         uf = u.astype(dtype)
         af = np.abs(uf)
-        rows = np.dot(af, np.ones(n, dtype))
+        rows = np.dot(af, ones)
         slice_abs += np.dot(np.ones(len(af), dtype), af).astype(np.int64)
         slice_row_abs += np.dot(rows, uf).astype(np.int64)
-        gw += (wf.T @ wf).astype(np.int64)
-        gu += (uf.T @ uf).astype(np.int64)
         ga += (af.T @ af).astype(np.int64)
         row_max = int(rows.max())
         if row_max > max_row:
@@ -213,17 +246,25 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
             max_row_count += int((rows == row_max).sum())
         # free this chunk's float copies before the next chunk's are built;
         # held across iterations they add about 2 MB to verify's peak RSS
-        del wf, uf, af, rows
+        del uf, af, rows
 
+    if paired:
+        # bin a + 256*b counts a pair (a, b) of shifted actions, in either byte order
+        pairs = counts.reshape(values, 256)
+        counts = pairs.sum(axis=0)[:values] + pairs.sum(axis=1)
+    counts[2 * w] -= p.size * (width - n)
+    gw = gw[:n, :n].copy()
+    diff = np.eye(n, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+    gu = diff @ gw @ diff.T
     return UniverseSums(
         params=p,
-        action_counts={m - 2 * p.limit: int(c) for m, c in enumerate(counts)},
-        slice_abs=tuple(int(x) for x in slice_abs),
+        action_counts=dict(zip(range(-2 * w, 2 * w + 1), map(int, counts))),
+        slice_abs=tuple(int(x) for x in slice_abs[:n]),
         slice_sq=tuple(int(x) for x in np.diagonal(gu)),
-        slice_row_abs=tuple(int(x) for x in slice_row_abs),
+        slice_row_abs=tuple(int(x) for x in slice_row_abs[:n]),
         gram_positions=gw,
         gram_actions=gu,
-        gram_abs_actions=ga,
+        gram_abs_actions=ga[:n, :n].copy(),
         total_abs=int(slice_abs.sum()),
         max_abs_row=max_row,
         max_abs_row_count=max_row_count,

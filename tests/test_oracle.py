@@ -310,6 +310,58 @@ def test_sweep_matches_frozen_int64_sweep_for_any_chunk_rows(data):
     assert _fields(swept) == _fields(_reference_sweep(p, chunk_rows=rows))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_padded_sweep_is_exact_on_both_counting_paths_with_a_short_last_chunk(data):
+    # actions counted in pairs from int8 (W <= 31, n in every residue mod 4,
+    # so 0-3 pad columns) or int16 (32 <= W <= 63), or by np.unique (W >= 64);
+    # chunks of 2(2W+1)^k rows never divide the odd universe size, so the
+    # last chunk is short
+    path = data.draw(st.sampled_from(["int8 pairs", "int16 pairs", "unique"]))
+    if path == "int8 pairs":
+        residue = data.draw(st.integers(0, 3))
+        n = data.draw(st.sampled_from([m for m in range(2, 9) if m % 4 == residue]))
+        top = 31
+        while (2 * top + 1) ** (n - 1) > 3000:
+            top -= 1
+        w = data.draw(st.integers(1, top))
+    else:
+        n, w = 2, data.draw(st.integers(32, 63) if path == "int16 pairs" else st.integers(64, 200))
+    p = UniverseParams(w, n)
+    rows = data.draw(st.sampled_from(
+        [2 * p.base ** k for k in range(n - 1) if p.size <= 512 * p.base ** k]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_ROWS", rows)
+        chunks = [len(block) for block in position_chunks(p)]
+        swept = sweep(p)
+    assert sum(chunks) == p.size and 0 < chunks[-1] < chunks[0] == rows
+    expected = _fields(_reference_sweep(p, chunk_rows=rows)) if w <= 63 else _direct_fields(p)
+    assert _fields(swept) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_position_chunks_pad_to_width_with_zero_columns(data):
+    w = data.draw(st.integers(1, 6))
+    max_n = 2
+    while (2 * w + 1) ** max_n <= 3000:
+        max_n += 1
+    p = UniverseParams(w, data.draw(st.integers(2, max_n)))
+    rows = data.draw(st.integers(1, p.size + 10))
+    width = data.draw(st.integers(p.n, p.n + 6))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_ROWS", rows)
+        plain = list(position_chunks(p))
+        padded = list(position_chunks(p, width=width))
+    # without width the blocks stay (rows, n): the per-row references rely on it
+    assert all(block.shape[1] == p.n for block in plain)
+    assert [block.shape for block in padded] == [(len(block), width) for block in plain]
+    for block, wide in zip(plain, padded):
+        assert wide.dtype == block.dtype
+        assert np.array_equal(wide[:, :p.n], block)
+        assert not wide[:, p.n:].any()
+
+
 def test_sweep_exact_past_int8_positions():
     # W = 200: int8 positions used to wrap, slice_sq read (2682328, 2682328)
     p = UniverseParams(200, 2)
