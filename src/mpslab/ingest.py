@@ -13,7 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
@@ -84,7 +85,9 @@ _DAY_US = 86_400_000_000
 _EPOCH = datetime(1, 1, 1)
 _US = timedelta(microseconds=1)
 _LAST_DAY = date.max.toordinal()        # days since _EPOCH of the day after date.max
-_SECOND_US = {f"{s:02d}": s * 1_000_000 for s in range(60)}     # clock seconds '00'..'59'
+_SECOND_US = {f":{s:02d}": s * 1_000_000 for s in range(60)}    # clock tails ':00'..':59'
+_HEAD, _TAIL = itemgetter(slice(None, -3)), itemgetter(slice(-3, None))   # 'HH:MM', ':SS'
+_BLOCK_LINES = 1000         # lines parsed per block by ``parse_ticks``
 
 
 def to_micros(ts: datetime) -> int:
@@ -174,16 +177,16 @@ def _clock_micros(text: str) -> int:
     return ((h * 60 + m) * 60 + s) * 1_000_000
 
 
-def _grid_deltas(fields: list[str], spec: ContractSpec, line_no: int) -> int:
+def _grid_deltas(price_text: str, size_text: str, spec: ContractSpec, line_no: int) -> int:
     """Grid count of a line's price text, checked in the order ticks are:
     price and size syntax, the grid, then a positive price.  Exponent
     notation is refused before any Fraction is built: '1e300000' would
     cost time and memory growing with the exponent."""
-    if "e" in fields[2] or "E" in fields[2]:
-        raise ParseError(f"line {line_no}: exponent notation in price {fields[2]!r}")
+    if "e" in price_text or "E" in price_text:
+        raise ParseError(f"line {line_no}: exponent notation in price {price_text!r}")
     try:
-        price = as_fraction(fields[2])
-        int(fields[3])
+        price = as_fraction(price_text)
+        int(size_text)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"line {line_no}: {exc}") from exc
     try:
@@ -205,17 +208,86 @@ def _check_decoded(line: str, line_no: int) -> None:
 
 def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> TickColumns:
     """Parse a tick stream in file order into columns, validating prices on
-    the grid.  Each distinct date and price text is converted once, and
-    clocks once per distinct 'HH:MM'.  Timestamps are whole seconds:
-    '09:00:00.250' is a bad timestamp."""
+    the grid.  Timestamps are whole seconds: '09:00:00.250' is a bad
+    timestamp.
+
+    The source is read in blocks of up to ``_BLOCK_LINES`` lines.  A block
+    of plain ASCII tick lines, all with 4 fields or all with 5, is split
+    once and converted column by column (``_parse_block``); any other block
+    (a comment or blank line, mixed field counts, a byte that is not ASCII,
+    a value that does not convert) goes whole to the per-line loop
+    (``_parse_lines``), which alone raises errors, with their line numbers.
+    Both share one set of caches, so each distinct date, 'HH:MM' and price
+    text is converted once.
+    """
     cols = TickColumns(spec)
+    caches = ({}, {}, {}, {}, {})      # days, minutes, grid, sizes, clocks
+    lines = iter(source)
+    line_no = 1
+    while block := list(islice(lines, _BLOCK_LINES)):
+        if not _parse_block(block, cols, caches):
+            _parse_lines(block, line_no, cols, caches)
+        line_no += len(block)
+    return cols
+
+
+def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
+    """Append the ticks of ``block`` column by column, with no bytecode per
+    line; False, with nothing appended, unless every line is a plain tick
+    line and every value converts.  The lines are joined around a NUL
+    sentinel and split once: a block of k-field lines is accepted only if
+    the sentinel is every (k+1)-th token and nowhere else."""
+    days, minutes, grid, size_of, _ = caches
+    count = len(block)
+    text = " \0 ".join(block)
+    if not text.isascii() or text.count("\0") != count - 1:
+        return False
+    tokens = text.split()
+    for stride in (5, 6):
+        if len(tokens) == stride * count - 1 and \
+                tokens[stride - 1::stride].count("\0") == count - 1:
+            break
+    else:
+        return False
+    dates, clocks, prices, sizes = (tokens[i::stride] for i in range(4))
+    heads = list(map(_HEAD, clocks))
+    try:
+        # the conversions of the per-line loop, once per distinct text; a
+        # failure of any sends the block to that loop, which reports it
+        day_set, head_set = set(dates), set(heads)
+        for key in day_set.difference(days):
+            days[key] = _day_micros(key)
+        for key in head_set.difference(minutes):
+            minutes[key] = _clock_micros(key + ":00")
+        for key in set(prices).difference(grid):
+            grid[key] = _grid_deltas(key, "0", cols.spec, 0)    # size "0" always passes
+        for key in set(sizes).difference(size_of):
+            if (size := int(key)) < 0:
+                return False
+            size_of[key] = size
+        seconds = list(map(_SECOND_US.__getitem__, map(_TAIL, clocks)))
+    except (ValueError, ArithmeticError, KeyError):
+        return False
+    if len(day_set) == 1:
+        day = days[dates[0]]
+        starts = map({head: day + minutes[head] for head in head_set}.__getitem__, heads)
+    else:
+        starts = map(add, map(days.__getitem__, dates), map(minutes.__getitem__, heads))
+    cols.times += map(add, starts, seconds)
+    cols.deltas += map(grid.__getitem__, prices)
+    cols.sizes += map(size_of.__getitem__, sizes)
+    cols.conditions += tokens[4::6] if stride == 6 else [None] * count
+    return True
+
+
+def _parse_lines(lines: Iterable[str], line_no: int, cols: TickColumns, caches: tuple) -> None:
+    """Append the ticks of ``lines``, numbered from ``line_no``, one line at
+    a time, skipping blank and '#' lines; a bad line raises its error."""
+    spec = cols.spec
     add_time, add_delta = cols.times.append, cols.deltas.append
     add_size, add_condition = cols.sizes.append, cols.conditions.append
-    days: dict[str, int] = {}
-    grid: dict[str, int] = {}
-    clock: dict[str, int] = {}
-    minutes: dict[str, int] = {}
-    for line_no, raw in enumerate(source, start=1):
+    days, minutes, grid, _, clock = caches
+    for line_no, raw in enumerate(lines, start=line_no):
         line = raw.strip()
         if not line.isascii():
             _check_decoded(line, line_no)
@@ -231,9 +303,9 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tic
             tod = clock.get(fields[1])
             if tod is None:
                 # 'HH:MM:SS' is its minute plus its seconds; a miss is checked whole
-                head, _, sec = fields[1].rpartition(":")
-                if (sec_us := _SECOND_US.get(sec)) is not None and head not in minutes:
-                    minutes[head] = _clock_micros(fields[1]) - sec_us
+                head, sec_us = fields[1][:-3], _SECOND_US.get(fields[1][-3:])
+                if sec_us is not None and head not in minutes:
+                    minutes[head] = _clock_micros(head + ":00")
                 tod = clock[fields[1]] = (_clock_micros(fields[1]) if sec_us is None
                                           else minutes[head] + sec_us)
         except (ValueError, OverflowError):
@@ -241,7 +313,7 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tic
                 from None
         n = grid.get(fields[2])
         if n is None:
-            n = grid[fields[2]] = _grid_deltas(fields, spec, line_no)
+            n = grid[fields[2]] = _grid_deltas(fields[2], fields[3], spec, line_no)
         try:
             size = int(fields[3])
         except ValueError as exc:
@@ -252,7 +324,6 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tic
         add_delta(n)
         add_size(size)
         add_condition(fields[4] if len(fields) == 5 else None)
-    return cols
 
 
 def trade_ticks(ticks: TickColumns) -> TickColumns:

@@ -20,9 +20,9 @@ from typing import NamedTuple, Sequence
 from .model import ContractSpec, Strategy
 from .numeric import BudgetExceeded, Rational, as_fraction, money_scale, scaled_ints
 
-# a request of more position states than this, n*(2W+1), is refused (exit 2)
-# before any work; the scan itself takes O(n) time and memory
-MAX_DP_STATES = 10 ** 7
+# a request of more prices than this is refused (exit 2) before any work;
+# the scan takes O(n) time and memory whatever the limit W
+MAX_PRICES = 10 ** 7 // 3
 
 # the scan state before any tick: no trade born, tick 0 the first extremes
 SCAN_START = (0, 0, 0, 0)
@@ -96,17 +96,15 @@ def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
     Returns exactly the maximum of the P&L formula over the universe
     (verified against the brute-force sweep); the do-nothing strategy keeps
     the result at or above zero.  Raises ``BudgetExceeded`` before any work
-    when n*(2W+1) exceeds ``MAX_DP_STATES``.
+    when there are more than ``MAX_PRICES`` prices.
     """
     n = len(prices)
     if n == 0:
         raise ValueError("need at least one price")
     if limit < 1:
         raise ValueError("position limit must be >= 1")
-    width = 2 * limit + 1
-    if n * width > MAX_DP_STATES:
-        raise BudgetExceeded(f"n*(2W+1) = {n * width} DP states, "
-                             f"over the limit of {MAX_DP_STATES}")
+    if n > MAX_PRICES:
+        raise BudgetExceeded(f"{n} prices, over the limit of {MAX_PRICES}")
     grid = {x: spec.to_deltas(x) for x in dict.fromkeys(prices)}   # each price once
     deltas = [grid[x] for x in prices]
     c = as_fraction(cost_per_transaction)

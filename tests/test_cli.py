@@ -382,11 +382,22 @@ def test_cost_at_or_above_fc_is_refused_whatever_the_ticks(tmp_path, capsys):
             assert run(capsys, [command, "--fc", "4", "--cost", "3.99", str(path)])[0] == 0
 
 
-def test_mps_refuses_oversized_tables(capsys):
+def test_mps_refuses_oversized_tables(capsys, monkeypatch):
+    # a huge limit costs nothing more: the P&L is W times that at W = 1
     code, out, err = run(capsys, ["mps", "--contract", "ES", "--cost", "1",
                                   "--W", "1000000000000", "--prices", "2370,2371"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["pl=48000000000000.00",
+                                    "strategy=1000000000000,-1000000000000"]
+    assert run(capsys, ["mps", "--contract", "ES", "--cost", "1",
+                        "--prices", "2370,2371"])[1].startswith("pl=48.00\n")
+    # too many prices is refused before any work, whatever the limit
+    from mpslab import mps
+    monkeypatch.setattr(mps, "MAX_PRICES", 2)
+    code, out, err = run(capsys, ["mps", "--contract", "ES", "--cost", "1",
+                                  "--prices", "2370,2371,2372"])
     assert (code, out) == (2, "")
-    assert err.startswith("budget refused:") and "DP states" in err
+    assert err == "budget refused: 3 prices, over the limit of 2\n"
 
 
 def test_cli_numbers_refuse_huge_exponents(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
 from itertools import groupby
@@ -258,6 +259,21 @@ def _outcome(parse, lines, spec):
         return type(exc), str(exc)
 
 
+# block sizes that put block boundaries next to every line of a short input,
+# and the default
+_BLOCK_SIZES = (1, 2, 3, ingest._BLOCK_LINES)
+
+
+def _assert_parses_like_reference(lines, spec):
+    """``parse_ticks`` at every block size gives the reference parser's
+    ticks, or its error type, message and line number."""
+    expected = _outcome(_reference_parse_ticks, lines, spec)
+    for size in _BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_LINES", size)
+            assert _outcome(_parsed, lines, spec) == expected, size
+
+
 # short junk: no exponent letters, so no token asks for a huge power of ten
 _junk = st.text(alphabet="0123456789:/-.+_ax#", max_size=6)
 _dates = st.builds(lambda d, sep: d.strftime(f"%Y{sep}%m{sep}%d"),
@@ -288,8 +304,7 @@ _lines = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.lists(_good_lines, max_size=30), st.lists(_lines, max_size=12)))
 def test_parse_matches_reference_parser(lines):
-    es = contract_for("ES")
-    assert _outcome(_parsed, lines, es) == _outcome(_reference_parse_ticks, lines, es)
+    _assert_parses_like_reference(lines, contract_for("ES"))
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
@@ -308,7 +323,97 @@ def test_clock_edge_cases_after_their_minute_is_cached(es, seed):
                  _ARABIC_INDIC), f"{head}:" + "05".translate(_ARABIC_INDIC), f"{head}:05.0"]
     for edge in edges:
         lines = fill + [f"2017/04/10 {edge} 2350.25 1", f"2017/04/10 {head}:59 2350.50 1"]
-        assert _outcome(_parsed, lines, es) == _outcome(_reference_parse_ticks, lines, es)
+        _assert_parses_like_reference(lines, es)
+
+
+def _tick_lines(rng, count, start=datetime(2017, 4, 9, 23, 40)):
+    """``count`` canonical 4-field tick lines in time order, crossing
+    midnight after about 1,200 lines."""
+    lines, t = [], start
+    for _ in range(count):
+        t += timedelta(seconds=rng.randrange(3))
+        lines.append(f"{t:%Y/%m/%d\t%H:%M:%S}\t{2350 + rng.randrange(-40, 40) / 4:.2f}"
+                     f"\t{rng.randrange(8)}")
+    return lines
+
+
+def test_irregular_lines_in_later_blocks_parse_like_reference(es):
+    # past the first default block: a comment, a blank line, a whole block
+    # of 5-field lines with a 4/5 switch inside the blocks on either side,
+    # and one bad line
+    rng = random.Random(21)
+    lines = _tick_lines(rng, 5600)
+    size = ingest._BLOCK_LINES
+    lines[size + size // 2] = "# a comment"
+    lines[2 * size + 7] = ""
+    run = slice(4 * size - 3, 5 * size + 3)
+    lines[run] = [line + "\tE" for line in lines[run]]
+    assert _parsed(lines, es) == _reference_parse_ticks(lines, es)
+    bad = 5 * size + 300
+    lines[bad] = lines[bad].replace(":", "", 1)
+    date_text, clock_text = lines[bad].split()[:2]
+    assert _outcome(_parsed, lines, es) == _outcome(_reference_parse_ticks, lines, es) \
+        == (ParseError, f"line {bad + 1}: bad timestamp {date_text!r} {clock_text!r}")
+
+
+def test_nul_and_undecodable_bytes_parse_like_reference(es):
+    # the block path joins lines around a NUL: a NUL field must not pass
+    # for that separator, and a byte decoding left as a surrogate is refused
+    good, later = "2017/04/10 09:00:00 2350 1", "2017/04/10 09:00:01 2350.25 2"
+    for lines in ([good, "\0 " + later + " E"], [good + " \0", later + " \0"],
+                  [good, later + " E\0"], [good + " \0", later], ["\0", good]):
+        _assert_parses_like_reference(lines, es)
+    for size in _BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_LINES", size)
+            with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff$"):
+                parse_ticks([good + " E", later + " E\udcff"], es)
+
+
+def test_regular_blocks_skip_the_per_line_loop(es, monkeypatch):
+    # a silent fallback would keep every other test green and lose the speed
+    real = ingest._parse_lines
+    calls = []
+
+    def per_line(lines, line_no, cols, caches):
+        calls.append((line_no, len(lines)))
+        if not allowed:
+            raise AssertionError(f"block at line {line_no} took the per-line loop")
+        return real(lines, line_no, cols, caches)
+
+    monkeypatch.setattr(ingest, "_parse_lines", per_line)
+    allowed = False
+    rng = random.Random(3)
+    four = _tick_lines(rng, 2500)
+    five = [line + "\tE" for line in _tick_lines(rng, 2500)]
+    for lines in (four, five):
+        assert _parsed(lines, es) == _reference_parse_ticks(lines, es)
+    allowed = True
+    size = ingest._BLOCK_LINES
+    commented = four[:size + 5] + ["# one comment"] + four[size + 5:]
+    assert _parsed(commented, es) == _reference_parse_ticks(commented, es)
+    assert calls == [(size + 1, size)]
+
+
+@pytest.mark.parametrize("count", [2 * 10 ** 4, 2 * 10 ** 5])
+def test_parse_memory_beyond_the_columns_is_bounded(tmp_path, count):
+    # what parse_ticks holds besides its result is one block of lines and
+    # the caches, whatever the length of the file
+    path = tmp_path / "ticks.tsv"
+    start = datetime(2017, 4, 10)
+    with open(path, "w") as fh:
+        fh.writelines(f"{start + timedelta(seconds=i):%Y/%m/%d\t%H:%M:%S}\t"
+                      f"{2350 + i % 40 / 4:.2f}\t{1 + i % 7}\n" for i in range(count))
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            tracemalloc.reset_peak()
+            ticks = parse_ticks(fh, PRESETS["ES"])
+            current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ticks) == count
+    assert peak - current < 2 << 20
 
 
 def test_parse_rejects_overflow_and_zero_division_with_line_numbers(es):

@@ -242,11 +242,13 @@ def test_two_pass_matches_brute_force(data, cost, limit):
 
 
 def test_refuses_oversized_tables_before_building_them(es, monkeypatch):
-    with pytest.raises(BudgetExceeded, match="4000000000002 DP states"):
-        mps0(["2370", "2371"], 1, 10 ** 12, es)
-    monkeypatch.setattr(mps_module, "MAX_DP_STATES", 15)
-    assert mps0(["2370"] * 5, 1, 1, es).pl == 0       # 5 * 3 states: at the limit
-    with pytest.raises(BudgetExceeded):
+    # only the number of prices counts: the limit scales one scan's actions
+    two = ["2370", "2371"]
+    assert mps0(two, 1, 10 ** 12, es).pl == 10 ** 12 * mps0(two, 1, 1, es).pl
+    monkeypatch.setattr(mps_module, "MAX_PRICES", 5)
+    assert mps0(["2370"] * 5, 1, 10 ** 12, es).pl == 0      # at the limit
+    monkeypatch.setattr(type(es), "to_deltas", lambda self, x: pytest.fail("work was done"))
+    with pytest.raises(BudgetExceeded, match="^6 prices, over the limit of 5$"):
         mps0(["2370"] * 6, 1, 1, es)
 
 
@@ -440,12 +442,14 @@ def test_memory_does_not_grow_with_the_limit(es):
 @pytest.mark.parametrize("second, cost", [("2371.00", 1), ("2369.00", 1),
                                           ("2370.25", "6.25"), ("2370.25", 7)])
 def test_two_ticks_at_the_largest_limit_under_budget(es, second, cost):
-    limit = (mps_module.MAX_DP_STATES // 2 - 1) // 2      # n(2W+1) = 9,999,998
-    result = mps0(["2370.00", second], cost, limit, es)
-    move = es.k * abs(as_fraction(second) - 2370)
-    assert result.pl == limit * max(0, move - 2 * as_fraction(cost))
-    if result.pl:
-        sign = 1 if as_fraction(second) > 2370 else -1
-        assert result.strategy == Strategy((sign * limit, -sign * limit))
-    else:
-        assert result.strategy.is_do_nothing()
+    # the largest limit the n(2W+1) budget let through for two ticks, the
+    # next one, which it refused, and far past both: all are answered
+    for limit in (2_499_999, 2_500_000, 10 ** 12):
+        result = mps0(["2370.00", second], cost, limit, es)
+        move = es.k * abs(as_fraction(second) - 2370)
+        assert result.pl == limit * max(0, move - 2 * as_fraction(cost))
+        if result.pl:
+            sign = 1 if as_fraction(second) > 2370 else -1
+            assert result.strategy == Strategy((sign * limit, -sign * limit))
+        else:
+            assert result.strategy.is_do_nothing()
