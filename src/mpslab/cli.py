@@ -30,6 +30,8 @@ from .numeric import BudgetExceeded, ExponentError, as_fraction, fmt_dollars, fm
 
 CONFIG_ENV = "MPSLAB_CONFIG"
 
+MAX_RANK_N = 1000   # `rank --n` past this exits 2 before the n^2-Fraction basis is built
+
 
 def _number(text: str) -> Fraction:
     """An exact number from the command line or a samples file; bad text is
@@ -192,6 +194,8 @@ def cmd_magma_table(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.n > MAX_RANK_N:
+        raise BudgetExceeded(f"n = {args.n}, over the limit of {MAX_RANK_N}")
     from . import vectors
     _emit(args, f"rank={vectors.rank_of_universe(args.n)}\n")
     return 0

@@ -13,9 +13,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import add, itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
 from .numeric import as_fraction
@@ -88,6 +88,7 @@ _LAST_DAY = date.max.toordinal()        # days since _EPOCH of the day after dat
 _SECOND_US = {f":{s:02d}": s * 1_000_000 for s in range(60)}    # clock tails ':00'..':59'
 _HEAD, _TAIL = itemgetter(slice(None, -3)), itemgetter(slice(-3, None))   # 'HH:MM', ':SS'
 _BLOCK_LINES = 1000         # lines parsed per block by ``parse_ticks``
+_UNDECODED = frozenset(map(chr, range(0xdc80, 0xdd00)))   # bytes 0x80-0xff left undecoded
 
 
 def to_micros(ts: datetime) -> int:
@@ -201,7 +202,7 @@ def _grid_deltas(price_text: str, size_text: str, spec: ContractSpec, line_no: i
 def _check_decoded(line: str, line_no: int) -> None:
     """Refuse a byte that was not UTF-8, which decoding with errors=
     'surrogateescape' (as the CLI reads) turned into a lone surrogate."""
-    bad = next((c for c in line if "\udc80" <= c <= "\udcff"), None)
+    bad = next((c for c in line if c in _UNDECODED), None)
     if bad is not None:
         raise ParseError(f"line {line_no}: invalid UTF-8 byte 0x{ord(bad) - 0xdc00:02x}")
 
@@ -211,119 +212,110 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tic
     the grid.  Timestamps are whole seconds: '09:00:00.250' is a bad
     timestamp.
 
-    The source is read in blocks of up to ``_BLOCK_LINES`` lines.  A block
-    of plain ASCII tick lines, all with 4 fields or all with 5, is split
-    once and converted column by column (``_parse_block``); any other block
-    (a comment or blank line, mixed field counts, a byte that is not ASCII,
-    a value that does not convert) goes whole to the per-line loop
-    (``_parse_lines``), which alone raises errors, with their line numbers.
-    Both share one set of caches, so each distinct date, 'HH:MM' and price
-    text is converted once.
+    The source is read in blocks of up to ``_BLOCK_LINES`` lines, and each
+    block is converted column by column (``_parse_block``), with caches
+    shared across blocks, so each distinct date, 'HH:MM' and price text is
+    converted once.  Only a block that holds a bad line reaches
+    ``_raise_first_error``, which raises that line's error with its number.
     """
     cols = TickColumns(spec)
-    caches = ({}, {}, {}, {}, {})      # days, minutes, grid, sizes, clocks
+    caches = ({}, {}, {}, {})      # days, minutes, grid, sizes
     lines = iter(source)
     line_no = 1
     while block := list(islice(lines, _BLOCK_LINES)):
         if not _parse_block(block, cols, caches):
-            _parse_lines(block, line_no, cols, caches)
+            _raise_first_error(block, line_no, spec)
         line_no += len(block)
     return cols
 
 
 def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
-    """Append the ticks of ``block`` column by column, with no bytecode per
-    line; False, with nothing appended, unless every line is a plain tick
-    line and every value converts.  The lines are joined around a NUL
-    sentinel and split once: a block of k-field lines is accepted only if
-    the sentinel is every (k+1)-th token and nowhere else."""
-    days, minutes, grid, size_of, _ = caches
+    """Append the ticks of ``block`` column by column; False, with nothing
+    appended, if a line is bad.  A block of ASCII lines with no '#' is
+    joined around a NUL sentinel and split once, and cut into columns this
+    way if its lines all have k = 4 or all k = 5 fields: the sentinel is
+    every (k+1)-th token and nowhere else.  Any other block is split line by
+    line, skipping blank and '#' lines."""
+    days, minutes, grid, size_of = caches
     count = len(block)
     text = " \0 ".join(block)
-    if not text.isascii() or text.count("\0") != count - 1:
-        return False
-    tokens = text.split()
+    plain = text.isascii() and "#" not in text and text.count("\0") == count - 1
+    tokens = text.split() if plain else ()
     for stride in (5, 6):
         if len(tokens) == stride * count - 1 and \
                 tokens[stride - 1::stride].count("\0") == count - 1:
+            dates, clocks, prices, sizes = (tokens[i::stride] for i in range(4))
+            conditions = tokens[4::6] if stride == 6 else [None] * count
             break
     else:
-        return False
-    dates, clocks, prices, sizes = (tokens[i::stride] for i in range(4))
-    heads = list(map(_HEAD, clocks))
+        if not text.isascii() and not _UNDECODED.isdisjoint(text):
+            return False
+        rows = [fields for fields in map(str.split, block) if fields and fields[0][0] != "#"]
+        if not set(map(len, rows)) <= {4, 5}:
+            return False
+        dates, clocks, prices, sizes = ([fields[i] for fields in rows] for i in range(4))
+        conditions = [fields[4] if len(fields) == 5 else None for fields in rows]
     try:
-        # the conversions of the per-line loop, once per distinct text; a
-        # failure of any sends the block to that loop, which reports it
-        day_set, head_set = set(dates), set(heads)
+        # each distinct text converted once; a failure means a bad line
+        day_set = set(dates)
         for key in day_set.difference(days):
             days[key] = _day_micros(key)
-        for key in head_set.difference(minutes):
-            minutes[key] = _clock_micros(key + ":00")
+        try:
+            # 'HH:MM:SS' is its minute plus its seconds
+            seconds = list(map(_SECOND_US.__getitem__, map(_TAIL, clocks)))
+        except KeyError:        # a clock of another shape, such as '9:0:5', converts whole
+            heads, seconds = clocks, repeat(0)
+            head_us = {clock: _clock_micros(clock) for clock in set(clocks)}
+            head_set = head_us.keys()
+        else:
+            heads, head_us = list(map(_HEAD, clocks)), minutes
+            head_set = set(heads)
+            for key in head_set.difference(minutes):
+                minutes[key] = _clock_micros(key + ":00")
         for key in set(prices).difference(grid):
             grid[key] = _grid_deltas(key, "0", cols.spec, 0)    # size "0" always passes
         for key in set(sizes).difference(size_of):
             if (size := int(key)) < 0:
                 return False
             size_of[key] = size
-        seconds = list(map(_SECOND_US.__getitem__, map(_TAIL, clocks)))
-    except (ValueError, ArithmeticError, KeyError):
+    except (ValueError, ArithmeticError):
         return False
     if len(day_set) == 1:
         day = days[dates[0]]
-        starts = map({head: day + minutes[head] for head in head_set}.__getitem__, heads)
+        starts = map({head: day + head_us[head] for head in head_set}.__getitem__, heads)
     else:
-        starts = map(add, map(days.__getitem__, dates), map(minutes.__getitem__, heads))
+        starts = map(add, map(days.__getitem__, dates), map(head_us.__getitem__, heads))
     cols.times += map(add, starts, seconds)
     cols.deltas += map(grid.__getitem__, prices)
     cols.sizes += map(size_of.__getitem__, sizes)
-    cols.conditions += tokens[4::6] if stride == 6 else [None] * count
+    cols.conditions += conditions
     return True
 
 
-def _parse_lines(lines: Iterable[str], line_no: int, cols: TickColumns, caches: tuple) -> None:
-    """Append the ticks of ``lines``, numbered from ``line_no``, one line at
-    a time, skipping blank and '#' lines; a bad line raises its error."""
-    spec = cols.spec
-    add_time, add_delta = cols.times.append, cols.deltas.append
-    add_size, add_condition = cols.sizes.append, cols.conditions.append
-    days, minutes, grid, _, clock = caches
+def _raise_first_error(lines: Iterable[str], line_no: int, spec: ContractSpec) -> NoReturn:
+    """Raise the error of the first bad line of ``lines``, numbered from
+    ``line_no``: a byte that was not UTF-8, the field count, the timestamp,
+    the price and size syntax, the grid, a price that is not positive, a
+    negative size, in that order.  ``_parse_block`` refused the block, so
+    one line is bad."""
     for line_no, raw in enumerate(lines, start=line_no):
         line = raw.strip()
-        if not line.isascii():
-            _check_decoded(line, line_no)
+        _check_decoded(line, line_no)
         if not line or line[0] == "#":
             continue
         fields = line.split()
         if len(fields) not in (4, 5):
             raise ParseError(f"line {line_no}: expected 4 or 5 fields, got {len(fields)}")
         try:
-            day = days.get(fields[0])
-            if day is None:
-                day = days[fields[0]] = _day_micros(fields[0])
-            tod = clock.get(fields[1])
-            if tod is None:
-                # 'HH:MM:SS' is its minute plus its seconds; a miss is checked whole
-                head, sec_us = fields[1][:-3], _SECOND_US.get(fields[1][-3:])
-                if sec_us is not None and head not in minutes:
-                    minutes[head] = _clock_micros(head + ":00")
-                tod = clock[fields[1]] = (_clock_micros(fields[1]) if sec_us is None
-                                          else minutes[head] + sec_us)
+            _day_micros(fields[0])
+            _clock_micros(fields[1])
         except (ValueError, OverflowError):
             raise ParseError(f"line {line_no}: bad timestamp {fields[0]!r} {fields[1]!r}") \
                 from None
-        n = grid.get(fields[2])
-        if n is None:
-            n = grid[fields[2]] = _grid_deltas(fields[2], fields[3], spec, line_no)
-        try:
-            size = int(fields[3])
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
-        if size < 0:
+        _grid_deltas(fields[2], fields[3], spec, line_no)       # also the size's syntax
+        if int(fields[3]) < 0:
             raise ParseError(f"line {line_no}: tick size must be non-negative")
-        add_time(day + tod)
-        add_delta(n)
-        add_size(size)
-        add_condition(fields[4] if len(fields) == 5 else None)
+    raise AssertionError("a refused block with no bad line")
 
 
 def trade_ticks(ticks: TickColumns) -> TickColumns:

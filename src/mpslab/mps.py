@@ -89,6 +89,14 @@ def scan_trades(deltas: Sequence[int], threshold: int, state: tuple,
     return trades, (direction, start, birth, ext_i)
 
 
+def birth_threshold(filtering_cost: Rational, spec: ContractSpec) -> int:
+    """Deltas the price must retrace to prove a new trade: floor(2FC/(dk))+1."""
+    fc = as_fraction(filtering_cost)
+    if fc < 0:
+        raise ValueError("filtering cost must be non-negative")
+    return 2 * fc // spec.delta_dollars + 1
+
+
 def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
          spec: ContractSpec) -> MpsResult:
     """The strategy with maximum P&L under the position limit.
@@ -114,7 +122,7 @@ def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
     scale = money_scale([kd, c])
     kd_i, c_i = scaled_ints([kd, c], scale)
 
-    trades, live = scan_trades(deltas, 2 * c_i // kd_i + 1, SCAN_START, 0)
+    trades, live = scan_trades(deltas, birth_threshold(c, spec), SCAN_START, 0)
     if live[0]:
         trades.append(live)           # the last trade ends at its extreme
     actions = [0] * n

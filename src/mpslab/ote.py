@@ -40,12 +40,7 @@ _BOTE, _SOTE = OteType
 _GREW, _REPLACED, _ENDED = Scenario
 
 
-def birth_threshold(filtering_cost: Rational, spec: ContractSpec) -> int:
-    """Deltas the price must retrace to prove a new trade: floor(2FC/(dk))+1."""
-    fc = as_fraction(filtering_cost)
-    if fc < 0:
-        raise ValueError("filtering cost must be non-negative")
-    return math.floor(2 * fc / spec.delta_dollars) + 1
+birth_threshold = mps.birth_threshold
 
 
 def permitted_profit_grid(filtering_cost: Rational, cost: Rational,

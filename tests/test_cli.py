@@ -79,6 +79,19 @@ def test_rank(capsys):
     assert code == 0 and out.strip() == "rank=7"
 
 
+def test_rank_over_its_bound_is_refused_before_the_basis_is_built(capsys, monkeypatch):
+    # the exact rank costs n^2 Fractions; the bound itself still runs
+    from mpslab import cli, vectors
+    calls = []
+    monkeypatch.setattr(vectors, "rank_of_universe", lambda n: calls.append(n) or n - 1)
+    bound = cli.MAX_RANK_N
+    assert run(capsys, ["rank", "--n", str(bound)]) == (0, f"rank={bound - 1}\n", "")
+    code, out, err = run(capsys, ["rank", "--n", str(bound + 1)])
+    assert (code, out) == (2, "")
+    assert err == f"budget refused: n = {bound + 1}, over the limit of {bound}\n"
+    assert calls == [bound]
+
+
 def test_mps_inline_prices(capsys):
     code, out, _ = run(capsys, ["mps", "--contract", "ES", "--cost", "5",
                                 "--prices", "2369.50,2369.75,2370.00"])

@@ -371,28 +371,36 @@ def test_nul_and_undecodable_bytes_parse_like_reference(es):
 
 
 def test_regular_blocks_skip_the_per_line_loop(es, monkeypatch):
-    # a silent fallback would keep every other test green and lose the speed
-    real = ingest._parse_lines
+    # every valid block is converted by columns: only a block holding a bad
+    # line reaches the per-line error path, once, and the error names it
+    real = ingest._raise_first_error
     calls = []
 
-    def per_line(lines, line_no, cols, caches):
-        calls.append((line_no, len(lines)))
-        if not allowed:
-            raise AssertionError(f"block at line {line_no} took the per-line loop")
-        return real(lines, line_no, cols, caches)
+    def first_error(lines, line_no, spec):
+        calls.append(line_no)
+        real(lines, line_no, spec)
 
-    monkeypatch.setattr(ingest, "_parse_lines", per_line)
-    allowed = False
+    monkeypatch.setattr(ingest, "_raise_first_error", first_error)
     rng = random.Random(3)
-    four = _tick_lines(rng, 2500)
-    five = [line + "\tE" for line in _tick_lines(rng, 2500)]
-    for lines in (four, five):
-        assert _parsed(lines, es) == _reference_parse_ticks(lines, es)
-    allowed = True
     size = ingest._BLOCK_LINES
-    commented = four[:size + 5] + ["# one comment"] + four[size + 5:]
-    assert _parsed(commented, es) == _reference_parse_ticks(commented, es)
-    assert calls == [(size + 1, size)]
+    four = _tick_lines(rng, size)
+    five = [line + "\tE" for line in _tick_lines(rng, size)]
+    commented = _tick_lines(rng, size - 1)
+    commented.insert(7, "# one two three")             # as many tokens as a tick line
+    blank = _tick_lines(rng, size - 2)
+    blank[7:7] = ["", "#"]
+    mixed = [line + "\tE" * (i % 2) for i, line in enumerate(_tick_lines(rng, size))]
+    non_ascii = [line + "\t\u00c9" for line in _tick_lines(rng, size)]
+    nul = _tick_lines(rng, size)
+    nul[9] += "\t\0"
+    lines = four + five + commented + blank + mixed + non_ascii + nul
+    assert _parsed(lines, es) == _reference_parse_ticks(lines, es)
+    assert calls == []
+    bad = 4 * size + 300                                # in the mixed block
+    lines[bad] = lines[bad].replace(":", "", 1)
+    with pytest.raises(ParseError, match=f"^line {bad + 1}: bad timestamp "):
+        parse_ticks(lines, es)
+    assert calls == [4 * size + 1]
 
 
 @pytest.mark.parametrize("count", [2 * 10 ** 4, 2 * 10 ** 5])
