@@ -68,7 +68,10 @@ def _printable_universe(args):
     largest figure, n*(2W+1)^(n-1), has more digits than Python prints."""
     from .distribution import UniverseParams
     p = UniverseParams(args.W, args.n)
-    digits = int(math.log10(p.n) + (p.n - 1) * math.log10(p.base)) + 1
+    try:
+        digits = int(math.log10(p.n) + (p.n - 1) * math.log10(p.base)) + 1
+    except OverflowError:       # n past the float range: far too many digits for any limit
+        raise BudgetExceeded("n*(2W+1)^(n-1) has more digits than a float can count") from None
     limit = sys.get_int_max_str_digits()
     if limit and digits > limit:
         raise BudgetExceeded(f"n*(2W+1)^(n-1) has {digits} digits, "
@@ -151,17 +154,15 @@ def cmd_dist(args) -> int:
     from . import distribution as dist
     p = _printable_universe(args)
     pmf = dist.action_pmf(p)
-    rows = ["m\tcount\tpmf\tcdf"]
-    cum = Fraction(0)
-    for m in sorted(pmf):
-        cum += pmf[m]
-        rows.append("\t".join([str(m), str(dist.action_count(m, p)),
-                               repr(float(pmf[m])), repr(float(cum))]))
+    table = [(m, dist.action_count(m, p), pmf[m]) for m in sorted(pmf)]
     if args.format == "json":
-        payload = [{"m": m, "count": dist.action_count(m, p),
-                    "pmf": float(pmf[m])} for m in sorted(pmf)]
+        payload = [{"m": m, "count": count, "pmf": float(f)} for m, count, f in table]
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
+        rows, cum = ["m\tcount\tpmf\tcdf"], Fraction(0)
+        for m, count, f in table:
+            cum += f
+            rows.append("\t".join([str(m), str(count), repr(float(f)), repr(float(cum))]))
         _emit(args, "\n".join(rows) + "\n", _DIST_PLOT)
     return 0
 
@@ -331,11 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mpslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", help="write output to this path instead of stdout")
-            p.add_argument("--emit-plot", action="store_true",
-                           help="also write a gnuplot script next to --out")
+    def common(p):
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.add_argument("--emit-plot", action="store_true",
+                       help="also write a gnuplot script next to --out")
 
     p = sub.add_parser("counts", help="closed-form universe counts")
     p.add_argument("--W", type=int, required=True)

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import Strategy, _checked_make
+from .model import PositionSeries, Strategy, _checked_make, positions_to_strategy
 from .numeric import Rational, as_fraction, as_fractions
 
 
@@ -213,12 +213,7 @@ def extreme_gain_strategies(p: UniverseParams) -> ExtremeGain:
     reversal chain (W, -2W, ..., 2W, -W) and its negation."""
     w, n = p.limit, p.n
     positions = [w if i % 2 == 0 else -w for i in range(n - 1)] + [0]
-    actions = []
-    prev = 0
-    for pos in positions:
-        actions.append(pos - prev)
-        prev = pos
-    witness = Strategy(tuple(actions))
+    witness = positions_to_strategy(PositionSeries(positions))
     return ExtremeGain(max_gain=2 * w * (n - 1), witness_count=2,
                        witnesses=(witness, -witness))
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .model import ContractSpec, Strategy
-from .numeric import BudgetExceeded, Rational, as_fraction, money_scale, scaled_ints
+from .numeric import BudgetExceeded, Rational, as_fraction
 
 # a request of more prices than this is refused (exit 2) before any work;
 # the scan takes O(n) time and memory whatever the limit W
@@ -97,6 +97,12 @@ def birth_threshold(filtering_cost: Rational, spec: ContractSpec) -> int:
     return 2 * fc // spec.delta_dollars + 1
 
 
+def trade_pl(move: int, cost: Fraction, spec: ContractSpec) -> Fraction:
+    """P&L of one contract traded over ``move`` deltas in its favour, paying
+    ``cost`` in and ``cost`` out: k*delta*move - 2c."""
+    return spec.delta_dollars * move - 2 * cost
+
+
 def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
          spec: ContractSpec) -> MpsResult:
     """The strategy with maximum P&L under the position limit.
@@ -118,18 +124,18 @@ def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
     c = as_fraction(cost_per_transaction)
     if c < 0:
         raise ValueError("cost must be non-negative")
-    kd = spec.delta_dollars
-    scale = money_scale([kd, c])
-    kd_i, c_i = scaled_ints([kd, c], scale)
-
     trades, live = scan_trades(deltas, birth_threshold(c, spec), SCAN_START, 0)
     if live[0]:
         trades.append(live)           # the last trade ends at its extreme
     actions = [0] * n
+    move = 0
     for direction, start, _, end in trades:
         actions[start] += direction * limit
         actions[end] -= direction * limit
-    pl = -sum(kd_i * d * u + c_i * abs(u) for d, u in zip(deltas, actions) if u)
-    return MpsResult(Strategy(actions), Fraction(pl, scale),
+        move += (deltas[end] - deltas[start]) * direction
+    # each trade ends where the next starts, so the chain's P&L is the sum of
+    # its trades': k*delta times the total move, less the round trip 2c per trade
+    pl = limit * trade_pl(move, len(trades) * c, spec)
+    return MpsResult(Strategy(actions), pl,
                      tuple(MpsTrade(start, end, direction)
                            for direction, start, _, end in trades))

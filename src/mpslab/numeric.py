@@ -71,12 +71,7 @@ def scaled_ints(values: Sequence[Fraction], scale: int) -> list[int]:
 
 def fmt_dollars(x: Fraction) -> str:
     """Render a dollar amount, exact to the cent when it is one."""
-    cents, rest = divmod(x.numerator * 100, x.denominator)
-    if rest:
-        return repr(float(x))
-    sign = "-" if cents < 0 else ""
-    whole, cents = divmod(abs(cents), 100)
-    return f"{sign}{whole}.{cents:02d}"
+    return fmt_price(x, Fraction(1, 100))
 
 
 def fmt_price(x: Fraction, delta: Fraction) -> str:

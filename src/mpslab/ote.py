@@ -50,17 +50,15 @@ def permitted_profit_grid(filtering_cost: Rational, cost: Rational,
     c = as_fraction(cost)
     if c >= fc:
         raise ValueError("actual cost must be below the filtering cost")
-    kd = spec.delta_dollars
-    pl_min = kd * birth_threshold(fc, spec) - 2 * c
-    return tuple(pl_min + kd * i for i in range(i_max + 1))
+    threshold = birth_threshold(fc, spec)
+    return tuple(mps.trade_pl(threshold + i, c, spec) for i in range(i_max + 1))
 
 
 def on_permitted_grid(pl_value: Rational, filtering_cost: Rational, cost: Rational,
                       spec: ContractSpec) -> bool:
     """True iff the profit sits exactly on the permitted lattice."""
-    kd = spec.delta_dollars
-    pl_min = kd * birth_threshold(filtering_cost, spec) - 2 * as_fraction(cost)
-    steps = (as_fraction(pl_value) - pl_min) / kd
+    pl_min = mps.trade_pl(birth_threshold(filtering_cost, spec), as_fraction(cost), spec)
+    steps = (as_fraction(pl_value) - pl_min) / spec.delta_dollars
     return steps.denominator == 1 and steps >= 0
 
 
@@ -208,7 +206,7 @@ class OteExtractor:
             move = abs(deltas[end] - deltas[s])
             pl = pl_of.get(move)
             if pl is None:
-                pl = pl_of[move] = self.spec.delta_dollars * move - 2 * self.cost
+                pl = pl_of[move] = mps.trade_pl(move, self.cost, self.spec)
             if (deltas[end] - deltas[b]) * direction > 0:
                 scenario = _GREW
             else:

@@ -242,6 +242,9 @@ def test_counts_and_dist_refuse_unprintable_universes(capsys):
         code, out, err = run(capsys, [command, "--W", "1", "--n", "100000"])
         assert (code, out) == (2, "")
         assert err.startswith("budget refused:") and "47717 digits" in err
+        # an n past the float range is refused too, not a traceback
+        code, out, err = run(capsys, [command, "--W", "1", "--n", str(10 ** 400)])
+        assert (code, out) == (2, "") and err.startswith("budget refused:")
     # 9005 * 3^9004 has 4300 digits, the default limit; one tick more has 4301
     assert run(capsys, ["counts", "--W", "1", "--n", "9005"])[0] == 0
     assert run(capsys, ["counts", "--W", "1", "--n", "9006"])[0] == 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpslab import (PRESETS, BudgetExceeded, CostModel, MpsResult, Strategy,
-                    brute_force_mps, mps0, validate_membership)
+                    brute_force_mps, mps0, pl, validate_membership)
 from mpslab import mps as mps_module
 from mpslab.distribution import UniverseParams
 from mpslab.model import strategy_to_positions
@@ -411,6 +411,31 @@ def test_limit_w_is_w_times_the_limit_one_trades(steps, cost, limit):
             result = mps0(short, cost, limit, es)
             assert result.pl == expected.best_pl
             assert result.strategy in expected.witnesses
+
+
+def _strategy_pl(prices, result, cost, spec):
+    """The paper's P&L formula over every action of the reported strategy."""
+    return pl(prices, result.strategy, CostModel.constant(cost, len(prices)), spec).pl_total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 5, -5]), min_size=1, max_size=300),
+       _costs, st.integers(1, 10 ** 6))
+def test_reported_pl_is_the_pl_of_the_reported_strategy(steps, cost, limit):
+    es = PRESETS["ES"]
+    prices = _chain(steps)
+    result = mps0(prices, cost, limit, es)
+    assert result.pl == _strategy_pl(prices, result, cost, es)
+
+
+def test_reported_pl_is_the_pl_of_the_reported_strategy_on_a_long_walk(es):
+    rng = random.Random(23)
+    prices = _chain((rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(10 ** 5)), base=40000)
+    cost = Fraction(1, 3)
+    for limit in (1, 4, 10 ** 6):
+        result = mps0(prices, cost, limit, es)
+        assert len(result.trades) > 1000
+        assert result.pl == _strategy_pl(prices, result, cost, es)
 
 
 @settings(max_examples=200, deadline=None)
