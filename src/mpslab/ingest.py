@@ -10,11 +10,12 @@ Timestamps are naive exchange-local clock times throughout.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
-from itertools import compress, islice, repeat
-from operator import add, itemgetter
+from itertools import compress, islice
+from operator import add
 from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
@@ -85,8 +86,12 @@ _DAY_US = 86_400_000_000
 _EPOCH = datetime(1, 1, 1)
 _US = timedelta(microseconds=1)
 _LAST_DAY = date.max.toordinal()        # days since _EPOCH of the day after date.max
-_SECOND_US = {f":{s:02d}": s * 1_000_000 for s in range(60)}    # clock tails ':00'..':59'
-_HEAD, _TAIL = itemgetter(slice(None, -3)), itemgetter(slice(-3, None))   # 'HH:MM', ':SS'
+# a clock 'HH:MM:SS' read as a little-endian 8-byte lane (see _clock_lanes)
+_CLOCK_SHAPE = bytes(48) + b"0" * 10 + b":" + bytes(197)     # digits -> '0', ':' kept
+_ZEROS = int.from_bytes(b"00:00:00", "little")
+_FIELDS = 0xff << 48 | 0xff << 24 | 0xff                    # bytes 6, 3, 0: SS, MM, HH
+_LIMITS = (128 - 60) << 48 | (128 - 60) << 24 | (128 - 24)  # field + limit reaches bit 7 ...
+_HIGH = 0x80 << 48 | 0x80 << 24 | 0x80                      # ... at SS, MM >= 60 or HH >= 24
 _BLOCK_LINES = 1000         # lines parsed per block by ``parse_ticks``
 _UNDECODED = frozenset(map(chr, range(0xdc80, 0xdd00)))   # bytes 0x80-0xff left undecoded
 
@@ -178,6 +183,29 @@ def _clock_micros(text: str) -> int:
     return ((h * 60 + m) * 60 + s) * 1_000_000
 
 
+def _clock_lanes(clocks: list[str], day: int) -> Optional[tuple[int, ...]]:
+    """``day`` plus the time of each clock in microseconds, or None unless
+    every clock is 'HH:MM:SS' in ASCII digits and a time of day.  The
+    clocks are read as one int of 8-byte lanes and converted by whole-int
+    operations, digits to fields in every lane at once (SWAR parsing)."""
+    # each clock's length: '12:34:561' '2:34:56' would join into two lanes
+    if set(map(len, clocks)) != {8} or not (text := "".join(clocks)).isascii():
+        return None
+    count = len(clocks)
+    raw = text.encode()
+    if raw.translate(_CLOCK_SHAPE) != b"00:00:00" * count:
+        return None
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * count, "little")
+    x = int.from_bytes(raw, "little") - _ZEROS * ones       # every byte 0-9, ':' to 0
+    x = (x * 10 + (x >> 8)) & _FIELDS * ones                # tens * 10 + units, no carries
+    if (x + _LIMITS * ones) & _HIGH * ones:
+        return None
+    byte = 0xff * ones
+    x = ((x & byte) * 3_600_000_000 + (x >> 24 & byte) * 60_000_000
+         + (x >> 48 & byte) * 1_000_000 + day * ones)
+    return struct.unpack(f"<{count}Q", x.to_bytes(8 * count, "little"))
+
+
 def _grid_deltas(price_text: str, size_text: str, spec: ContractSpec, line_no: int) -> int:
     """Grid count of a line's price text, checked in the order ticks are:
     price and size syntax, the grid, then a positive price.  Exponent
@@ -213,13 +241,14 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tic
     timestamp.
 
     The source is read in blocks of up to ``_BLOCK_LINES`` lines, and each
-    block is converted column by column (``_parse_block``), with caches
-    shared across blocks, so each distinct date, 'HH:MM' and price text is
-    converted once.  Only a block that holds a bad line reaches
-    ``_raise_first_error``, which raises that line's error with its number.
+    block is converted column by column (``_parse_block``): its clocks
+    together (``_clock_lanes``), and each distinct date, price and size
+    text once, in caches shared across blocks.  Only a block that holds a
+    bad line reaches ``_raise_first_error``, which raises that line's error
+    with its number.
     """
     cols = TickColumns(spec)
-    caches = ({}, {}, {}, {})      # days, minutes, grid, sizes
+    caches = ({}, {}, {})      # days, grid, sizes
     lines = iter(source)
     line_no = 1
     while block := list(islice(lines, _BLOCK_LINES)):
@@ -236,7 +265,7 @@ def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
     way if its lines all have k = 4 or all k = 5 fields: the sentinel is
     every (k+1)-th token and nowhere else.  Any other block is split line by
     line, skipping blank and '#' lines."""
-    days, minutes, grid, size_of = caches
+    days, grid, size_of = caches
     count = len(block)
     text = " \0 ".join(block)
     plain = text.isascii() and "#" not in text and text.count("\0") == count - 1
@@ -260,18 +289,11 @@ def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
         day_set = set(dates)
         for key in day_set.difference(days):
             days[key] = _day_micros(key)
-        try:
-            # 'HH:MM:SS' is its minute plus its seconds
-            seconds = list(map(_SECOND_US.__getitem__, map(_TAIL, clocks)))
-        except KeyError:        # a clock of another shape, such as '9:0:5', converts whole
-            heads, seconds = clocks, repeat(0)
-            head_us = {clock: _clock_micros(clock) for clock in set(clocks)}
-            head_set = head_us.keys()
-        else:
-            heads, head_us = list(map(_HEAD, clocks)), minutes
-            head_set = set(heads)
-            for key in head_set.difference(minutes):
-                minutes[key] = _clock_micros(key + ":00")
+        day = days[dates[0]] if len(day_set) == 1 else 0
+        times = _clock_lanes(clocks, day)
+        if times is None:       # a clock of another shape, such as '9:0:5', converts whole
+            times = map({clock: day + _clock_micros(clock) for clock in set(clocks)}.__getitem__,
+                        clocks)
         for key in set(prices).difference(grid):
             grid[key] = _grid_deltas(key, "0", cols.spec, 0)    # size "0" always passes
         for key in set(sizes).difference(size_of):
@@ -280,12 +302,9 @@ def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
             size_of[key] = size
     except (ValueError, ArithmeticError):
         return False
-    if len(day_set) == 1:
-        day = days[dates[0]]
-        starts = map({head: day + head_us[head] for head in head_set}.__getitem__, heads)
-    else:
-        starts = map(add, map(days.__getitem__, dates), map(head_us.__getitem__, heads))
-    cols.times += map(add, starts, seconds)
+    if len(day_set) > 1:
+        times = map(add, map(days.__getitem__, dates), times)
+    cols.times += times
     cols.deltas += map(grid.__getitem__, prices)
     cols.sizes += map(size_of.__getitem__, sizes)
     cols.conditions += conditions

@@ -100,6 +100,16 @@ class ContractSpec(_ContractFields):
             )
         return n.numerator
 
+    def grid_counts(self, prices: Sequence[Rational]) -> list[int]:
+        """``to_deltas`` of each price, refusing the first one off the grid.
+        Prices of one type are converted once per distinct price; prices of
+        mixed types one by one, since a float reads as its repr and need not
+        convert like an equal price of another type."""
+        if len(set(map(type, prices))) > 1:
+            return list(map(self.to_deltas, prices))
+        grid = {x: self.to_deltas(x) for x in dict.fromkeys(prices)}
+        return list(map(grid.__getitem__, prices))
+
     def on_grid(self, price: Rational) -> bool:
         try:
             self.to_deltas(price)

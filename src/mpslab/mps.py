@@ -119,8 +119,7 @@ def mps0(prices: Sequence[Rational], cost_per_transaction: Rational, limit: int,
         raise ValueError("position limit must be >= 1")
     if n > MAX_PRICES:
         raise BudgetExceeded(f"{n} prices, over the limit of {MAX_PRICES}")
-    grid = {x: spec.to_deltas(x) for x in dict.fromkeys(prices)}   # each price once
-    deltas = [grid[x] for x in prices]
+    deltas = spec.grid_counts(prices)
     c = as_fraction(cost_per_transaction)
     if c < 0:
         raise ValueError("cost must be non-negative")

@@ -15,6 +15,7 @@ $5/contract) comes out as exactly $15.00.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .model import ContractSpec, CostModel, Strategy, _checked_make
@@ -47,12 +48,12 @@ def pl(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
         raise ValueError(
             f"length mismatch: {len(prices)} prices, {n} actions, {len(costs)} costs"
         )
-    deltas = [spec.to_deltas(p) for p in prices]
+    deltas = spec.grid_counts(prices)
     u = strategy.actions
     cs = costs.per_contract
     net = sum(u)
-    price_leg = spec.delta_dollars * (deltas[-1] * net - sum(d * a for d, a in zip(deltas, u)))
-    cost_leg = -sum(c * abs(a) for c, a in zip(cs, u)) - cs[-1] * abs(net)
+    price_leg = spec.delta_dollars * (deltas[-1] * net - sum(map(mul, deltas, u)))
+    cost_leg = -sum(c * abs(a) for c, a in zip(cs, u) if a) - cs[-1] * abs(net)
     return PlBreakdown(price_leg + cost_leg, price_leg, cost_leg)
 
 
@@ -104,7 +105,7 @@ def pl_prefix(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
     n = len(strategy)
     if len(prices) != n or len(costs) != n:
         raise ValueError("length mismatch")
-    deltas = [spec.to_deltas(p) for p in prices]
+    deltas = spec.grid_counts(prices)
     u = strategy.actions
     cs = costs.per_contract
     kd = spec.delta_dollars

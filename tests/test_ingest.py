@@ -312,8 +312,8 @@ _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A)
 
 @pytest.mark.parametrize("seed", range(4))
 def test_clock_edge_cases_after_their_minute_is_cached(es, seed):
-    # clocks are converted once per 'HH:MM'; a clock whose minute is known
-    # but which is not plain 'HH:MM:SS' must still get the checked outcome
+    # a clock that is not plain 'HH:MM:SS', among plain clocks of its
+    # minute, must still get the checked outcome
     rng = random.Random(seed)
     head = f"{rng.randrange(24):02d}:{rng.randrange(60):02d}"
     fill = [f"2017/04/10 {clock}:{s:02d} 2350.00 1"
@@ -335,6 +335,69 @@ def _tick_lines(rng, count, start=datetime(2017, 4, 9, 23, 40)):
         lines.append(f"{t:%Y/%m/%d\t%H:%M:%S}\t{2350 + rng.randrange(-40, 40) / 4:.2f}"
                      f"\t{rng.randrange(8)}")
     return lines
+
+
+def test_lanes_convert_every_clock_of_a_day_in_one_block(es, monkeypatch):
+    clocks = [f"{x // 3600:02d}:{x // 60 % 60:02d}:{x % 60:02d}" for x in range(86400)]
+    day = ingest._day_micros("2017/04/10")
+    expected = [day + ingest._clock_micros(clock) for clock in clocks]
+    assert list(ingest._clock_lanes(clocks, day)) == expected
+    monkeypatch.setattr(ingest, "_BLOCK_LINES", len(clocks))
+    assert parse_ticks([f"2017/04/10 {clock} 2350.25 1" for clock in clocks], es).times \
+        == expected
+
+
+_REFUSED_BY_LANES = (
+    # a non-digit, or the bytes either side of '0'-'9', in each digit position
+    [clock[:i] + c + clock[i + 1:] for clock in ("12:34:56", "00:00:00")
+     for i in (0, 1, 3, 4, 6, 7) for c in "/;:a"]
+    # no ':' at a colon position
+    + ["12;34:56", "12:34956", "12/34:56"]
+    # hours 24-99, tens of minutes or seconds 6-9
+    + [f"{h}:00:00" for h in range(24, 100)]
+    + [f"12:{t}{u}:00" for t in "6789" for u in "09"]
+    + [f"12:00:{t}{u}" for t in "6789" for u in "09"]
+    # clocks int() reads that are not ASCII 'DD:DD:DD'
+    + ["+9:05:07", "12:34:56".translate(_ARABIC_INDIC), "12:34:" + "5".translate(_ARABIC_INDIC)
+       + "6", "9:05:07", "12:34:056"])
+
+
+@pytest.mark.parametrize("clock", _REFUSED_BY_LANES)
+def test_clocks_the_lanes_refuse_parse_like_reference(es, clock):
+    # each such clock leaves its block to the whole-clock path, which gives
+    # the reference parser's ticks or error
+    assert ingest._clock_lanes(["23:59:59", clock, "00:00:00"], 0) is None
+    fill = [f"2017/04/10 09:00:{s:02d} 2350.00 1" for s in range(3)]
+    _assert_parses_like_reference(fill + [f"2017/04/10 {clock} 2350.25 1"] + fill, es)
+    _assert_parses_like_reference([f"2017/04/10 {clock} 2350.25 1"], es)
+
+
+def test_misaligned_clocks_are_refused_by_their_lengths(es):
+    # each pair joins into two well-shaped lanes; both clocks of the second
+    # pair are valid, and the lanes would read its first one as 12:34:05
+    for pair in (["12:34:561", "2:34:56"], ["12:34:051", "2:34:56"]):
+        assert ingest._clock_lanes(pair, 0) is None
+        _assert_parses_like_reference([f"2017/04/10 {clock} 2350.25 1" for clock in pair], es)
+
+
+def test_lane_blocks_across_midnight_and_short_blocks_parse_like_reference(es):
+    # blocks of one line, a block spanning two dates (its days are added
+    # per tick) and a short last block, at every block size
+    lines = _tick_lines(random.Random(24), 1203, start=datetime(2017, 4, 9, 23, 59, 10))
+    assert len({line[:10] for line in lines[:1000]}) == 2
+    _assert_parses_like_reference(lines, es)
+    _assert_parses_like_reference(lines[:1], es)
+
+
+def test_canonical_clocks_never_reach_the_whole_clock_path(es, monkeypatch):
+    lines = _tick_lines(random.Random(5), 5000)
+    expected = _reference_parse_ticks(lines, es)
+
+    def refuse(text):
+        raise AssertionError(f"clock {text!r} converted alone")
+
+    monkeypatch.setattr(ingest, "_clock_micros", refuse)
+    assert _parsed(lines, es) == expected
 
 
 def test_irregular_lines_in_later_blocks_parse_like_reference(es):

@@ -1,14 +1,16 @@
 """P&L engine: the closed formula, its matrix and prefix forms, Eq-17 trades."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpslab import (PRESETS, CostModel, Strategy, iter_strategies, ote_pl,
-                    pl, pl_matrix, pl_prefix, price_increment_stats)
+from mpslab import (PRESETS, ContractSpec, CostModel, GridError, Strategy, iter_strategies,
+                    ote_pl, pl, pl_matrix, pl_prefix, price_increment_stats)
 from mpslab.distribution import UniverseParams
+from mpslab.pl import PlBreakdown
 
 PRICES3 = ("2369.50", "2369.75", "2370.00")
 ES = PRESETS["ES"]
@@ -145,3 +147,62 @@ def test_price_increment_identity_random(levels):
 def test_price_increment_needs_three():
     with pytest.raises(ValueError):
         price_increment_stats(["1", "2"])
+
+
+def _frozen_pl(prices, strategy, costs, spec):
+    """``pl`` as it was before it converted each distinct price once and
+    skipped zero actions in the cost leg: the oracle for both."""
+    n = len(strategy)
+    if len(prices) != n or len(costs) != n:
+        raise ValueError(
+            f"length mismatch: {len(prices)} prices, {n} actions, {len(costs)} costs"
+        )
+    deltas = [spec.to_deltas(p) for p in prices]
+    u = strategy.actions
+    cs = costs.per_contract
+    net = sum(u)
+    price_leg = spec.delta_dollars * (deltas[-1] * net - sum(d * a for d, a in zip(deltas, u)))
+    cost_leg = -sum(c * abs(a) for c, a in zip(cs, u)) - cs[-1] * abs(net)
+    return PlBreakdown(price_leg + cost_leg, price_leg, cost_leg)
+
+
+CENTS = ContractSpec("CENTS", 50, "0.01")
+# a price in cents written as each number type pl takes; a float reads as
+# its repr, and Fraction(c / 100) is the float's binary value, which equals
+# that float but is off the cent grid unless c / 100 is dyadic
+_PRICE_KINDS = (lambda c: f"{c // 100}.{c % 100:02d}", lambda c: Fraction(c, 100),
+                lambda c: Decimal(c).scaleb(-2), lambda c: c / 100, lambda c: Fraction(c / 100),
+                lambda c: c // 100, lambda c: Fraction(c, 300), lambda c: f"{c}.001")
+_priced = st.builds(lambda c, kind: kind(c), st.integers(1, 12) | st.just(25),
+                    st.sampled_from(_PRICE_KINDS[:6]) | st.sampled_from(_PRICE_KINDS))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([ES, CENTS]), st.integers(1, 12))
+def test_pl_matches_its_per_price_form(data, spec, n):
+    prices = data.draw(st.lists(_priced, min_size=n, max_size=n) | st.lists(
+        st.sampled_from([Fraction(2350), Fraction(9401, 4), Fraction(7, 100)]), min_size=n,
+        max_size=n))
+    strategy = Strategy(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    costs = CostModel.of(data.draw(st.lists(st.sampled_from([0, Fraction(1, 3), 5]),
+                                            min_size=n, max_size=n)))
+    assert _outcome(pl, prices, strategy, costs, spec) \
+        == _outcome(_frozen_pl, prices, strategy, costs, spec)
+
+
+def test_a_float_is_not_merged_with_an_equal_price_of_another_type():
+    # 0.07 reads as 7/100, on the cent grid; Fraction(0.07) is its binary
+    # value, equal to it and off the grid
+    assert 0.07 == Fraction(0.07)
+    strategy, costs = Strategy((1, -1)), CostModel.constant(0, 2)
+    for prices in ([0.07, Fraction(0.07)], [Fraction(0.07), 0.07]):
+        expected = _outcome(_frozen_pl, prices, strategy, costs, CENTS)
+        assert expected[0] is GridError
+        assert _outcome(pl, prices, strategy, costs, CENTS) == expected
