@@ -185,13 +185,17 @@ def _clock_micros(text: str) -> int:
 
 def _clock_lanes(clocks: list[str], day: int) -> Optional[tuple[int, ...]]:
     """``day`` plus the time of each clock in microseconds, or None unless
-    every clock is 'HH:MM:SS' in ASCII digits and a time of day.  The
-    clocks are read as one int of 8-byte lanes and converted by whole-int
-    operations, digits to fields in every lane at once (SWAR parsing)."""
-    # each clock's length: '12:34:561' '2:34:56' would join into two lanes
-    if set(map(len, clocks)) != {8} or not (text := "".join(clocks)).isascii():
-        return None
+    every clock is 'HH:MM:SS' or 'H:MM:SS' in ASCII digits and a time of
+    day.  The clocks are read as one int of 8-byte lanes and converted by
+    whole-int operations, digits to fields in every lane at once (SWAR
+    parsing)."""
     count = len(clocks)
+    if set(map(len, clocks)) != {8}:       # an unpadded hour: '9:05:07' reads as '09:05:07'
+        clocks = [clock.zfill(8) for clock in clocks]
+    if not (text := "".join(clocks)).isascii():
+        return None
+    # every clock is now 8 or longer, so the total length checks each one:
+    # '12:34:561' '2:34:56' would join into two lanes
     raw = text.encode()
     if raw.translate(_CLOCK_SHAPE) != b"00:00:00" * count:
         return None

@@ -102,13 +102,16 @@ class ContractSpec(_ContractFields):
 
     def grid_counts(self, prices: Sequence[Rational]) -> list[int]:
         """``to_deltas`` of each price, refusing the first one off the grid.
-        Prices of one type are converted once per distinct price; prices of
-        mixed types one by one, since a float reads as its repr and need not
-        convert like an equal price of another type."""
-        if len(set(map(type, prices))) > 1:
+        Each distinct price is converted once; it is keyed on its type too,
+        since a float reads as its repr and need not convert like an equal
+        price of another type (0.07 is on a cent grid, Fraction(0.07) is not)."""
+        keys = list(zip(map(type, prices), prices))
+        try:
+            distinct = dict.fromkeys(keys)
+        except TypeError:       # a price with no hash, Decimal('sNaN'), is refused one by one
             return list(map(self.to_deltas, prices))
-        grid = {x: self.to_deltas(x) for x in dict.fromkeys(prices)}
-        return list(map(grid.__getitem__, prices))
+        grid = {key: self.to_deltas(key[1]) for key in distinct}
+        return list(map(grid.__getitem__, keys))
 
     def on_grid(self, price: Rational) -> bool:
         try:

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 import tracemalloc
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
@@ -337,11 +338,15 @@ def _tick_lines(rng, count, start=datetime(2017, 4, 9, 23, 40)):
     return lines
 
 
-def test_lanes_convert_every_clock_of_a_day_in_one_block(es, monkeypatch):
-    clocks = [f"{x // 3600:02d}:{x // 60 % 60:02d}:{x % 60:02d}" for x in range(86400)]
+@pytest.mark.parametrize("hour", ["{:02d}", "{:d}"])
+def test_lanes_convert_every_clock_of_a_day_in_one_block(es, monkeypatch, hour):
+    # with hours zero-padded, and unpadded before 10:00 ('9:05:07')
+    clocks = [f"{hour.format(x // 3600)}:{x // 60 % 60:02d}:{x % 60:02d}" for x in range(86400)]
     day = ingest._day_micros("2017/04/10")
     expected = [day + ingest._clock_micros(clock) for clock in clocks]
     assert list(ingest._clock_lanes(clocks, day)) == expected
+    # a block of clocks before 10:00 only, all unpadded in the second case
+    assert list(ingest._clock_lanes(clocks[:36000], day)) == expected[:36000]
     monkeypatch.setattr(ingest, "_BLOCK_LINES", len(clocks))
     assert parse_ticks([f"2017/04/10 {clock} 2350.25 1" for clock in clocks], es).times \
         == expected
@@ -359,7 +364,7 @@ _REFUSED_BY_LANES = (
     + [f"12:00:{t}{u}" for t in "6789" for u in "09"]
     # clocks int() reads that are not ASCII 'DD:DD:DD'
     + ["+9:05:07", "12:34:56".translate(_ARABIC_INDIC), "12:34:" + "5".translate(_ARABIC_INDIC)
-       + "6", "9:05:07", "12:34:056"])
+       + "6", "12:34:056", "09:5:07", "9:5:07", "0:00:00:0"])
 
 
 @pytest.mark.parametrize("clock", _REFUSED_BY_LANES)
@@ -389,8 +394,12 @@ def test_lane_blocks_across_midnight_and_short_blocks_parse_like_reference(es):
     _assert_parses_like_reference(lines[:1], es)
 
 
-def test_canonical_clocks_never_reach_the_whole_clock_path(es, monkeypatch):
+@pytest.mark.parametrize("unpad", [False, True])
+def test_canonical_clocks_never_reach_the_whole_clock_path(es, monkeypatch, unpad):
     lines = _tick_lines(random.Random(5), 5000)
+    if unpad:       # '00:05:07' written '0:05:07'
+        lines = [re.sub(r"\t0(\d):", r"\t\1:", line) for line in lines]
+        assert sum(len(line.split()[1]) == 7 for line in lines) > 1000
     expected = _reference_parse_ticks(lines, es)
 
     def refuse(text):

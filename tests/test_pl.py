@@ -169,10 +169,12 @@ def _frozen_pl(prices, strategy, costs, spec):
 CENTS = ContractSpec("CENTS", 50, "0.01")
 # a price in cents written as each number type pl takes; a float reads as
 # its repr, and Fraction(c / 100) is the float's binary value, which equals
-# that float but is off the cent grid unless c / 100 is dyadic
+# that float but is off the cent grid unless c / 100 is dyadic; the last
+# three kinds are refused, Decimal('sNaN') before it can be hashed
 _PRICE_KINDS = (lambda c: f"{c // 100}.{c % 100:02d}", lambda c: Fraction(c, 100),
                 lambda c: Decimal(c).scaleb(-2), lambda c: c / 100, lambda c: Fraction(c / 100),
-                lambda c: c // 100, lambda c: Fraction(c, 300), lambda c: f"{c}.001")
+                lambda c: c // 100, lambda c: Fraction(c, 300), lambda c: f"{c}.001",
+                lambda c: Decimal("sNaN"))
 _priced = st.builds(lambda c, kind: kind(c), st.integers(1, 12) | st.just(25),
                     st.sampled_from(_PRICE_KINDS[:6]) | st.sampled_from(_PRICE_KINDS))
 
@@ -197,12 +199,15 @@ def test_pl_matches_its_per_price_form(data, spec, n):
         == _outcome(_frozen_pl, prices, strategy, costs, spec)
 
 
-def test_a_float_is_not_merged_with_an_equal_price_of_another_type():
+@pytest.mark.parametrize("prices", [
     # 0.07 reads as 7/100, on the cent grid; Fraction(0.07) is its binary
     # value, equal to it and off the grid
-    assert 0.07 == Fraction(0.07)
-    strategy, costs = Strategy((1, -1)), CostModel.constant(0, 2)
-    for prices in ([0.07, Fraction(0.07)], [Fraction(0.07), 0.07]):
-        expected = _outcome(_frozen_pl, prices, strategy, costs, CENTS)
-        assert expected[0] is GridError
-        assert _outcome(pl, prices, strategy, costs, CENTS) == expected
+    [0.07, Fraction(0.07)], [Fraction(0.07), 0.07],
+    # Decimal('sNaN') has no hash
+    ["0.07", Decimal("sNaN"), "0.07"], ["0.071", Decimal("sNaN"), "0.07"]])
+def test_prices_grid_counts_cannot_share_are_refused_like_their_per_price_form(prices):
+    strategy = Strategy((1,) + (0,) * (len(prices) - 2) + (-1,))
+    costs = CostModel.constant(0, len(prices))
+    expected = _outcome(_frozen_pl, prices, strategy, costs, CENTS)
+    assert expected[0] in (GridError, ValueError)
+    assert _outcome(pl, prices, strategy, costs, CENTS) == expected
