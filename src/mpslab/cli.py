@@ -31,6 +31,8 @@ from .numeric import BudgetExceeded, ExponentError, as_fraction, fmt_dollars, fm
 CONFIG_ENV = "MPSLAB_CONFIG"
 
 MAX_RANK_N = 1000   # `rank --n` past this exits 2 before the n^2-Fraction basis is built
+# `dist` rows, `magma-table` cells or `--bins` past this exit 2 before any work
+MAX_TABLE_ENTRIES = 10 ** 6
 
 
 def _number(text: str) -> Fraction:
@@ -61,6 +63,19 @@ def _check_args(args) -> None:
     ]:
         if failed:
             raise ValueError(message)
+    size, unit = _table_size(args)
+    if size > MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(f"{size} {unit}, over the limit of {MAX_TABLE_ENTRIES}")
+
+
+def _table_size(args) -> tuple[int, str]:
+    """The entries of the table the command builds: dist's 4W+1 action
+    sizes, magma-table's (2W+1)^2 cells, or the histogram bins asked for."""
+    if args.command == "dist":
+        return 4 * args.W + 1, "rows"
+    if args.command == "magma-table":
+        return (2 * args.W + 1) ** 2, "cells"
+    return getattr(args, "bins", None) or 0, "bins"
 
 
 def _printable_universe(args):

@@ -190,12 +190,12 @@ def _clock_lanes(clocks: list[str], day: int) -> Optional[tuple[int, ...]]:
     whole-int operations, digits to fields in every lane at once (SWAR
     parsing)."""
     count = len(clocks)
-    if set(map(len, clocks)) != {8}:       # an unpadded hour: '9:05:07' reads as '09:05:07'
-        clocks = [clock.zfill(8) for clock in clocks]
+    if (lengths := set(map(len, clocks))) != {8}:
+        if not lengths <= {7, 8}:           # ':05:07', or '12:34:561' '2:34:56' as two lanes
+            return None
+        clocks = [clock.rjust(8, "0") for clock in clocks]  # '9:05:07' reads as '09:05:07'
     if not (text := "".join(clocks)).isascii():
         return None
-    # every clock is now 8 or longer, so the total length checks each one:
-    # '12:34:561' '2:34:56' would join into two lanes
     raw = text.encode()
     if raw.translate(_CLOCK_SHAPE) != b"00:00:00" * count:
         return None

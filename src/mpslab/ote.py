@@ -43,13 +43,18 @@ _GREW, _REPLACED, _ENDED = Scenario
 birth_threshold = mps.birth_threshold
 
 
+def _costs(filtering_cost: Rational, cost: Rational) -> tuple[Fraction, Fraction]:
+    """FC and C as exact numbers, refusing C >= FC."""
+    fc, c = as_fraction(filtering_cost), as_fraction(cost)
+    if c >= fc:
+        raise ValueError("actual cost C must be below the filtering cost FC")
+    return fc, c
+
+
 def permitted_profit_grid(filtering_cost: Rational, cost: Rational,
                           spec: ContractSpec, i_max: int) -> tuple[Fraction, ...]:
     """The lattice of closed-trade profits PL_min + k*delta*i, i = 0..i_max."""
-    fc = as_fraction(filtering_cost)
-    c = as_fraction(cost)
-    if c >= fc:
-        raise ValueError("actual cost must be below the filtering cost")
+    fc, c = _costs(filtering_cost, cost)
     threshold = birth_threshold(fc, spec)
     return tuple(mps.trade_pl(threshold + i, c, spec) for i in range(i_max + 1))
 
@@ -143,10 +148,7 @@ class OteExtractor:
     """
 
     def __init__(self, filtering_cost: Rational, cost: Rational, spec: ContractSpec):
-        self.fc = as_fraction(filtering_cost)
-        self.cost = as_fraction(cost)
-        if self.cost >= self.fc:
-            raise ValueError("actual cost C must be below the filtering cost FC")
+        self.fc, self.cost = _costs(filtering_cost, cost)
         self.spec = spec
         self.threshold = birth_threshold(self.fc, spec)
         self._ticks = TickColumns(spec)

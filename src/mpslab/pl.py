@@ -18,8 +18,9 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from . import mps
 from .model import ContractSpec, CostModel, Strategy, _checked_make
-from .numeric import Rational, as_fraction, as_fractions
+from .numeric import Rational, as_fractions
 
 
 class _PlFields(NamedTuple):
@@ -40,6 +41,16 @@ class PlBreakdown(_PlFields):
         return super().__new__(cls, pl_total, pl_price_leg, pl_cost_leg)
 
 
+def _legs(deltas: Sequence[int], u: Sequence[int], cs: Sequence[Fraction],
+          kd: Fraction) -> tuple[Fraction, Fraction]:
+    """The price leg k*delta*(N_n*sum(U_i) - sum(N_i*U_i)) and the cost leg
+    -sum(C_i*|U_i|) - C_n*|sum(U_i)| of one strategy on grid counts N_i."""
+    net = sum(u)
+    price_leg = kd * (deltas[-1] * net - sum(map(mul, deltas, u)))
+    cost_leg = -sum(c * abs(a) for c, a in zip(cs, u) if a) - cs[-1] * abs(net)
+    return price_leg, cost_leg
+
+
 def pl(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
        spec: ContractSpec) -> PlBreakdown:
     """Evaluate the marked-to-market P&L of one strategy."""
@@ -48,12 +59,8 @@ def pl(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
         raise ValueError(
             f"length mismatch: {len(prices)} prices, {n} actions, {len(costs)} costs"
         )
-    deltas = spec.grid_counts(prices)
-    u = strategy.actions
-    cs = costs.per_contract
-    net = sum(u)
-    price_leg = spec.delta_dollars * (deltas[-1] * net - sum(map(mul, deltas, u)))
-    cost_leg = -sum(c * abs(a) for c, a in zip(cs, u) if a) - cs[-1] * abs(net)
+    price_leg, cost_leg = _legs(spec.grid_counts(prices), strategy.actions,
+                                costs.per_contract, spec.delta_dollars)
     return PlBreakdown(price_leg + cost_leg, price_leg, cost_leg)
 
 
@@ -76,22 +83,15 @@ def pl_matrix(price_scenarios: Sequence[Sequence[Rational]],
         raise ValueError("ragged scenario matrix")
     if any(len(row) != s_count for row in strategies):
         raise ValueError("ragged strategy matrix")
-    delta_cols = [[spec.to_deltas(price_scenarios[i][r]) for i in range(n)] for r in range(q)]
-    c_cols = [[as_fraction(costs[i][r]) for i in range(n)] for r in range(q)]
-    u_cols = [[int(strategies[i][j]) for i in range(n)] for j in range(s_count)]
+    delta_cols = [spec.grid_counts(col) for col in zip(*price_scenarios)]
+    c_cols = [as_fractions(col) for col in zip(*costs)]
+    u_cols = [[int(a) for a in col] for col in zip(*strategies)]
     for j, col in enumerate(u_cols):
         if sum(col) != 0:
             raise ValueError(f"strategy column {j} has non-zero net action")
     kd = spec.delta_dollars
-    out = []
-    for r in range(q):
-        row = []
-        for u in u_cols:
-            price_leg = -kd * sum(d * a for d, a in zip(delta_cols[r], u))
-            cost_leg = -sum(c * abs(a) for c, a in zip(c_cols[r], u))
-            row.append(price_leg + cost_leg)
-        out.append(row)
-    return out
+    return [[sum(_legs(deltas, u, cs, kd)) for u in u_cols]
+            for deltas, cs in zip(delta_cols, c_cols)]
 
 
 def pl_prefix(prices: Sequence[Rational], strategy: Strategy, costs: CostModel,
@@ -131,10 +131,9 @@ def ote_pl(start_tick_index: int, end_tick_index: int, limit: int,
         raise ValueError("trade start must precede its end")
     if limit < 1:
         raise ValueError("position limit must be >= 1")
-    ns = spec.to_deltas(prices[s])
-    ne = spec.to_deltas(prices[e])
+    move = abs(spec.to_deltas(prices[s]) - spec.to_deltas(prices[e]))
     cs = costs.per_contract
-    return spec.delta_dollars * limit * abs(ne - ns) - limit * (cs[s] + cs[e])
+    return limit * mps.trade_pl(move, (cs[s] + cs[e]) / 2, spec)
 
 
 class PriceIncrementStats(NamedTuple):

@@ -4,12 +4,13 @@ The universe spans the hyperplane orthogonal to the flat price vector, so
 its rank is n - 1; the buy-hold-sell strategies (buy one at tick i, sell at
 tick n) form a basis of that hyperplane.  Four families of mutually
 orthogonal strategies and a budget-guarded search for the largest mutually
-orthogonal subset round out the toolkit.  Rank and determinant computations
-are exact rational eliminations, never floating point.
+orthogonal subset round out the toolkit.  Rank and determinant are read off
+one exact rational elimination, never floating point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -87,48 +88,44 @@ def gen_bhs_basis(n: int) -> OrthFamily:
     return OrthFamily("bhs", n, tuple(members))
 
 
-def rank_of_vectors(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank by fraction-free Gaussian elimination."""
+def _pivots(rows: Sequence[Sequence[int]]) -> tuple[list[Fraction], int]:
+    """Exact forward elimination of ``rows``: the pivots in order, and the
+    number of row swaps made."""
     m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    col = 0
-    n_cols = len(m[0]) if m else 0
-    while rank < len(m) and col < n_cols:
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+    pivots: list[Fraction] = []
+    swaps = 0
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
         if pivot is None:
-            col += 1
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+        if pivot != top:
+            m[top], m[pivot] = m[pivot], m[top]
+            swaps += 1
+        p = m[top][col]
+        for r in range(top + 1, len(m)):
+            if m[r][col]:
+                f = m[r][col] / p
+                m[r] = [a - f * b for a, b in zip(m[r], m[top])]
+        pivots.append(p)
+    return pivots, swaps
+
+
+def rank_of_vectors(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank: the number of pivots of the rows' elimination."""
+    return len(_pivots(rows)[0])
 
 
 def det(matrix: Sequence[Sequence[int]]) -> Fraction:
-    """Exact determinant via rational elimination."""
+    """Exact determinant: the signed product of the pivots, or zero when a
+    column has none."""
     n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return result
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    pivots, swaps = _pivots(matrix)
+    if len(pivots) < n:
+        return Fraction(0)
+    return (-1) ** swaps * math.prod(pivots, start=Fraction(1))
 
 
 def rank_of_universe(n: int, limit: int = 1) -> int:

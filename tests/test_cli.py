@@ -4,11 +4,14 @@ import json
 import random
 from datetime import datetime, timedelta
 from itertools import accumulate
+from math import isqrt
+
+import pytest
 
 from conftest import ticks_from_deltas, zigzag_levels
 from mpslab import (PRESETS, Tick, Tolerances, extract_otes, serialize_ticks,
                     sessionize)
-from mpslab.cli import main
+from mpslab.cli import MAX_TABLE_ENTRIES, main
 from mpslab.ingest import TickColumns
 from mpslab.numeric import fmt_price
 from mpslab.ote import HeadShouldersMonitor
@@ -90,6 +93,31 @@ def test_rank_over_its_bound_is_refused_before_the_basis_is_built(capsys, monkey
     assert (code, out) == (2, "")
     assert err == f"budget refused: n = {bound + 1}, over the limit of {bound}\n"
     assert calls == [bound]
+
+
+@pytest.mark.parametrize("command, argv, entries, unit, largest", [
+    ("cmd_dist", lambda w: ["dist", "--n", "2", "--W", str(w)], lambda w: 4 * w + 1, "rows",
+     (MAX_TABLE_ENTRIES - 1) // 4),
+    ("cmd_magma_table", lambda w: ["magma-table", "--W", str(w)], lambda w: (2 * w + 1) ** 2,
+     "cells", (isqrt(MAX_TABLE_ENTRIES) - 1) // 2),
+    ("cmd_ote", lambda b: ["ote", "--fc", "2", "--cost", "1", "--bins", str(b), "missing.tsv"],
+     lambda b: b, "bins", MAX_TABLE_ENTRIES),
+    ("cmd_stats", lambda b: ["stats", "--bins", str(b), "missing.txt"], lambda b: b, "bins",
+     MAX_TABLE_ENTRIES)])
+def test_tables_over_their_bound_are_refused_before_any_work(capsys, monkeypatch, command,
+                                                             argv, entries, unit, largest):
+    # the largest table within the bound reaches its command; one a step
+    # larger exits 2 before the command runs or its file is opened
+    from mpslab import cli
+    calls = []
+    monkeypatch.setattr(cli, command, lambda args: calls.append(args.command) or 0)
+    assert entries(largest) <= MAX_TABLE_ENTRIES < entries(largest + 1)
+    assert run(capsys, argv(largest)) == (0, "", "")
+    code, out, err = run(capsys, argv(largest + 1))
+    assert (code, out) == (2, "")
+    assert err == f"budget refused: {entries(largest + 1)} {unit}, over the limit of " \
+        f"{MAX_TABLE_ENTRIES}\n"
+    assert len(calls) == 1
 
 
 def test_mps_inline_prices(capsys):

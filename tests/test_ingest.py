@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpslab import (PRESETS, ContractSpec, GridError, Tick, ingest, parse_ticks,
@@ -364,7 +364,9 @@ _REFUSED_BY_LANES = (
     + [f"12:00:{t}{u}" for t in "6789" for u in "09"]
     # clocks int() reads that are not ASCII 'DD:DD:DD'
     + ["+9:05:07", "12:34:56".translate(_ARABIC_INDIC), "12:34:" + "5".translate(_ARABIC_INDIC)
-       + "6", "12:34:056", "09:5:07", "9:5:07", "0:00:00:0"])
+       + "6", "12:34:056", "09:5:07", "9:5:07", "0:00:00:0"]
+    # no hour at all, a bad timestamp however it is padded
+    + [":05:07", ":00:00"])
 
 
 @pytest.mark.parametrize("clock", _REFUSED_BY_LANES)
@@ -375,6 +377,28 @@ def test_clocks_the_lanes_refuse_parse_like_reference(es, clock):
     fill = [f"2017/04/10 09:00:{s:02d} 2350.00 1" for s in range(3)]
     _assert_parses_like_reference(fill + [f"2017/04/10 {clock} 2350.25 1"] + fill, es)
     _assert_parses_like_reference([f"2017/04/10 {clock} 2350.25 1"], es)
+
+
+# fields of a clock: what the lanes read, and the text around it that int()
+# reads or refuses: empty, one to three digits, a sign, '_', a non-ASCII digit
+_clock_fields = st.one_of(
+    st.integers(0, 59).map("{:02d}".format), st.just(""),
+    st.text("0123456789", min_size=1, max_size=3),
+    st.sampled_from(["+", "-", "+5", "-0", "_", "1_0", "\u0665", "a"]))
+
+
+@settings(max_examples=300, deadline=None)
+@example([":05:07", "9:05:07"], 3, 3)
+@given(st.lists(st.integers(2, 4).flatmap(lambda k: st.tuples(*[_clock_fields] * k))
+                .map(":".join), min_size=1, max_size=12),
+       st.integers(0, 3), st.integers(0, 3))
+def test_lanes_read_every_clock_shape_like_reference(clocks, before, after):
+    # each clock alone or among canonical lines: wherever the lanes accept
+    # its block they read it as the whole-clock path does
+    fill = [f"2017/04/10 09:00:{s:02d} 2350.00 1" for s in range(before + after)]
+    for clock in clocks:
+        _assert_parses_like_reference(fill[:before] + [f"2017/04/10 {clock} 2350.25 1"]
+                                      + fill[before:], contract_for("ES"))
 
 
 def test_misaligned_clocks_are_refused_by_their_lengths(es):

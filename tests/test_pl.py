@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpslab import (PRESETS, ContractSpec, CostModel, GridError, Strategy, iter_strategies,
                     ote_pl, pl, pl_matrix, pl_prefix, price_increment_stats)
 from mpslab.distribution import UniverseParams
+from mpslab.numeric import as_fraction
 from mpslab.pl import PlBreakdown
 
 PRICES3 = ("2369.50", "2369.75", "2370.00")
@@ -211,3 +212,80 @@ def test_prices_grid_counts_cannot_share_are_refused_like_their_per_price_form(p
     expected = _outcome(_frozen_pl, prices, strategy, costs, CENTS)
     assert expected[0] in (GridError, ValueError)
     assert _outcome(pl, prices, strategy, costs, CENTS) == expected
+
+
+def _frozen_pl_matrix(price_scenarios, strategies, costs, spec):
+    """``pl_matrix`` as it was before it shared ``pl``'s legs: the oracle."""
+    n = len(price_scenarios)
+    if n == 0 or len(strategies) != n or len(costs) != n:
+        raise ValueError("price, strategy, and cost matrices must share n rows")
+    q = len(price_scenarios[0])
+    s_count = len(strategies[0])
+    if any(len(row) != q for row in price_scenarios) or any(len(row) != q for row in costs):
+        raise ValueError("ragged scenario matrix")
+    if any(len(row) != s_count for row in strategies):
+        raise ValueError("ragged strategy matrix")
+    delta_cols = [[spec.to_deltas(price_scenarios[i][r]) for i in range(n)] for r in range(q)]
+    c_cols = [[as_fraction(costs[i][r]) for i in range(n)] for r in range(q)]
+    u_cols = [[int(strategies[i][j]) for i in range(n)] for j in range(s_count)]
+    for j, col in enumerate(u_cols):
+        if sum(col) != 0:
+            raise ValueError(f"strategy column {j} has non-zero net action")
+    kd = spec.delta_dollars
+    return [[-kd * sum(d * a for d, a in zip(delta_cols[r], u))
+             - sum(c * abs(a) for c, a in zip(c_cols[r], u)) for u in u_cols] for r in range(q)]
+
+
+def _frozen_ote_pl(s, e, limit, prices, costs, spec):
+    """``ote_pl`` as it was before it priced the trade with ``mps.trade_pl``."""
+    if s >= e:
+        raise ValueError("trade start must precede its end")
+    if limit < 1:
+        raise ValueError("position limit must be >= 1")
+    ns = spec.to_deltas(prices[s])
+    ne = spec.to_deltas(prices[e])
+    cs = costs.per_contract
+    return spec.delta_dollars * limit * abs(ne - ns) - limit * (cs[s] + cs[e])
+
+
+def _matrix(data, rows, cols, cell, ragged):
+    """A rows x cols matrix of drawn cells, one row a cell short if ragged."""
+    m = [data.draw(st.lists(cell, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if ragged and m and cols:
+        m[data.draw(st.integers(0, rows - 1))].pop()
+    return m
+
+
+# prices on both the ES and the cent grid, as each number type pl takes
+_on_both_grids = st.sampled_from(["2350.00", "2350.25", 2350, Fraction(9401, 4),
+                                  Decimal("2350.50"), 2350.75])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([ES, CENTS]), st.integers(0, 5), st.integers(0, 3),
+       st.integers(0, 3), st.sampled_from(["prices", "costs", "strategies"]) | st.none(),
+       st.booleans())
+def test_pl_matrix_matches_its_frozen_form(data, spec, n, q, s_count, ragged, on_grid):
+    prices = _matrix(data, n, q, _on_both_grids if on_grid else _priced | _on_both_grids,
+                     ragged == "prices")
+    costs = _matrix(data, n, q, st.sampled_from([0, 5, Fraction(1, 3), -2, Fraction(-7, 4)]),
+                    ragged == "costs")
+    strategies = _matrix(data, n, s_count, st.integers(-2, 2), ragged == "strategies")
+    if n and data.draw(st.booleans()):      # close every column on the last tick
+        for j in range(len(strategies[-1])):
+            strategies[-1][j] -= sum(row[j] for row in strategies if j < len(row))
+    assert _outcome(pl_matrix, prices, strategies, costs, spec) \
+        == _outcome(_frozen_pl_matrix, prices, strategies, costs, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([ES, CENTS]), st.integers(2, 5), st.integers(0, 3),
+       st.booleans())
+def test_ote_pl_matches_its_frozen_form(data, spec, n, limit, on_grid):
+    prices = data.draw(st.lists(_on_both_grids if on_grid else _priced, min_size=n, max_size=n))
+    costs = CostModel.of(data.draw(st.lists(st.sampled_from([0, Fraction(1, 3), 5, "4.68"]),
+                                            min_size=n, max_size=n)))
+    s = data.draw(st.integers(0, n - 2))
+    e = data.draw(st.integers(s + 1, n - 1) | st.integers(0, s))    # the end before or at s
+    assert _outcome(ote_pl, s, e, limit, prices, costs, spec) \
+        == _outcome(_frozen_ote_pl, s, e, limit, prices, costs, spec)

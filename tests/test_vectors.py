@@ -1,8 +1,12 @@
 """Vector structure: orthogonal families, rank, rotation, Gram matrices."""
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpslab import (Strategy, decode, gen_bhs_basis, gen_family,
                     iter_strategies, max_orthogonal_subset,
@@ -218,3 +222,80 @@ def test_flat_price_orthogonal_to_universe():
         flat = [7] * n
         for s in iter_strategies(UniverseParams(w, n)):
             assert dot(flat, s.actions) == 0
+
+
+# --- the shared elimination against independent references -----------------
+
+def _leibniz(m):
+    """Sum over permutations of sign times the product of the chosen entries."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def _frozen_rank(rows):
+    """``rank_of_vectors`` as a Gauss-Jordan pass, before it shared ``det``'s
+    forward elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    col = 0
+    n_cols = len(m[0]) if m else 0
+    while rank < len(m) and col < n_cols:
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+# a zero top-left entry forces a row swap; a repeated row makes it singular
+_square = st.tuples(st.integers(0, 5).flatmap(lambda n: _matrices(n, n)),
+                    st.sampled_from(["as drawn", "zero corner", "repeated row"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square)
+def test_det_is_the_leibniz_expansion(drawn):
+    m, shape = drawn
+    if m and shape == "zero corner":
+        m[0][0] = 0
+    elif len(m) > 1 and shape == "repeated row":
+        m[-1] = list(m[0])
+    result = det(m)
+    assert isinstance(result, Fraction) and result == _leibniz(m)
+
+
+@pytest.mark.parametrize("m, expected", [
+    ([], 1), ([[0, 1], [1, 0]], -1), ([[0, 2, 0], [0, 0, 3], [5, 0, 0]], 30),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1), ([[2, 4], [1, 2]], 0), ([[0, 1], [0, 1]], 0)])
+def test_det_hand_cases(m, expected):
+    assert det(m) == expected
+
+
+@pytest.mark.parametrize("m", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]],
+                               [[]]])
+def test_det_refuses_a_non_square_matrix(m):
+    with pytest.raises(ValueError, match="non-square"):
+        det(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(lambda rc: _matrices(*rc)))
+def test_rank_matches_its_gauss_jordan_form(m):
+    assert rank_of_vectors(m) == _frozen_rank(m)
