@@ -14,8 +14,9 @@ import struct
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, islice
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
@@ -86,12 +87,12 @@ _DAY_US = 86_400_000_000
 _EPOCH = datetime(1, 1, 1)
 _US = timedelta(microseconds=1)
 _LAST_DAY = date.max.toordinal()        # days since _EPOCH of the day after date.max
-# a clock 'HH:MM:SS' read as a little-endian 8-byte lane (see _clock_lanes)
-_CLOCK_SHAPE = bytes(48) + b"0" * 10 + b":" + bytes(197)     # digits -> '0', ':' kept
-_ZEROS = int.from_bytes(b"00:00:00", "little")
+# a clock 'HH:MM:SS' and the space after it read as a little-endian 9-byte lane
+_CLOCK_SHAPE = bytes(32) + b" " + bytes(15) + b"0" * 10 + b":" + bytes(197)  # ' ', ':' kept
 _FIELDS = 0xff << 48 | 0xff << 24 | 0xff                    # bytes 6, 3, 0: SS, MM, HH
 _LIMITS = (128 - 60) << 48 | (128 - 60) << 24 | (128 - 24)  # field + limit reaches bit 7 ...
 _HIGH = 0x80 << 48 | 0x80 << 24 | 0x80                      # ... at SS, MM >= 60 or HH >= 24
+_GATHER = 3600 << 48 | 60 << 24 | 1     # HH*3600 + MM*60 + SS lands at bit 48 of the lane
 _BLOCK_LINES = 1000         # lines parsed per block by ``parse_ticks``
 _UNDECODED = frozenset(map(chr, range(0xdc80, 0xdd00)))   # bytes 0x80-0xff left undecoded
 
@@ -183,31 +184,35 @@ def _clock_micros(text: str) -> int:
     return ((h * 60 + m) * 60 + s) * 1_000_000
 
 
+@lru_cache(maxsize=4)
+def _lane_constants(count: int) -> tuple:
+    """Shape, zeros, lane constants and struct of ``_clock_lanes`` on ``count`` clocks."""
+    shape = (b"00:00:00 " * count)[:-1]
+    ones = int.from_bytes((b"\1" + bytes(8)) * count, "little")
+    return (shape, int.from_bytes(shape, "little"), ones, _FIELDS * ones, _LIMITS * ones,
+            _HIGH * ones, 0xffffff * ones, struct.Struct("<" + "Qx" * (count - 1) + "Q"))
+
+
 def _clock_lanes(clocks: list[str], day: int) -> Optional[tuple[int, ...]]:
     """``day`` plus the time of each clock in microseconds, or None unless
     every clock is 'HH:MM:SS' or 'H:MM:SS' in ASCII digits and a time of
-    day.  The clocks are read as one int of 8-byte lanes and converted by
-    whole-int operations, digits to fields in every lane at once (SWAR
-    parsing)."""
-    count = len(clocks)
-    if (lengths := set(map(len, clocks))) != {8}:
-        if not lengths <= {7, 8}:           # ':05:07', or '12:34:561' '2:34:56' as two lanes
+    day.  The clocks, which hold no space, are joined by spaces, and a shape that
+    pins every space proves each 8 characters.  The text is read as one int of
+    9-byte lanes, converted by whole-int operations in every lane at once (SWAR)."""
+    shape, zeros, ones, fields, limits, high, seconds, lanes = _lane_constants(len(clocks))
+    if not (text := " ".join(clocks)).isascii():
+        return None
+    if (raw := text.encode()).translate(_CLOCK_SHAPE) != shape:   # '9:05:07' as '09:05:07'
+        raw = " ".join(["0" + clock if len(clock) == 7 else clock for clock in clocks]).encode()
+        if raw.translate(_CLOCK_SHAPE) != shape:
             return None
-        clocks = [clock.rjust(8, "0") for clock in clocks]  # '9:05:07' reads as '09:05:07'
-    if not (text := "".join(clocks)).isascii():
+    x = int.from_bytes(raw, "little") - zeros               # every byte 0-9, ':' and ' ' to 0
+    x = (x * 10 + (x >> 8)) & fields                        # tens * 10 + units, no carries
+    if (x + limits) & high:
         return None
-    raw = text.encode()
-    if raw.translate(_CLOCK_SHAPE) != b"00:00:00" * count:
-        return None
-    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * count, "little")
-    x = int.from_bytes(raw, "little") - _ZEROS * ones       # every byte 0-9, ':' to 0
-    x = (x * 10 + (x >> 8)) & _FIELDS * ones                # tens * 10 + units, no carries
-    if (x + _LIMITS * ones) & _HIGH * ones:
-        return None
-    byte = 0xff * ones
-    x = ((x & byte) * 3_600_000_000 + (x >> 24 & byte) * 60_000_000
-         + (x >> 48 & byte) * 1_000_000 + day * ones)
-    return struct.unpack(f"<{count}Q", x.to_bytes(8 * count, "little"))
+    # what the product puts below bit 48 of this lane or the next stays there
+    x = (x * _GATHER >> 48 & seconds) * 1_000_000 + day * ones
+    return lanes.unpack(x.to_bytes(len(raw), "little"))
 
 
 def _grid_deltas(price_text: str, size_text: str, spec: ContractSpec, line_no: int) -> int:
@@ -246,13 +251,13 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tic
 
     The source is read in blocks of up to ``_BLOCK_LINES`` lines, and each
     block is converted column by column (``_parse_block``): its clocks
-    together (``_clock_lanes``), and each distinct date, price and size
-    text once, in caches shared across blocks.  Only a block that holds a
-    bad line reaches ``_raise_first_error``, which raises that line's error
-    with its number.
+    together (``_clock_lanes``), and each distinct date, price, size and
+    lane-refused clock text once, in caches shared across blocks.  Only a
+    block that holds a bad line reaches ``_raise_first_error``, which raises
+    that line's error with its number.
     """
     cols = TickColumns(spec)
-    caches = ({}, {}, {})      # days, grid, sizes
+    caches = ({}, {}, {}, {})      # days, clocks, grid, sizes
     lines = iter(source)
     line_no = 1
     while block := list(islice(lines, _BLOCK_LINES)):
@@ -264,19 +269,20 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tic
 
 def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
     """Append the ticks of ``block`` column by column; False, with nothing
-    appended, if a line is bad.  A block of ASCII lines with no '#' is
-    joined around a NUL sentinel and split once, and cut into columns this
-    way if its lines all have k = 4 or all k = 5 fields: the sentinel is
-    every (k+1)-th token and nowhere else.  Any other block is split line by
-    line, skipping blank and '#' lines."""
-    days, grid, size_of = caches
+    appended, if a line is bad.  A block of ASCII lines with no '#' is joined
+    around a NUL sentinel, split once and cut into columns if its lines all
+    have k = 4 or all k = 5 fields: the sentinel is every (k+1)-th token and
+    no condition, so a line's NUL token cannot shift the cut unseen (any other
+    column refuses it).  Any other block is split line by line, skipping
+    blank and '#' lines."""
+    days, clock_of, grid, size_of = caches
     count = len(block)
     text = " \0 ".join(block)
-    plain = text.isascii() and "#" not in text and text.count("\0") == count - 1
-    tokens = text.split() if plain else ()
+    tokens = text.split() if text.isascii() and "#" not in text else ()
     for stride in (5, 6):
         if len(tokens) == stride * count - 1 and \
-                tokens[stride - 1::stride].count("\0") == count - 1:
+                tokens[stride - 1::stride].count("\0") == count - 1 and \
+                (stride == 5 or "\0" not in tokens[4::6]):
             dates, clocks, prices, sizes = (tokens[i::stride] for i in range(4))
             conditions = tokens[4::6] if stride == 6 else [None] * count
             break
@@ -288,31 +294,44 @@ def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
             return False
         dates, clocks, prices, sizes = ([fields[i] for fields in rows] for i in range(4))
         conditions = [fields[4] if len(fields) == 5 else None for fields in rows]
+    if not dates:               # blank and '#' lines only
+        return True
     try:
         # each distinct text converted once; a failure means a bad line
-        day_set = set(dates)
-        for key in day_set.difference(days):
-            days[key] = _day_micros(key)
-        day = days[dates[0]] if len(day_set) == 1 else 0
+        one_day = dates.count(dates[0]) == len(dates)
+        day = _cached(days, dates[:1], _day_micros)[0] if one_day else 0
         times = _clock_lanes(clocks, day)
-        if times is None:       # a clock of another shape, such as '9:0:5', converts whole
-            times = map({clock: day + _clock_micros(clock) for clock in set(clocks)}.__getitem__,
-                        clocks)
-        for key in set(prices).difference(grid):
-            grid[key] = _grid_deltas(key, "0", cols.spec, 0)    # size "0" always passes
-        for key in set(sizes).difference(size_of):
-            if (size := int(key)) < 0:
-                return False
-            size_of[key] = size
+        if times is None:       # a clock of another shape, such as '17:5:07', converts whole
+            times = map(day.__add__, _cached(clock_of, clocks, _clock_micros))
+        if not one_day:
+            times = map(add, _cached(days, dates, _day_micros), times)
+        deltas = _cached(grid, prices, lambda key: _grid_deltas(key, "0", cols.spec, 0))
+        sizes = _cached(size_of, sizes, _size)
     except (ValueError, ArithmeticError):
         return False
-    if len(day_set) > 1:
-        times = map(add, map(days.__getitem__, dates), times)
     cols.times += times
-    cols.deltas += map(grid.__getitem__, prices)
-    cols.sizes += map(size_of.__getitem__, sizes)
+    cols.deltas += deltas
+    cols.sizes += sizes
     cols.conditions += conditions
     return True
+
+
+def _cached(cache: dict, texts: list[str], convert) -> tuple:
+    """``texts`` mapped through ``cache`` (one text's itemgetter returns no
+    tuple); on a miss each text not in it is converted, once, and all mapped again."""
+    get = itemgetter(*texts) if len(texts) > 1 else lambda cache: (cache[texts[0]],)
+    try:
+        return get(cache)
+    except KeyError:
+        for key in set(texts).difference(cache):
+            cache[key] = convert(key)
+        return get(cache)
+
+
+def _size(text: str) -> int:
+    if (size := int(text)) < 0:
+        raise ValueError(f"negative size {text!r}")
+    return size
 
 
 def _raise_first_error(lines: Iterable[str], line_no: int, spec: ContractSpec) -> NoReturn:

@@ -4,6 +4,7 @@ import io
 import random
 import re
 import tracemalloc
+from collections import Counter
 from datetime import date, datetime, time, timedelta
 from fractions import Fraction
 from itertools import groupby
@@ -402,11 +403,130 @@ def test_lanes_read_every_clock_shape_like_reference(clocks, before, after):
 
 
 def test_misaligned_clocks_are_refused_by_their_lengths(es):
-    # each pair joins into two well-shaped lanes; both clocks of the second
-    # pair are valid, and the lanes would read its first one as 12:34:05
+    # each pair is 8 characters a clock, and without the space between the
+    # clocks would read as two well-shaped lanes; both clocks of the second
+    # pair are valid, and such lanes would read its first one as 12:34:05
     for pair in (["12:34:561", "2:34:56"], ["12:34:051", "2:34:56"]):
         assert ingest._clock_lanes(pair, 0) is None
         _assert_parses_like_reference([f"2017/04/10 {clock} 2350.25 1" for clock in pair], es)
+
+
+_MISALIGNED = [("12:34:561", "2:34:56"), ("1:23:45", "123:45:6")]
+
+
+@pytest.mark.parametrize("size", [1, 2, 999, 1000])
+@pytest.mark.parametrize("pair", _MISALIGNED + [pair[::-1] for pair in _MISALIGNED]
+                         + [("9:05:07", "10:05:07"), ("10:05:07", "9:05:07")])
+def test_lanes_prove_clock_widths_beside_misaligned_neighbours(es, size, pair):
+    # a pair of clocks of 9 and 7 or of 7 and 8 characters, in a block of
+    # 'HH:MM:SS' clocks and across a block boundary: the lanes refuse the
+    # misaligned pairs and read a 7-character clock as 0H:MM:SS
+    day = ingest._day_micros("2017/04/10")
+    fill = [f"{10 + x // 3600:02d}:{x // 60 % 60:02d}:{x % 60:02d}" for x in range(size)]
+    if size > 1:
+        clocks = fill[:size - 2] + list(pair)
+        valid = "9:05:07" in pair
+        assert ingest._clock_lanes(clocks, day) == (
+            tuple(day + ingest._clock_micros(clock) for clock in clocks) if valid else None)
+    for at in {max(size - 2, 0), size - 1}:
+        clocks = fill[:at] + list(pair) + fill[at:]
+        lines = [f"2017/04/10 {clock} 2350.25 1" for clock in clocks]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_LINES", size)
+            assert _outcome(_parsed, lines, es) == _outcome(_reference_parse_ticks, lines, es)
+
+
+def test_lanes_on_the_last_day_stay_below_2_to_64(es):
+    day = ingest._day_micros(f"{date.max:%Y/%m/%d}")
+    last = day + ingest._clock_micros("23:59:59")
+    assert last < 1 << 64
+    assert ingest._clock_lanes(["23:59:59", "00:00:00", "23:59:59"], day) == (last, day, last)
+    _assert_parses_like_reference([f"{date.max:%Y/%m/%d} {clock} 2350.25 1"
+                                   for clock in ("00:00:00", "23:59:59")], es)
+
+
+def test_one_product_per_lane_never_carries_into_the_next_lane():
+    # '23:59:59' has the largest fields: what its product leaves below bit
+    # 48 of its own lane, plus what it spills past the lane's 72 bits into
+    # the next one, stays below bit 48, where the seconds of the day land
+    fields = 23 | 59 << 24 | 59 << 48
+    product = fields * ingest._GATHER
+    assert product >> 48 & 0xffffff == 86399
+    assert (product & (1 << 48) - 1) + (product >> 72) < 1 << 48
+    # every clock of a day read between two '23:59:59', in blocks of 1,000
+    day = ingest._day_micros("2017/04/10")
+    clocks = [f"{x // 3600:02d}:{x // 60 % 60:02d}:{x % 60:02d}" for x in range(86400)]
+    for i in range(0, len(clocks), 500):
+        block = [clock for x in clocks[i:i + 500] for clock in ("23:59:59", x)]
+        assert ingest._clock_lanes(block, day) == tuple(
+            day + ingest._clock_micros(clock) for clock in block)
+
+
+def _counting(monkeypatch, name):
+    """Patch ``ingest.<name>`` to count its calls per first argument."""
+    real, calls = getattr(ingest, name), Counter()
+
+    def counted(text, *args):
+        calls[text] += 1
+        return real(text, *args)
+
+    monkeypatch.setattr(ingest, name, counted)
+    return calls
+
+
+def test_each_clock_the_lanes_refuse_converts_once_per_parse(es, monkeypatch):
+    # clocks with an unpadded minute ('17:5:07') leave their block to the
+    # whole-clock path; the second half of the file repeats the clocks of
+    # the first on other days, and the clock cache is shared across blocks
+    lines = [re.sub(r"\t(\d\d):0(\d):", r"\t\1:\2:", line)
+             for line in _tick_lines(random.Random(7), 3000)]
+    lines += [line.replace("2017/04/", "2017/05/") for line in lines]
+    expected = _reference_parse_ticks(lines, es)
+    calls = _counting(monkeypatch, "_clock_micros")
+    for size in _BLOCK_SIZES:
+        calls.clear()
+        monkeypatch.setattr(ingest, "_BLOCK_LINES", size)
+        assert _parsed(lines, es) == expected
+        assert calls and max(calls.values()) == 1, size
+        if size == 1:           # one clock a block: only the unpadded ones convert whole
+            assert all(len(clock) == 7 for clock in calls)
+
+
+def test_new_prices_and_sizes_after_the_caches_are_warm_parse_like_reference(es, monkeypatch):
+    # a price, and separately a size, that first appears in a later block
+    # misses the warm caches and is converted once
+    lines = _tick_lines(random.Random(26), 2500)
+    lines[1500] = re.sub(r"\t[\d.]+\t", "\t2400.25\t", lines[1500])
+    lines[2300] = lines[2300].rsplit("\t", 1)[0] + "\t19"
+    prices = {line.split()[2] for line in lines}
+    assert "2400.25" in prices and "\t19" not in "".join(lines[:2300])
+    expected = _reference_parse_ticks(lines, es)
+    calls = _counting(monkeypatch, "_grid_deltas")
+    _assert_parses_like_reference(lines, es)
+    assert set(calls) == prices and set(calls.values()) == {len(_BLOCK_SIZES)}
+    assert _parsed(lines, es) == expected
+
+
+@pytest.mark.parametrize("field, text, error", [
+    (2, "2350.10", GridError), (2, "23x50", ParseError), (3, "-3", ParseError)])
+def test_bad_price_or_negative_size_in_a_later_block_appends_nothing(es, field, text, error):
+    lines = _tick_lines(random.Random(12), 2500)
+    fields = lines[1700].split("\t")
+    fields[field] = text
+    lines[1700] = "\t".join(fields)
+    outcome = _outcome(_parsed, lines, es)
+    assert outcome == _outcome(_reference_parse_ticks, lines, es)
+    assert outcome[0] is error and outcome[1].startswith("line 1701: ")
+    if text == "-3":
+        assert outcome[1] == "line 1701: tick size must be non-negative"
+    _assert_parses_like_reference(lines, es)
+    # the block that holds the bad line is refused after a warm block, and
+    # appends nothing to any column
+    cols, caches = TickColumns(es), ({}, {}, {}, {})
+    assert ingest._parse_block(lines[:1000], cols, caches)
+    before = [list(column) for column in (cols.times, cols.deltas, cols.sizes, cols.conditions)]
+    assert not ingest._parse_block(lines[1000:2000], cols, caches)
+    assert [cols.times, cols.deltas, cols.sizes, cols.conditions] == before
 
 
 def test_lane_blocks_across_midnight_and_short_blocks_parse_like_reference(es):

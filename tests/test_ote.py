@@ -235,6 +235,23 @@ def test_unordered_ticks_rejected(es):
         extract_otes([ticks[2], ticks[0], ticks[1]], FC4999, C, es)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_push_refuses_a_tick_earlier_than_the_last_and_keeps_streaming(es, seed):
+    # a seeded walk pushed in order, interrupted by a trade tick one second
+    # earlier than the last one pushed: it is refused, and the rest of the
+    # walk still streams to the batch records
+    rng = random.Random(seed)
+    ticks = ticks_from_deltas(zigzag_levels([0] + [rng.randrange(-25, 26) for _ in range(6)]), es)
+    cut = rng.randrange(1, len(ticks))
+    extractor = OteExtractor(FC4999, C, es)
+    streamed = [record for tick in ticks[:cut] for record in extractor.push(tick)]
+    late = ticks[cut - 1]
+    with pytest.raises(ValueError, match="^ticks must be time-ordered$"):
+        extractor.push(Tick(late.timestamp - timedelta(seconds=1), late.price, 1))
+    streamed += [record for tick in ticks[cut:] for record in extractor.push(tick)]
+    assert streamed + extractor.finish() == extract_otes(ticks, FC4999, C, es)
+
+
 def test_cost_must_be_below_filtering_cost(es):
     with pytest.raises(ValueError):
         OteExtractor("4.68", "4.68", es)
