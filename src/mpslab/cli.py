@@ -168,16 +168,16 @@ def cmd_dist(args) -> int:
     import json
     from . import distribution as dist
     p = _printable_universe(args)
-    pmf = dist.action_pmf(p)
-    table = [(m, dist.action_count(m, p), pmf[m]) for m in sorted(pmf)]
+    den = p.n * p.base ** 2     # int / int rounds as float(Fraction) does
+    table = ((m, dist.action_count(m, p), r) for m, r in dist.action_weights(p))
     if args.format == "json":
-        payload = [{"m": m, "count": count, "pmf": float(f)} for m, count, f in table]
+        payload = [{"m": m, "count": count, "pmf": r / den} for m, count, r in table]
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        rows, cum = ["m\tcount\tpmf\tcdf"], Fraction(0)
-        for m, count, f in table:
-            cum += f
-            rows.append("\t".join([str(m), str(count), repr(float(f)), repr(float(cum))]))
+        rows, cum = ["m\tcount\tpmf\tcdf"], 0
+        for m, count, r in table:
+            cum += r
+            rows.append(f"{m}\t{count}\t{r / den!r}\t{cum / den!r}")
         _emit(args, "\n".join(rows) + "\n", _DIST_PLOT)
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .model import PositionSeries, Strategy, _checked_make, positions_to_strategy
 from .numeric import Rational, as_fraction, as_fractions
@@ -88,40 +88,34 @@ def universe_counts(p: UniverseParams) -> UniverseCounts:
     )
 
 
-def action_count(m: int, p: UniverseParams) -> int:
-    """Exact number of actions of size m over the whole universe.
-
-    Count_A = [(2W+1)n - (n-2)|m|] (2W+1)^(n-3) for |m| <= W, and
-    Count_B = Count_A - 2(2W+1)^(n-2) for W < |m| <= 2W.  The n-3 exponent
-    is evaluated as an exact rational so n = 2 works (counts stay integral).
-    """
-    w, n, b = p.limit, p.n, p.base
+def _weight(m: Rational, p: UniverseParams) -> int:
+    """The action law as an integer weight over n b^2, b = 2W+1: slices 1 and n
+    uniform on [-W, W] (b each), the n-2 middle ones triangular (b - |m|), so
+    r(m) = b n - (n-2)|m| - 2b [|m| > W] for an integer |m| <= 2W, else 0."""
+    w, n = p.limit, p.n
     a = abs(m)
-    if a > 2 * w:
+    if a > 2 * w or a % 1:
         return 0
-    count = Fraction(b * n - (n - 2) * a) * Fraction(b) ** (n - 3)
-    if a > w:
-        count -= 2 * Fraction(b) ** (n - 2)
-    if count.denominator != 1:
-        raise ArithmeticError(f"non-integral action count for m={m}, {p}")
-    return count.numerator
+    b = 2 * w + 1
+    return b * n - (n - 2) * int(a) - (2 * b if a > w else 0)
 
 
-def action_distribution(p: UniverseParams) -> ActionDistribution:
-    counts = {m: action_count(m, p) for m in range(-2 * p.limit, 2 * p.limit + 1)}
-    return ActionDistribution(counts, p.n * p.size)
+def action_weights(p: UniverseParams) -> Iterator[tuple[int, int]]:
+    """(m, r(m)) for each action size m in [-2W, 2W], in order."""
+    return ((m, _weight(m, p)) for m in range(-2 * p.limit, 2 * p.limit + 1))
+
+
+def action_count(m: Rational, p: UniverseParams) -> int:
+    """Exact number of actions of size m among the n b^(n-1) of the universe,
+    r(m) n b^(n-1) / (n b^2): exact for n = 2 too, and 0 for a non-integral m."""
+    b = p.base
+    return _weight(m, p) * b ** (p.n - 1) // (b * b)
 
 
 def action_pmf(p: UniverseParams) -> dict[int, Fraction]:
-    """Exact PMF of action sizes; p(0) = 1/(2W+1) independently of n.
-
-    Count / (n (2W+1)^(n-1)) with the common power cancelled, in O(1) per m:
-    (bn - (n-2)|m|) / (n b^2), less 2 / (n b) for |m| > W, where b = 2W+1.
-    """
-    w, n, b = p.limit, p.n, p.base
-    return {m: Fraction(b * n - (n - 2) * abs(m), n * b * b)
-            - (Fraction(2, n * b) if abs(m) > w else 0)
-            for m in range(-2 * w, 2 * w + 1)}
+    """Exact PMF of action sizes, r(m) / (n b^2); p(0) = 1/(2W+1) for every n."""
+    den = p.n * p.base ** 2
+    return {m: Fraction(r, den) for m, r in action_weights(p)}
 
 
 def limit_pmf(p: UniverseParams) -> dict[int, Fraction]:
@@ -133,48 +127,21 @@ def limit_pmf(p: UniverseParams) -> dict[int, Fraction]:
 def action_cdf(x: Rational, p: UniverseParams) -> Fraction:
     """Right-continuous step CDF F(x) of the action distribution."""
     xf = as_fraction(x) if not isinstance(x, float) else x
-    pmf = action_pmf(p)
-    return sum((q for m, q in pmf.items() if m <= xf), Fraction(0))
+    return Fraction(sum(r for m, r in action_weights(p) if m <= xf), p.n * p.base ** 2)
 
 
 def char_fn(t: float, p: UniverseParams) -> float:
-    """Characteristic function f(t); real and even, f(0) = 1 exactly.
-
-    Cosines are IEEE floats but the PMF weights stay rational, so values at
-    t = 0 and the evenness f(-t) = f(t) are exact.
-    """
-    acc = Fraction(0)
-    for m, q in action_pmf(p).items():
-        acc += q * Fraction(math.cos(t * m))
-    return float(acc)
-
-
-def char_fn_curvature(p: UniverseParams, h: float = 1e-3) -> float:
-    """-f''(0) by a fourth-order central stencil; approximates moment(2)."""
-    f = lambda t: char_fn(t, p)
-    return -(-f(2 * h) + 16 * f(h) - 30.0 + 16 * f(-h) - f(-2 * h)) / (12 * h * h)
+    """Characteristic function f(t), real and even: the cosines are floats but
+    the integer weights sum exactly, so f(0) = 1 and f(-t) = f(t) exactly."""
+    acc = sum(r * Fraction(math.cos(t * m)) for m, r in action_weights(p))
+    return float(acc / (p.n * p.base ** 2))
 
 
 def moment(s: int, p: UniverseParams) -> Fraction:
-    """Beginning moment alpha_s from the s-th derivative of f at t=0.
-
-    d^s/dt^s cos(mt) = m^s cos(mt + pi s/2), so odd moments vanish and even
-    ones reduce to three exact power sums.
-    """
+    """Beginning moment alpha_s = sum r(m) m^s / (n b^2); odd moments vanish."""
     if s < 0:
         raise ValueError("moment order must be >= 0")
-    if s % 2 == 1:
-        return Fraction(0)
-    w, n, b = p.limit, p.n, p.base
-    pow_s = sum(Fraction(m) ** s for m in range(1, 2 * w + 1))
-    pow_s1 = sum(Fraction(m) ** (s + 1) for m in range(1, 2 * w + 1))
-    pow_s_hi = sum(Fraction(m) ** s for m in range(w + 1, 2 * w + 1))
-    alpha = (Fraction(2) * pow_s / b
-             - Fraction(2 * (n - 2)) * pow_s1 / (n * b * b)
-             - Fraction(4) * pow_s_hi / (n * b))
-    if s == 0:
-        alpha += Fraction(1, b)
-    return alpha
+    return Fraction(sum(r * m ** s for m, r in action_weights(p)), p.n * p.base ** 2)
 
 
 def variance(p: UniverseParams) -> Fraction:

@@ -1,4 +1,4 @@
-"""Shared fixtures and synthetic tick builders."""
+"""Shared fixtures, synthetic tick builders and action-law helpers."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from mpslab import PRESETS, Tick
+from mpslab import PRESETS, Tick, action_count, char_fn
+from mpslab.distribution import ActionDistribution
 
 
 @pytest.fixture
@@ -38,3 +39,15 @@ def zigzag_levels(swings):
     for target in swings[1:]:
         levels.extend(ramp(levels[-1], target)[1:])
     return levels
+
+
+def action_distribution(p):
+    """The closed-form action counts of a universe as an ActionDistribution."""
+    counts = {m: action_count(m, p) for m in range(-2 * p.limit, 2 * p.limit + 1)}
+    return ActionDistribution(counts, p.n * p.size)
+
+
+def char_fn_curvature(p, h=1e-3):
+    """-f''(0) by a fourth-order central stencil; approximates moment(2)."""
+    f = lambda t: char_fn(t, p)
+    return -(-f(2 * h) + 16 * f(h) - 30.0 + 16 * f(-h) - f(-2 * h)) / (12 * h * h)

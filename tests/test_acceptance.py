@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import ticks_from_deltas, zigzag_levels
+from conftest import char_fn_curvature, ticks_from_deltas, zigzag_levels
 from mpslab import (CostModel, PRESETS, Strategy, brute_force_mps,
                     birth_threshold, cayley_stats, char_fn, extract_otes,
                     gen_family, iter_strategies, action_cdf, action_count,
@@ -18,7 +18,7 @@ from mpslab import (CostModel, PRESETS, Strategy, brute_force_mps,
                     positions_oplus, positions_to_strategy, pl,
                     rank_of_universe, strategies_compose,
                     strategy_to_positions, validate_membership)
-from mpslab.distribution import UniverseParams, char_fn_curvature, variance
+from mpslab.distribution import UniverseParams, variance
 from mpslab.magma import CappedInt
 from mpslab.ote import OteType
 from mpslab.vectors import dot

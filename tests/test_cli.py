@@ -1,12 +1,17 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
+import io
 import json
 import random
+from contextlib import redirect_stdout
 from datetime import datetime, timedelta
+from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ticks_from_deltas, zigzag_levels
 from mpslab import (PRESETS, Tick, Tolerances, extract_otes, serialize_ticks,
@@ -53,6 +58,38 @@ def test_dist_pmf_sums_to_one(capsys):
     rows = json.loads(out)
     assert abs(sum(r["pmf"] for r in rows) - 1.0) < 1e-12
     assert len(rows) == 9
+
+
+def _fraction_dist(w, n, fmt):
+    """`dist` stdout as the Fraction path printed it: Fraction powers for the
+    counts, a Fraction PMF and a Fraction running sum for the CDF."""
+    b = 2 * w + 1
+
+    def count(m):
+        c = Fraction(b * n - (n - 2) * abs(m)) * Fraction(b) ** (n - 3)
+        if abs(m) > w:
+            c -= 2 * Fraction(b) ** (n - 2)
+        return c.numerator
+
+    table = [(m, count(m), Fraction(b * n - (n - 2) * abs(m), n * b * b)
+              - (Fraction(2, n * b) if abs(m) > w else 0)) for m in range(-2 * w, 2 * w + 1)]
+    if fmt == "json":
+        payload = [{"m": m, "count": c, "pmf": float(f)} for m, c, f in table]
+        return json.dumps(payload, indent=2) + "\n"
+    rows, cum = ["m\tcount\tpmf\tcdf"], Fraction(0)
+    for m, c, f in table:
+        cum += f
+        rows.append("\t".join([str(m), str(c), repr(float(f)), repr(float(cum))]))
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(2, 60), st.sampled_from(["tsv", "json"]))
+def test_dist_matches_the_fraction_path(w, n, fmt):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["dist", "--W", str(w), "--n", str(n), "--format", fmt]) == 0
+    assert out.getvalue() == _fraction_dist(w, n, fmt)
 
 
 def test_output_determinism(capsys):

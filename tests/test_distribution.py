@@ -1,15 +1,17 @@
 """Closed-form combinatorics against golden values and small oracles."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import action_distribution, char_fn_curvature
 from mpslab import (abs_action_cov, action_cdf, action_count, action_cov,
                     action_pmf, char_fn, extreme_gain_strategies,
                     industry_gain, iter_strategies, limit_pmf, moment,
                     pl_variance, position_cov, slice_sums, universe_counts)
 from mpslab.distribution import (UniverseParams, abs_action_case,
-                                 action_distribution, char_fn_curvature,
                                  pl_price_variance_bound, variance)
 
 
@@ -33,6 +35,17 @@ def test_action_count_goldens():
     assert [action_count(m, UniverseParams(1, 3)) for m in range(-2, 3)] == [1, 8, 9, 8, 1]
     assert action_count(4, UniverseParams(2, 2)) == 0
     assert action_count(5, UniverseParams(2, 2)) == 0   # out of range => 0
+
+
+def test_action_count_of_a_non_integral_size_is_zero():
+    p = UniverseParams(1, 4)
+    assert [action_count(m, p) for m in (1.5, -0.5, Fraction(1, 3), 2.5, float("nan"))] == [0] * 5
+    for n in (2, 3, 4):
+        q = UniverseParams(2, n)
+        assert action_count(1.5, q) == action_count(Fraction(7, 2), q) == 0
+        # an integral float or Fraction counts as its integer
+        assert action_count(3.0, q) == action_count(Fraction(-6, 2), q) == action_count(3, q)
+    assert action_count(float("inf"), p) == action_count(-5, p) == 0
 
 
 def test_action_count_total_identity():
@@ -63,6 +76,69 @@ def test_action_pmf_matches_exact_counts():
         for n in range(2, 13):
             p = UniverseParams(w, n)
             assert action_pmf(p) == action_distribution(p).pmf()
+
+
+def _uniform_moment(k, w):
+    return Fraction(sum(m ** k for m in range(-w, w + 1)), 2 * w + 1)
+
+
+def _mixture_pmf(p):
+    """The time-slice mixture: slices 1 and n are uniform on [-W, W], each of
+    the n-2 middle slices the triangular law of the difference of two."""
+    w, n, b = p.limit, p.n, p.base
+    return {m: Fraction(2, n) * Fraction(int(abs(m) <= w), b)
+            + Fraction(n - 2, n) * Fraction(b - abs(m), b * b)
+            for m in range(-2 * w, 2 * w + 1)}
+
+
+def test_action_law_is_the_time_slice_mixture():
+    for w in range(1, 7):
+        for n in range(2, 13):
+            p = UniverseParams(w, n)
+            assert action_pmf(p) == _mixture_pmf(p)
+
+
+def test_moments_are_the_convolved_uniform_moments():
+    # a middle action is the sum of two independent uniforms on [-W, W]
+    for w, n in ((1, 2), (1, 7), (2, 3), (3, 12), (6, 5)):
+        p = UniverseParams(w, n)
+        for s in range(13):
+            edge = _uniform_moment(s, w)
+            middle = sum(math.comb(s, k) * _uniform_moment(k, w) * _uniform_moment(s - k, w)
+                         for k in range(s + 1))
+            assert moment(s, p) == Fraction(2, n) * edge + Fraction(n - 2, n) * middle
+
+
+def test_char_fn_is_the_mixture_of_dirichlet_kernels():
+    for w, n in ((1, 2), (2, 5), (4, 13), (6, 40)):
+        p = UniverseParams(w, n)
+        b = p.base
+        for t in (0.05, 0.4, 1.0, 2.5, -3.0):
+            d = math.sin(b * t / 2) / (b * math.sin(t / 2))
+            assert abs(char_fn(t, p) - (2 / n * d + (n - 2) / n * d * d)) < 1e-12
+
+
+def test_slice_action_counts_match_enumeration():
+    # the time-slice distributions: the edge slices are uniform on [-W, W]
+    # with b^(n-2) actions per size, a middle slice has (b - |m|) b^(n-3)
+    checked = 0
+    for w in range(1, 4):
+        for n in range(2, 7):
+            p = UniverseParams(w, n)
+            b = p.base
+            per_slice = [Counter() for _ in range(n)]
+            for s in iter_strategies(p):
+                for i, u in enumerate(s.actions):
+                    per_slice[i][u] += 1
+            for i, counts in enumerate(per_slice):
+                for m in range(-2 * w, 2 * w + 1):
+                    if i in (0, n - 1):
+                        expected = b ** (n - 2) if abs(m) <= w else 0
+                    else:
+                        expected = (b - abs(m)) * b ** (n - 3)
+                    assert counts[m] == expected, (w, n, i + 1, m)
+                    checked += 1
+    assert checked == 540
 
 
 def test_limit_pmf():

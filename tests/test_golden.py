@@ -96,6 +96,19 @@ COMMANDS = {
         "4373ee59d50096624b5d7f81af6683c24cb5ff9e6edfb35bdf1f2de243501800",
     ("dist", "--W", "2", "--n", "5"):
         "832c16a200cb2118effc35e781b8a458978b62e36ff25c7d2413d99a7b020091",
+    ("dist", "--W", "1", "--n", "2"):
+        "9f4590ecbf83e1f13a4a44599fd60d4e65f8d7c3159e0ec42d56745778f4e78e",
+    ("dist", "--W", "1", "--n", "3", "--format", "json"):
+        "260ed687320f5609fa6bf3556b618b5fc6c1762b7f58e9127e9c7518da21b7a1",
+    ("dist", "--W", "300", "--n", "40"):
+        "510d9f9dc43b7b7b0e27d179f3206ba82a4d2478865a7def3b6c2817c3ee781b",
+    ("dist", "--W", "6", "--n", "13"):
+        "c643fd195236a3fe57aa254d1be5d9990b8a7800c59f1dea9e0276bdfc6b8751",
+    # 80,001 rows, with pmf and cdf values far from any short decimal
+    ("dist", "--W", "20000", "--n", "5"):
+        "081731f786837a3496723579c8136cdd68347972eb4759eec9ac4a470104a7d1",
+    ("dist", "--W", "20000", "--n", "5", "--format", "json"):
+        "47934876d3fa8c65ada91ec6c82c9d61a60d6c2ec8cebe5705c167832e311e8f",
     ("magma-table", "--W", "3", "--op", "minus"):
         "6ccdcb9f38fa4181d5b5a4a7cf540ff25166a6027f6c17359c9e4b42c6d6b13a",
     ("rank", "--n", "8"):
