@@ -53,6 +53,8 @@ def _check_args(args) -> None:
                 for name in ("fc", "cost"))
     for failed, message in [
         (get("max_universe") is not None and args.max_universe <= 0, "budget must be positive"),
+        (get("max_universe") is not None and args.max_universe < 3,
+         "budget must be >= 3, the size of the smallest universe (W = 1, n = 2)"),
         (get("bins") is not None and args.bins < 1, "bin count must be >= 1"),
         (get("W") is not None and args.W < 1, "position limit W must be >= 1"),
         (get("n") is not None and args.n < 2, "tick count n must be >= 2"),
@@ -143,13 +145,7 @@ def _session_trades(args, spec) -> list:
 def cmd_counts(args) -> int:
     import json
     from . import distribution as dist
-    counts = dist.universe_counts(_printable_universe(args))
-    record = {
-        "strategies": counts.strategies,
-        "actions_total": counts.actions_total,
-        "do_nothing": counts.do_nothing,
-        "transactions": counts.transactions,
-    }
+    record = dist.universe_counts(_printable_universe(args))._asdict()
     if args.format == "json":
         _emit(args, json.dumps(record, indent=2) + "\n")
     else:
@@ -164,21 +160,25 @@ plot '{data}' using 1:3 title 'pmf', '{data}' using 1:4 title 'cdf'
 """
 
 
+# dist's head, row (of m, count, pmf, cdf), row separator, tail and plot
+# stub per --format; json is json.dumps(rows, indent=2)'s layout
+_DIST_FORMATS = {
+    "tsv": ("m\tcount\tpmf\tcdf\n", "{}\t{}\t{!r}\t{!r}", "\n", "\n", _DIST_PLOT),
+    "json": ("[\n", '  {{\n    "m": {},\n    "count": {},\n    "pmf": {!r}\n  }}',
+             ",\n", "\n]\n", None),
+}
+
+
 def cmd_dist(args) -> int:
-    import json
     from . import distribution as dist
     p = _printable_universe(args)
+    head, row, sep, tail, plot = _DIST_FORMATS[args.format]
     den = p.n * p.base ** 2     # int / int rounds as float(Fraction) does
-    table = ((m, dist.action_count(m, p), r) for m, r in dist.action_weights(p))
-    if args.format == "json":
-        payload = [{"m": m, "count": count, "pmf": r / den} for m, count, r in table]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        rows, cum = ["m\tcount\tpmf\tcdf"], 0
-        for m, count, r in table:
-            cum += r
-            rows.append(f"{m}\t{count}\t{r / den!r}\t{cum / den!r}")
-        _emit(args, "\n".join(rows) + "\n", _DIST_PLOT)
+    rows, cum = [], 0
+    for m, r in dist.action_weights(p):
+        cum += r
+        rows.append(row.format(m, dist.action_count(m, p), r / den, cum / den))
+    _emit(args, head + sep.join(rows) + tail, plot)
     return 0
 
 
@@ -198,13 +198,10 @@ def cmd_verify(args) -> int:
 
 def cmd_magma_table(args) -> int:
     from . import magma
-    table = magma.cayley_table(args.W, args.op)
-    values = list(range(-args.W, args.W + 1))
-    header = "\t".join([("(+)" if args.op == "plus" else "(-)")] + [str(v) for v in values])
-    lines = [header]
-    for left, row in zip(values, table):
-        cells = [str(left)] + ["n/a" if v is None else str(v) for v in row]
-        lines.append("\t".join(cells))
+    values = range(-args.W, args.W + 1)
+    lines = ["\t".join(["(+)" if args.op == "plus" else "(-)", *map(str, values)])]
+    for left, row in zip(values, magma.cayley_table(args.W, args.op)):
+        lines.append("\t".join([str(left), *("n/a" if v is None else str(v) for v in row)]))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

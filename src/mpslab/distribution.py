@@ -160,8 +160,8 @@ def industry_gain(cost: Rational, p: UniverseParams) -> IndustryGain:
     c = as_fraction(cost)
     if c < 0:
         raise ValueError("cost must be non-negative")
-    w, n, b = p.limit, p.n, p.base
-    total = 2 * c * w * (w + 1) * Fraction(b) ** (n - 2) * Fraction(2 * n - 1, 3)
+    w, n = p.limit, p.n
+    total = c * _exact_div(2 * w * (w + 1) * (2 * n - 1) * p.base ** (n - 2), 3)
     return IndustryGain(total, -total / p.size)
 
 
@@ -198,41 +198,42 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+def _square_sum(p: UniverseParams) -> int:
+    """Q = W(W+1)(2W+1)^(n-1)/3: the universe sum of U_1^2, of U_n^2 and of
+    each W_i^2 with i < n, and minus that of each U_i U_{i+1}."""
+    w = p.limit
+    return _exact_div(w * (w + 1) * p.base ** (p.n - 1), 3)
+
+
 def slice_sums(i: int, p: UniverseParams) -> SliceSums:
-    """Universe sums of U_i, |U_i|, U_i^2 in the time slice i (1-based)."""
+    """Universe sums of U_i, |U_i|, U_i^2 in the time slice i (1-based):
+    the edge slices square-sum to Q, the middle ones to 2Q."""
     w, n, b = p.limit, p.n, p.base
     if not 1 <= i <= n:
         raise ValueError(f"slice index {i} out of [1, {n}]")
     ww1 = w * (w + 1)
     if i == 1 or i == n:
-        sum_abs = ww1 * b ** (n - 2)
-        sum_sq = _exact_div(ww1 * b ** (n - 1), 3)
-    else:
-        sum_abs = _exact_div(4 * ww1 * b ** (n - 2), 3)
-        sum_sq = _exact_div(2 * ww1 * b ** (n - 1), 3)
-    return SliceSums(0, sum_abs, sum_sq)
+        return SliceSums(0, ww1 * b ** (n - 2), _square_sum(p))
+    return SliceSums(0, _exact_div(4 * ww1 * b ** (n - 2), 3), 2 * _square_sum(p))
 
 
 def position_cov(i: int, l: int, p: UniverseParams) -> int:
-    """sum_j W_{i,j} W_{l,j}: W(W+1)(2W+1)^(n-1)/3 on the diagonal, else 0."""
-    w, n, b = p.limit, p.n, p.base
+    """sum_j W_{i,j} W_{l,j}: Q on the diagonal, else 0."""
+    n = p.n
     if not (1 <= i <= n and 1 <= l <= n):
         raise ValueError("slice index out of range")
     if i == n or l == n or i != l:
         return 0
-    return _exact_div(w * (w + 1) * b ** (n - 1), 3)
+    return _square_sum(p)
 
 
 def action_cov(i: int, lag: int, p: UniverseParams) -> int:
-    """sum_j U_{i,j} U_{i+lag,j}: -W(W+1)(2W+1)^(n-1)/3 at lag 1, else 0."""
-    w, n, b = p.limit, p.n, p.base
+    """sum_j U_{i,j} U_{i+lag,j}: -Q at lag 1, else 0."""
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    if not (1 <= i and i + lag <= n):
+    if not (1 <= i and i + lag <= p.n):
         raise ValueError("indices out of range")
-    if lag != 1:
-        return 0
-    return -_exact_div(w * (w + 1) * b ** (n - 1), 3)
+    return -_square_sum(p) if lag == 1 else 0
 
 
 def abs_action_case(i: int, r: int, p: UniverseParams) -> str:
@@ -253,27 +254,20 @@ def abs_action_case(i: int, r: int, p: UniverseParams) -> str:
     return "F"
 
 
+# the closed forms B-F as x (a x + e) b^(n-3) / d with x = W(W+1), b = 2W+1:
+# (a, e, d); E's numerator W(28W^3 + 56W^2 + 27W - 1) is x (28 x - 1)
+_ABS_COV_FORMS = {"B": (3, 0, 2), "C": (1, 0, 1), "D": (4, 0, 3),
+                  "E": (28, -1, 15), "F": (16, 0, 9)}
+
+
 def abs_action_cov(i: int, r: int, p: UniverseParams) -> int:
-    """sum_j |U_{i,j}| |U_{r,j}| via the closed forms A-F."""
-    w, n, b = p.limit, p.n, p.base
+    """sum_j |U_{i,j}| |U_{r,j}| via the closed forms A-F; A (n = 2) is Q."""
     case = abs_action_case(i, r, p)
-    ww1 = w * (w + 1)
-    scale = b ** (n - 3) if n >= 3 else None
     if case == "A":
-        value = Fraction(ww1 * b, 3)
-    elif case == "B":
-        value = Fraction(3 * ww1 * ww1 * scale, 2)
-    elif case == "C":
-        value = Fraction(ww1 * ww1 * scale)
-    elif case == "D":
-        value = Fraction(4 * ww1 * ww1 * scale, 3)
-    elif case == "E":
-        value = Fraction(w * (28 * w ** 3 + 56 * w * w + 27 * w - 1) * scale, 15)
-    else:
-        value = Fraction(16 * ww1 * ww1 * scale, 9)
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral covariance for ({i},{r}), {p}")
-    return value.numerator
+        return _square_sum(p)
+    a, e, d = _ABS_COV_FORMS[case]
+    x = p.limit * (p.limit + 1)
+    return _exact_div(x * (a * x + e) * p.base ** (p.n - 3), d)
 
 
 class PlVariance(NamedTuple):
@@ -287,9 +281,9 @@ def pl_variance(prices: Sequence[Rational], cost: Rational, p: UniverseParams,
     """Sample variance of PL over the universe for one price scenario.
 
     The price-leg variance depends only on squared increments,
-    k^2 W(W+1) S / (3(S-1)) * sum(dP^2); the cost-leg variance has an n = 2
-    special case and a general 3 <= n closed form; the two add exactly
-    because the cross moment sum_j PL^I_j PL^II_j vanishes.
+    k^2 Q sum(dP^2) / (S-1), S the universe size; the cost-leg variance has
+    an n = 2 special case and a general 3 <= n closed form; the two add
+    exactly because the cross moment sum_j PL^I_j PL^II_j vanishes.
     """
     ps = as_fractions(prices)
     if len(ps) != p.n:
@@ -298,7 +292,7 @@ def pl_variance(prices: Sequence[Rational], cost: Rational, p: UniverseParams,
     kf = as_fraction(k)
     w, n, b, s = p.limit, p.n, p.base, p.size
     sq_incr = sum((ps[i] - ps[i - 1]) ** 2 for i in range(1, n))
-    var_i = kf * kf * Fraction(w * (w + 1) * s, 3 * (s - 1)) * sq_incr
+    var_i = kf * kf * Fraction(_square_sum(p), s - 1) * sq_incr
     if n == 2:
         # The additive structure PL^II = -2C|m| over m in [-W, W] gives
         # 2C^2 (W+1)(W^2+W+1) / (3(2W+1)); matches the enumeration oracle.

@@ -35,6 +35,12 @@ def clamp(x: int, limit: int) -> int:
     return max(-limit, min(limit, x))
 
 
+def _difference(a: int, b: int, limit: int) -> Optional[int]:
+    """a - b when it stays inside [-limit, limit], else None."""
+    diff = a - b
+    return diff if abs(diff) <= limit else None
+
+
 def _same_limit(a: CappedInt, b: CappedInt) -> int:
     if a.limit != b.limit:
         raise ValueError(f"limit mismatch: {a.limit} vs {b.limit}")
@@ -54,10 +60,8 @@ def ominus(a: CappedInt, b: CappedInt) -> Optional[CappedInt]:
     one with minimum absolute value, which keeps it unique.
     """
     w = _same_limit(a, b)
-    diff = a.value - b.value
-    if abs(diff) > w:
-        return None
-    return CappedInt(diff, w)
+    diff = _difference(a.value, b.value, w)
+    return None if diff is None else CappedInt(diff, w)
 
 
 def solution_set(b: CappedInt, c: CappedInt) -> tuple[CappedInt, ...]:
@@ -67,14 +71,13 @@ def solution_set(b: CappedInt, c: CappedInt) -> tuple[CappedInt, ...]:
     |b| + 1 values when c sits on the boundary |c| = W.
     """
     w = _same_limit(b, c)
-    if abs(c.value - b.value) > w:
+    diff = _difference(c.value, b.value, w)
+    if diff is None:
         return ()
     if abs(c.value) < w:
-        return (CappedInt(c.value - b.value, w),)
-    if c.value == w:
-        lo, hi = w - b.value, w
-    else:
-        lo, hi = -w, -w - b.value
+        return (CappedInt(diff, w),)
+    # on the boundary every x from the difference out to it clamps onto c
+    lo, hi = (diff, w) if c.value == w else (-w, diff)
     return tuple(CappedInt(x, w) for x in range(lo, hi + 1))
 
 
@@ -99,22 +102,16 @@ def cayley_stats(limit: int) -> CayleyStats:
 
 
 def cayley_table(limit: int, op: str = "plus") -> list[list[Optional[int]]]:
-    """The full table, rows indexed by the left operand -W..W."""
+    """The full table, rows indexed by the left operand -W..W, each cell
+    by the integer rule of ``oplus`` or ``ominus``."""
     if op not in ("plus", "minus"):
         raise ValueError("op must be 'plus' or 'minus'")
-    w = limit
-    values = range(-w, w + 1)
-    table = []
-    for a in values:
-        row = []
-        for b in values:
-            if op == "plus":
-                row.append(oplus(CappedInt(a, w), CappedInt(b, w)).value)
-            else:
-                res = ominus(CappedInt(a, w), CappedInt(b, w))
-                row.append(None if res is None else res.value)
-        table.append(row)
-    return table
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    values = range(-limit, limit + 1)
+    if op == "plus":
+        return [[clamp(a + b, limit) for b in values] for a in values]
+    return [[_difference(a, b, limit) for b in values] for a in values]
 
 
 def _check_member(series: PositionSeries, limit: int, name: str) -> None:

@@ -442,6 +442,8 @@ def test_argument_checks_run_before_dispatch(capsys):
              (["pattern", "--fc", "1", "--cost", "0.5", "--eq-tol", "-1", "missing.tsv"],
               "tolerances must be non-negative"),
              (["verify", "--max-universe", "0"], "budget must be positive"),
+             # below the smallest universe (W = 1, n = 2) nothing would be checked
+             (["verify", "--max-universe", "2"], "budget must be >= 3"),
              (["counts", "--W", "0", "--n", "3"], "position limit W must be >= 1"),
              (["rank", "--n", "1"], "tick count n must be >= 2")]
     for argv, message in cases:

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import action_distribution, char_fn_curvature
 from mpslab import (abs_action_cov, action_cdf, action_count, action_cov,
@@ -291,6 +293,49 @@ def test_abs_action_cov_n7_w3_matrix():
     assert abs_action_cov(2, 4, p) == 614656
     assert abs_action_cov(2, 7, p) == 460992
     assert abs_action_cov(6, 7, p) == 518616
+
+
+def _fraction_abs_action_cov(i, r, p):
+    """abs_action_cov as it was written on Fractions, frozen as the judge."""
+    w, n, b = p.limit, p.n, p.base
+    ww1, case = w * (w + 1), abs_action_case(i, r, p)
+    scale = b ** (n - 3) if n >= 3 else None
+    if case == "A":
+        value = Fraction(ww1 * b, 3)
+    elif case == "B":
+        value = Fraction(3 * ww1 * ww1 * scale, 2)
+    elif case == "C":
+        value = Fraction(ww1 * ww1 * scale)
+    elif case == "D":
+        value = Fraction(4 * ww1 * ww1 * scale, 3)
+    elif case == "E":
+        value = Fraction(w * (28 * w ** 3 + 56 * w * w + 27 * w - 1) * scale, 15)
+    else:
+        value = Fraction(16 * ww1 * ww1 * scale, 9)
+    assert value.denominator == 1
+    return value.numerator
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(2, 40),
+       st.sampled_from([0, 1, Fraction(1, 3), Fraction(117, 25), Fraction(2501, 2)]))
+def test_integer_closed_forms_match_their_fraction_forms(w, n, cost):
+    p = UniverseParams(w, n)
+    b, ww1 = p.base, w * (w + 1)
+    square = Fraction(ww1 * b ** (n - 1), 3)      # Q, as each form wrote it
+    for i in range(1, n + 1):
+        middle = 1 < i < n
+        assert slice_sums(i, p) == (
+            0, Fraction((4 if middle else 3) * ww1 * b ** (n - 2), 3), (2 if middle else 1) * square)
+        assert position_cov(i, i, p) == (square if i < n else 0)
+        for r in range(i + 1, n + 1):
+            assert abs_action_cov(i, r, p) == _fraction_abs_action_cov(i, r, p)
+            assert position_cov(i, r, p) == position_cov(r, i, p) == 0
+            assert action_cov(i, r - i, p) == (-square if r == i + 1 else 0)
+    total = 2 * cost * w * (w + 1) * Fraction(b) ** (n - 2) * Fraction(2 * n - 1, 3)
+    gain = industry_gain(cost, p)
+    assert gain == (total, -total / p.size)
+    assert type(gain.total_dollars) is type(gain.mean_pl) is Fraction
 
 
 def test_abs_action_cov_index_checks():

@@ -109,8 +109,16 @@ COMMANDS = {
         "081731f786837a3496723579c8136cdd68347972eb4759eec9ac4a470104a7d1",
     ("dist", "--W", "20000", "--n", "5", "--format", "json"):
         "47934876d3fa8c65ada91ec6c82c9d61a60d6c2ec8cebe5705c167832e311e8f",
+    ("dist", "--W", "3", "--n", "9", "--format", "json"):
+        "a1a83580545d45723b82d91a79a9832313cb3ac877e170b0be3223c766a04758",
     ("magma-table", "--W", "3", "--op", "minus"):
         "6ccdcb9f38fa4181d5b5a4a7cf540ff25166a6027f6c17359c9e4b42c6d6b13a",
+    ("magma-table", "--W", "1"):
+        "2c05c8c0126aef6f4a142855f5ede800020223a2cf8377d5b413d9b27a959a02",
+    ("magma-table", "--W", "40"):
+        "fb38e8d7e2256d70d91201a4e5c30c1781bf75de32419466f01f017c11c185dd",
+    ("magma-table", "--W", "40", "--op", "minus"):
+        "4c558c7e7b67d1cda05ef2904094cf293bec8c54b60d33bc493703bab0b75727",
     ("rank", "--n", "8"):
         "26a1eae39b81e7130c255e2632274e92c5b9e02b9ecfdddf3340545ca0844473",
     ("verify", "--max-universe", "1000"):

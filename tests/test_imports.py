@@ -1,6 +1,7 @@
 """What importing the package and running the CLI loads: numpy only for
 ``verify``, ``configparser`` only for a ``--config`` file, no
 ``dataclasses`` and no ``mpslab.pl`` at all, no ``mpslab.ote`` for ``mps``,
+no ``json`` for ``dist``,
 and every lazy export the object its module defines."""
 
 import importlib
@@ -31,6 +32,9 @@ def loaded(step, numpy=False, config=False):
 
 cli.build_parser()
 loaded("import mpslab.cli; build_parser()")
+# dist writes its json rows from a template
+assert cli.main(["dist", "--W", "1", "--n", "4", "--format", "json"]) == 0
+assert "json" not in sys.modules, "json loaded: dist --format json"
 import mpslab
 assert mpslab.ingest.parse_ticks and "mpslab.ote" not in sys.modules
 loaded("mpslab.ingest")
@@ -48,6 +52,9 @@ for argv in steps:
     assert argv[0] != "mps" or "mpslab.ote" not in sys.modules, f"mpslab.ote loaded: {argv}"
 assert cli.main(ote + ["--contract", "NW", "--config", config, "--out", out]) == 0
 loaded("ote --config", config=True)
+# a budget under the smallest universe is refused before numpy loads
+assert cli.main(["verify", "--max-universe", "2", "--out", out]) == 1
+loaded("verify --max-universe 2", config=True)
 assert cli.main(["verify", "--max-universe", "100", "--out", out]) == 0
 loaded("verify", numpy=True, config=True)
 import mpslab.pl

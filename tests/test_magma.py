@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from mpslab import (CappedInt, PositionSeries, Strategy, cayley_stats,
-                    cayley_table, iter_strategies, ominus, oplus,
+                    cayley_table, iter_strategies, magma, ominus, oplus,
                     positions_oplus, positions_to_strategy, solution_set,
                     strategies_compose, strategy_to_positions)
 from mpslab.distribution import UniverseParams
@@ -124,6 +124,38 @@ def test_cayley_table_layout():
     assert sub[4][1] == 3                             # 1 (-) -2
     assert sub[4][0] is None                          # 1 (-) -3 undefined
     assert cayley_stats(1).ordinary / cayley_stats(1).pairs == 7 / 9
+
+
+@pytest.mark.parametrize("w", range(1, 11))
+def test_cayley_table_cells_are_the_operators(w):
+    values = range(-w, w + 1)
+    plus, minus = cayley_table(w, "plus"), cayley_table(w, "minus")
+    for row, a in enumerate(values):
+        for col, b in enumerate(values):
+            assert plus[row][col] == oplus(c(a, w), c(b, w)).value
+            diff = ominus(c(a, w), c(b, w))
+            assert minus[row][col] == (None if diff is None else diff.value)
+
+
+def test_cayley_table_builds_no_capped_int(monkeypatch):
+    def no_capped_int(*args):
+        raise AssertionError("CappedInt built")
+
+    monkeypatch.setattr(magma, "CappedInt", no_capped_int)
+    assert cayley_table(2, "plus")[0] == [-2, -2, -2, -1, 0]
+    assert cayley_table(2, "minus")[0] == [0, -1, -2, None, None]
+
+
+@pytest.mark.parametrize("limit", [0, -1, -2, -10 ** 6])
+@pytest.mark.parametrize("op", ["plus", "minus"])
+def test_cayley_table_refuses_a_limit_below_one(limit, op):
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        cayley_table(limit, op)
+
+
+def test_cayley_table_checks_the_op_before_the_limit():
+    with pytest.raises(ValueError, match="op must be"):
+        cayley_table(-1, "times")
 
 
 def test_positions_oplus_identity_and_inverse():

@@ -4,14 +4,15 @@ import random
 import tracemalloc
 from collections import deque
 from fractions import Fraction
-from math import inf
+from itertools import accumulate
+from math import inf, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpslab import (PRESETS, BudgetExceeded, CostModel, MpsResult, Strategy,
-                    brute_force_mps, mps0, pl, validate_membership)
+from mpslab import (PRESETS, BudgetExceeded, ContractSpec, CostModel, MpsResult,
+                    Strategy, brute_force_mps, mps0, pl, validate_membership)
 from mpslab import mps as mps_module
 from mpslab.distribution import UniverseParams
 from mpslab.model import strategy_to_positions
@@ -436,6 +437,52 @@ def test_reported_pl_is_the_pl_of_the_reported_strategy_on_a_long_walk(es):
         result = mps0(prices, cost, limit, es)
         assert len(result.trades) > 1000
         assert result.pl == _strategy_pl(prices, result, cost, es)
+
+
+def _certify(prices, cost, limit, spec, result):
+    """mps0's P&L checked by LP duality, in ints scaled to whole cost and
+    delta units.  For prices P, cost c and any path q with |q_i - P_i| <= c,
+    every strategy in the universe makes -sum(P_i U_i + c|U_i|) <= W TV(q).
+    Here q = P + c at each trade-chain minimum and P - c at each maximum,
+    constant before the first of these and clamped into the tube after it;
+    W TV(q) must equal the reported P&L, which the reported strategy makes."""
+    scale = lcm(cost.denominator, spec.delta_dollars.denominator)
+    step, c = int(spec.delta_dollars * scale), int(cost * scale)
+    p = [step * n for n in spec.grid_counts(prices)]
+    anchors = {}
+    for t in result.trades:
+        for i, side in ((t.start, t.direction), (t.end, -t.direction)):
+            assert anchors.setdefault(i, p[i] + side * c) == p[i] + side * c
+    first = min(anchors, default=len(p))
+    q = [anchors[first] if anchors else max(p) - c] * first
+    for i in range(first, len(p)):
+        q.append(anchors[i] if i in anchors else min(max(q[-1], p[i] - c), p[i] + c))
+    assert all(abs(x - price) <= c for x, price in zip(q, p))
+    pl = result.pl * scale
+    assert limit * sum(abs(b - a) for a, b in zip(q, q[1:])) == pl
+    assert -sum(price * u + c * abs(u) for price, u in zip(p, result.strategy.actions)) == pl
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, -3, 5, -5]), min_size=1, max_size=500),
+       _costs, st.integers(1, 10 ** 6))
+def test_mps0_pl_is_certified_by_a_tube_path(steps, cost, limit):
+    es = PRESETS["ES"]
+    prices = _chain(steps, base=40000)
+    _certify(prices, cost, limit, es, mps0(prices, cost, limit, es))
+
+
+def test_mps0_pl_is_certified_on_a_long_walk(es):
+    # ES quoted in grid counts, as `mps` reads a tick file
+    spec = ContractSpec("ES", es.delta_dollars, 1)
+    rng = random.Random(29)
+    prices = list(accumulate((rng.choice((0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(10 ** 5)),
+                             initial=9000))
+    # birth thresholds of 1 and 3 deltas, 2c/(k delta) off the integers
+    for cost, limit in ((Fraction(117, 25), 1), (Fraction(1251, 100), 10 ** 6)):
+        result = mps0(prices, cost, limit, spec)
+        assert len(result.trades) > 1000
+        _certify(prices, cost, limit, spec, result)
 
 
 @settings(max_examples=200, deadline=None)
