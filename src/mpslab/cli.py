@@ -22,6 +22,8 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 # each subcommand imports the modules it runs, so only `verify` loads numpy
 from . import __version__
@@ -30,9 +32,10 @@ from .numeric import BudgetExceeded, ExponentError, as_fraction, fmt_dollars, fm
 
 CONFIG_ENV = "MPSLAB_CONFIG"
 
-MAX_RANK_N = 1000   # `rank --n` past this exits 2 before the n^2-Fraction basis is built
-# `dist` rows, `magma-table` cells or `--bins` past this exit 2 before any work
+# `dist` rows, `magma-table` cells, `rank`'s basis entries or `--bins` past
+# this exit 2 before any work
 MAX_TABLE_ENTRIES = 10 ** 6
+_BATCH_LINES = 256      # lines per write; a write per line is ~25 % slower at dist's bound
 
 
 def _number(text: str) -> Fraction:
@@ -62,6 +65,7 @@ def _check_args(args) -> None:
         (cost is not None and cost < 0, "cost must be non-negative"),
         (fc is not None and cost >= fc, "actual cost C must be below the filtering cost FC"),
         (get("eq_tol", 0) < 0 or get("lt_tol", 0) < 0, "tolerances must be non-negative"),
+        (get("prices") and get("file"), "give --prices or a tick file, not both"),
     ]:
         if failed:
             raise ValueError(message)
@@ -72,11 +76,14 @@ def _check_args(args) -> None:
 
 def _table_size(args) -> tuple[int, str]:
     """The entries of the table the command builds: dist's 4W+1 action
-    sizes, magma-table's (2W+1)^2 cells, or the histogram bins asked for."""
+    sizes, magma-table's (2W+1)^2 cells, rank's n^2 basis entries, or the
+    histogram bins asked for."""
     if args.command == "dist":
         return 4 * args.W + 1, "rows"
     if args.command == "magma-table":
         return (2 * args.W + 1) ** 2, "cells"
+    if args.command == "rank":
+        return args.n ** 2, "basis entries"
     return getattr(args, "bins", None) or 0, "bins"
 
 
@@ -96,15 +103,17 @@ def _printable_universe(args):
     return p
 
 
-def _emit(args, text: str, plot_stub: str | None = None) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        if getattr(args, "emit_plot", False) and plot_stub:
-            with open(args.out + ".gp", "w") as fh:
-                fh.write(plot_stub.format(data=args.out))
-    else:
-        sys.stdout.write(text)
+def _emit(args, lines: Iterable[str], plot_stub: str | None = None) -> None:
+    """The one writer of command output: each of ``lines`` (a json row holds
+    several) and a newline, to --out or stdout, a batch at a time as made;
+    commands make all that can fail first, so only formatting runs in here."""
+    out, lines = getattr(args, "out", None), iter(lines)
+    with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+        while batch := list(islice(lines, _BATCH_LINES)):
+            fh.write("\n".join(batch) + "\n")
+    if out and plot_stub and getattr(args, "emit_plot", False):
+        with open(out + ".gp", "w") as fh:
+            fh.write(plot_stub.format(data=out))
 
 
 def _contract(args) -> ContractSpec:
@@ -146,10 +155,8 @@ def cmd_counts(args) -> int:
     import json
     from . import distribution as dist
     record = dist.universe_counts(_printable_universe(args))._asdict()
-    if args.format == "json":
-        _emit(args, json.dumps(record, indent=2) + "\n")
-    else:
-        _emit(args, "".join(f"{k}={v}\n" for k, v in record.items()))
+    _emit(args, [json.dumps(record, indent=2)] if args.format == "json"
+          else (f"{k}={v}" for k, v in record.items()))
     return 0
 
 
@@ -160,25 +167,30 @@ plot '{data}' using 1:3 title 'pmf', '{data}' using 1:4 title 'cdf'
 """
 
 
-# dist's head, row (of m, count, pmf, cdf), row separator, tail and plot
-# stub per --format; json is json.dumps(rows, indent=2)'s layout
+# dist's head, row (of m, count, pmf, cdf, and "," if a row follows), tail and
+# plot stub per --format; json is json.dumps(rows, indent=2)'s layout
 _DIST_FORMATS = {
-    "tsv": ("m\tcount\tpmf\tcdf\n", "{}\t{}\t{!r}\t{!r}", "\n", "\n", _DIST_PLOT),
-    "json": ("[\n", '  {{\n    "m": {},\n    "count": {},\n    "pmf": {!r}\n  }}',
-             ",\n", "\n]\n", None),
+    "tsv": (["m\tcount\tpmf\tcdf"], "{0}\t{1}\t{2!r}\t{3!r}", [], _DIST_PLOT),
+    "json": (["["], '  {{\n    "m": {0},\n    "count": {1},\n    "pmf": {2!r}\n  }}{4}', ["]"],
+             None),
 }
 
 
 def cmd_dist(args) -> int:
     from . import distribution as dist
     p = _printable_universe(args)
-    head, row, sep, tail, plot = _DIST_FORMATS[args.format]
+    head, row, tail, plot = _DIST_FORMATS[args.format]
     den = p.n * p.base ** 2     # int / int rounds as float(Fraction) does
-    rows, cum = [], 0
-    for m, r in dist.action_weights(p):
-        cum += r
-        rows.append(row.format(m, dist.action_count(m, p), r / den, cum / den))
-    _emit(args, head + sep.join(rows) + tail, plot)
+    # count(m) = r(m) n b^(n-1) / (n b^2), distribution.action_count's rule
+    scale, square, last = p.base ** (p.n - 1), p.base ** 2, 2 * p.limit
+
+    def rows() -> Iterator[str]:
+        cum = 0
+        for m, r in dist.action_weights(p):
+            cum += r
+            yield row.format(m, r * scale // square, r / den, cum / den, "," if m < last else "")
+
+    _emit(args, chain(head, rows(), tail), plot)
     return 0
 
 
@@ -186,31 +198,26 @@ def cmd_verify(args) -> int:
     from . import verify
     budget = verify.DEFAULT_MAX_UNIVERSE if args.max_universe is None else args.max_universe
     results = verify.verify_matrix(budget)
-    lines = ["W\tn\tcheck\tstatus"]
-    failures = 0
-    for r in results:
-        lines.append(f"{r.limit}\t{r.n}\t{r.check}\t{'pass' if r.ok else 'FAIL'}")
-        failures += 0 if r.ok else 1
-    lines.append(f"# {len(results) - failures}/{len(results)} checks passed")
-    _emit(args, "\n".join(lines) + "\n")
+    failures = sum(not r.ok for r in results)
+    _emit(args, ["W\tn\tcheck\tstatus",
+                 *(f"{r.limit}\t{r.n}\t{r.check}\t{'pass' if r.ok else 'FAIL'}" for r in results),
+                 f"# {len(results) - failures}/{len(results)} checks passed"])
     return 1 if failures else 0
 
 
 def cmd_magma_table(args) -> int:
     from . import magma
     values = range(-args.W, args.W + 1)
-    lines = ["\t".join(["(+)" if args.op == "plus" else "(-)", *map(str, values)])]
-    for left, row in zip(values, magma.cayley_table(args.W, args.op)):
-        lines.append("\t".join([str(left), *("n/a" if v is None else str(v) for v in row)]))
-    _emit(args, "\n".join(lines) + "\n")
+    table = magma.cayley_table(args.W, args.op)
+    _emit(args, chain(["\t".join(["(+)" if args.op == "plus" else "(-)", *map(str, values)])],
+                      ("\t".join([str(left), *("n/a" if v is None else str(v) for v in row)])
+                       for left, row in zip(values, table))))
     return 0
 
 
 def cmd_rank(args) -> int:
-    if args.n > MAX_RANK_N:
-        raise BudgetExceeded(f"n = {args.n}, over the limit of {MAX_RANK_N}")
     from . import vectors
-    _emit(args, f"rank={vectors.rank_of_universe(args.n)}\n")
+    _emit(args, [f"rank={vectors.rank_of_universe(args.n)}"])
     return 0
 
 
@@ -227,23 +234,18 @@ def cmd_mps(args) -> int:
         prices = ingest.in_time_order(_read_ticks(args, spec)).deltas
         spec = ContractSpec(spec.symbol, spec.delta_dollars, 1)
     result = mps_mod.mps0(prices, as_fraction(args.cost), args.W, spec)
-    lines = [f"pl={fmt_dollars(result.pl)}"]
-    if len(result.strategy) <= 60:
-        lines.append("strategy=" + ",".join(str(a) for a in result.strategy.actions))
-    else:
-        lines.append(f"transactions={sum(1 for a in result.strategy.actions if a)}")
-        for i, a in enumerate(result.strategy.actions):
-            if a:
-                lines.append(f"action\t{i}\t{a}")
-    for t in result.trades:
-        side = "long" if t.direction > 0 else "short"
-        lines.append(f"trade\t{t.start}\t{t.end}\t{side}")
-    _emit(args, "\n".join(lines) + "\n")
+    actions = result.strategy.actions
+    strategy = (["strategy=" + ",".join(map(str, actions))] if len(actions) <= 60 else
+                chain([f"transactions={sum(1 for a in actions if a)}"],
+                      (f"action\t{i}\t{a}" for i, a in enumerate(actions) if a)))
+    _emit(args, chain([f"pl={fmt_dollars(result.pl)}"], strategy,
+                      (f"trade\t{t.start}\t{t.end}\t{'long' if t.direction > 0 else 'short'}"
+                       for t in result.trades)))
     return 0
 
 
-def _stats_block(stats, title: str) -> list[str]:
-    lines = [
+def _stats_block(stats, title: str) -> Iterator[str]:
+    yield from [
         f"{title} distribution",
         f"Mean                = {float(stats.mean)}",
         f"Samples size        = {stats.count}",
@@ -257,8 +259,7 @@ def _stats_block(stats, title: str) -> list[str]:
         f"Excess kurtosis     = {stats.excess_kurtosis}",
     ]
     for idx, (lo, hi, count) in enumerate(stats.histogram):
-        lines.append(f"{idx} ({lo}, {hi}] {count}")
-    return lines
+        yield f"{idx} ({lo}, {hi}] {count}"
 
 
 _OTE_PLOT = """set terminal pngcairo size 900,600
@@ -271,33 +272,32 @@ def cmd_ote(args) -> int:
     from . import ote as ote_mod
     spec = _contract(args)
     records = [r for _, found in _session_trades(args, spec) for r in found]
-    lines = ["#\tt_start\tP_start\tt_end\tP_end\tdt_s\tPL\tType"]
-    for idx, r in enumerate(records, start=1):
-        lines.append("\t".join([
-            str(idx),
-            r.t_start.strftime("%Y-%m-%d %H:%M:%S"), fmt_price(r.p_start, spec.delta),
-            r.t_end.strftime("%Y-%m-%d %H:%M:%S"), fmt_price(r.p_end, spec.delta),
-            str(int(r.duration)), fmt_dollars(r.pl), r.ote_type.value,
-        ]))
-    used = [r for r in records if r.closed or args.include_open]
-    if len(used) >= 2:
-        profit_stats = ote_mod.ote_stats(used, "profit", True, args.bins)
-        lines.append("")
-        lines.extend(_stats_block(profit_stats, "PL"))
-        lines.append("")
-        lines.extend(_stats_block(ote_mod.ote_stats(used, "duration", True, args.bins),
-                                  "Trade time"))
-        lines.append("")
-        lines.append("# EPMF")
-        lines.append("profit\tcount")
-        for value, count in profit_stats.epmf:
-            lines.append(f"{fmt_dollars(value)}\t{count}")
-        lines.append("")
-        lines.append("# ECDF")
-        lines.append("profit\tcumulative")
-        for value, frac in profit_stats.ecdf:
-            lines.append(f"{fmt_dollars(value)}\t{repr(float(frac))}")
-    _emit(args, "\n".join(lines) + "\n", _OTE_PLOT)
+    # ote_stats takes the closed records, and with --include-open the open ones
+    metrics = ("profit", "duration") if sum(r.closed or args.include_open
+                                            for r in records) >= 2 else ()
+    stats = [ote_mod.ote_stats(records, m, args.include_open, args.bins) for m in metrics]
+
+    def lines() -> Iterator[str]:
+        yield "#\tt_start\tP_start\tt_end\tP_end\tdt_s\tPL\tType"
+        for idx, r in enumerate(records, start=1):
+            yield "\t".join([
+                str(idx),
+                r.t_start.strftime("%Y-%m-%d %H:%M:%S"), fmt_price(r.p_start, spec.delta),
+                r.t_end.strftime("%Y-%m-%d %H:%M:%S"), fmt_price(r.p_end, spec.delta),
+                str(int(r.duration)), fmt_dollars(r.pl), r.ote_type.value,
+            ])
+        if stats:
+            profit, duration = stats
+            yield ""
+            yield from _stats_block(profit, "PL")
+            yield ""
+            yield from _stats_block(duration, "Trade time")
+            yield from ["", "# EPMF", "profit\tcount"]
+            yield from (f"{fmt_dollars(value)}\t{count}" for value, count in profit.epmf)
+            yield from ["", "# ECDF", "profit\tcumulative"]
+            yield from (f"{fmt_dollars(value)}\t{float(frac)!r}" for value, frac in profit.ecdf)
+
+    _emit(args, lines(), _OTE_PLOT)
     return 0
 
 
@@ -318,7 +318,7 @@ def cmd_stats(args) -> int:
     with _open_text(args.file) as fh:
         values = _samples(fh)
     stats = ote_mod.sample_stats(values, args.bins)
-    _emit(args, "\n".join(_stats_block(stats, args.metric.capitalize())) + "\n")
+    _emit(args, _stats_block(stats, args.metric.capitalize()))
     return 0
 
 
@@ -326,15 +326,13 @@ def cmd_pattern(args) -> int:
     from . import ote as ote_mod
     spec = _contract(args)
     tol = ote_mod.Tolerances(args.eq_tol, args.lt_tol)
-    lines = ["session\twindow_end\tmatched_at\tprice"]
-    for session, records in _session_trades(args, spec):
-        for end, i in ote_mod.head_and_shoulders_hits(records, tol, spec):
-            tick = records[end - 1].columns[i]
-            lines.append("\t".join([str(session.day), str(end),
-                                    tick.timestamp.strftime("%Y-%m-%d %H:%M:%S"),
-                                    fmt_price(tick.price, spec.delta)]))
-    lines.append(f"# {len(lines) - 1} matches")
-    _emit(args, "\n".join(lines) + "\n")
+    hits = [(session.day, end, records[end - 1].columns[i])
+            for session, records in _session_trades(args, spec)
+            for end, i in ote_mod.head_and_shoulders_hits(records, tol, spec)]
+    _emit(args, ["session\twindow_end\tmatched_at\tprice",
+                 *("\t".join([str(day), str(end), tick.timestamp.strftime("%Y-%m-%d %H:%M:%S"),
+                              fmt_price(tick.price, spec.delta)]) for day, end, tick in hits),
+                 f"# {len(hits)} matches"])
     return 0
 
 

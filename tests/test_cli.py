@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import tracemalloc
 from contextlib import redirect_stdout
 from datetime import datetime, timedelta
 from fractions import Fraction
@@ -121,14 +122,15 @@ def test_rank(capsys):
 
 def test_rank_over_its_bound_is_refused_before_the_basis_is_built(capsys, monkeypatch):
     # the exact rank costs n^2 Fractions; the bound itself still runs
-    from mpslab import cli, vectors
+    from mpslab import vectors
     calls = []
     monkeypatch.setattr(vectors, "rank_of_universe", lambda n: calls.append(n) or n - 1)
-    bound = cli.MAX_RANK_N
+    bound = isqrt(MAX_TABLE_ENTRIES)
     assert run(capsys, ["rank", "--n", str(bound)]) == (0, f"rank={bound - 1}\n", "")
     code, out, err = run(capsys, ["rank", "--n", str(bound + 1)])
     assert (code, out) == (2, "")
-    assert err == f"budget refused: n = {bound + 1}, over the limit of {bound}\n"
+    assert err == f"budget refused: {(bound + 1) ** 2} basis entries, over the limit of " \
+        f"{MAX_TABLE_ENTRIES}\n"
     assert calls == [bound]
 
 
@@ -155,6 +157,34 @@ def test_tables_over_their_bound_are_refused_before_any_work(capsys, monkeypatch
     assert err == f"budget refused: {entries(largest + 1)} {unit}, over the limit of " \
         f"{MAX_TABLE_ENTRIES}\n"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_dist_rows_are_written_as_they_are_made(tmp_path, fmt):
+    # 39,997 rows: holding them all, or their joined text, costs more than
+    # half the bytes they make on the page
+    out = tmp_path / "dist.txt"
+    argv = ["dist", "--W", "9999", "--n", "2", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0          # the modules it imports, loaded untraced
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 2
+
+
+def test_a_failing_command_writes_nothing(tmp_path, capsys):
+    samples, ticks, out = tmp_path / "samples.txt", tmp_path / "ticks.tsv", tmp_path / "out.txt"
+    samples.write_text("1e+155\n2\n")     # a variance past the float range
+    ticks.write_text("2017/04/10 09:00:00 2350.00 1\n2017/04/10 09:00:01 2350.10 1\n")
+    for argv in (["stats", str(samples)], ["ote", "--fc", "49.99", "--cost", "4.68", str(ticks)]):
+        for extra in ([], ["--out", str(out), "--emit-plot"]):
+            code, stdout, err = run(capsys, argv + extra)
+            assert (code, stdout) == (1, "")
+            assert err.startswith("error: ")
+            assert not out.exists() and not (tmp_path / "out.txt.gp").exists()
 
 
 def test_mps_inline_prices(capsys):
@@ -445,7 +475,10 @@ def test_argument_checks_run_before_dispatch(capsys):
              # below the smallest universe (W = 1, n = 2) nothing would be checked
              (["verify", "--max-universe", "2"], "budget must be >= 3"),
              (["counts", "--W", "0", "--n", "3"], "position limit W must be >= 1"),
-             (["rank", "--n", "1"], "tick count n must be >= 2")]
+             (["rank", "--n", "1"], "tick count n must be >= 2"),
+             # the tick file is refused before it is opened, not ignored
+             (["mps", "--cost", "5", "--prices", "2370.00,2370.25", "missing.tsv"],
+              "give --prices or a tick file, not both")]
     for argv, message in cases:
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")

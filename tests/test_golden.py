@@ -8,9 +8,14 @@ the bytes a subcommand prints change.
 
 import hashlib
 import random
+from fractions import Fraction
+from itertools import accumulate
 
+from test_mps import _certify
+from mpslab import ContractSpec, MpsResult, OteType, Strategy, extract_otes
 from mpslab.cli import main
-from mpslab.ingest import TickColumns, parse_ticks, trade_ticks
+from mpslab.ingest import TickColumns, parse_ticks, sessionize, trade_ticks
+from mpslab.mps import MpsTrade
 
 DAY = 86_400
 OPEN = 17 * 3600                  # ES session open, the calendar day before
@@ -181,3 +186,53 @@ def test_all_indicative_ticks(tmp_path, capsys, es):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == "#\tt_start\tP_start\tt_end\tP_end\tdt_s\tPL\tType\n"
+
+
+def test_mps_output_is_certified_from_its_lines_alone(tmp_path, capsys, es):
+    # the printed pl=, action and trade lines, against the traded ticks of
+    # the file in stable time order, make an optimal strategy of the W = 3
+    # universe: `_certify` holds a tube path whose variation bounds every one
+    path = tmp_path / "ticks.txt"
+    path.write_text(_tick_text())
+    assert main(["mps", "--cost", "4.68", "--W", "3", str(path)]) == 0
+    pl_line, count_line, *lines = capsys.readouterr().out.splitlines()
+    traded = sorted((fields for fields in map(str.split, _tick_text().splitlines())
+                     if fields[3] != "0"), key=lambda fields: fields[:2])
+    actions, trades = [0] * len(traded), []
+    for kind, *fields in (line.split("\t") for line in lines):
+        if kind == "action":
+            actions[int(fields[0])] = int(fields[1])
+        else:
+            assert kind == "trade"
+            trades.append(MpsTrade(int(fields[0]), int(fields[1]),
+                                   {"long": 1, "short": -1}[fields[2]]))
+    positions = list(accumulate(actions))
+    assert max(map(abs, positions)) <= 3 and positions[-1] == 0
+    # the trades, each W contracts in and out, are the printed actions
+    for t in trades:
+        positions[t.start:t.end] = (w - 3 * t.direction for w in positions[t.start:t.end])
+    assert not any(positions)
+    assert count_line == f"transactions={sum(1 for a in actions if a)}"
+    assert pl_line.startswith("pl=") and len(trades) > 100
+    result = MpsResult(Strategy(actions), Fraction(pl_line[3:]), tuple(trades))
+    _certify([Fraction(fields[2]) for fields in traded], Fraction("4.68"), 3, es, result)
+
+
+def test_ote_chains_of_the_golden_sessions_are_certified(es):
+    # each session's OTE records, priced at the filtering cost FC, are the
+    # trades of an optimal W = 1 strategy at cost FC
+    ticks = trade_ticks(parse_ticks(_tick_text().splitlines(), es))
+    quoted = ContractSpec(es.symbol, es.delta_dollars, 1)       # prices in grid counts
+    sessions = sessionize(ticks).sessions
+    assert len(sessions) == 2
+    for fc in (Fraction("49.99"), Fraction("12.49"), Fraction("4.69")):
+        for session in sessions:
+            deltas, actions, trades = session.ticks.deltas, [0] * len(session.ticks), []
+            for r in extract_otes(session.ticks, fc, Fraction("4.68"), es):
+                trade = MpsTrade(r.start, r.stop - 1, 1 if r.ote_type is OteType.BOTE else -1)
+                actions[trade.start] += trade.direction
+                actions[trade.end] -= trade.direction
+                trades.append(trade)
+            pl = sum(t.direction * (deltas[t.end] - deltas[t.start]) * es.delta_dollars - 2 * fc
+                     for t in trades)
+            _certify(deltas, fc, 1, quoted, MpsResult(Strategy(actions), pl, tuple(trades)))
