@@ -193,19 +193,39 @@ def _lane_constants(count: int) -> tuple:
             _HIGH * ones, 0xffffff * ones, struct.Struct("<" + "Qx" * (count - 1) + "Q"))
 
 
-def _clock_lanes(clocks: list[str], day: int) -> Optional[tuple[int, ...]]:
+def _padded_clock(clock: str, padded: dict) -> str:
+    """``clock`` with each one-character field zero-filled ('9:5:07' as
+    '09:05:07'), stored in ``padded``.  Zeros are only inserted, so a clock
+    that is not three fields of one or two ASCII digits keeps a character
+    or a width that the lanes' shape refuses."""
+    text = padded[clock] = ":".join([field.zfill(2) if field else field
+                                     for field in clock.split(":")])
+    return text
+
+
+def _clock_lanes(clocks: list[str], day: int,
+                 padded: Optional[dict] = None) -> Optional[tuple[int, ...]]:
     """``day`` plus the time of each clock in microseconds, or None unless
-    every clock is 'HH:MM:SS' or 'H:MM:SS' in ASCII digits and a time of
-    day.  The clocks, which hold no space, are joined by spaces, and a shape that
-    pins every space proves each 8 characters.  The text is read as one int of
+    every clock is 'H:M:S' with one or two ASCII digits a field and a time
+    of day.  The clocks, which hold no space, are joined by spaces, and a
+    shape that pins every space proves each 8 characters.  If it does not,
+    the 7-character clocks get a leading zero, the cheap fix for 'H:MM:SS'
+    and all a block of them needs; if the shape still fails, the clocks of
+    another length than 8 are padded field by field (``_padded_clock``,
+    cached in ``padded``) and checked again.  The text is read as one int of
     9-byte lanes, converted by whole-int operations in every lane at once (SWAR)."""
     shape, zeros, ones, fields, limits, high, seconds, lanes = _lane_constants(len(clocks))
     if not (text := " ".join(clocks)).isascii():
         return None
     if (raw := text.encode()).translate(_CLOCK_SHAPE) != shape:   # '9:05:07' as '09:05:07'
         raw = " ".join(["0" + clock if len(clock) == 7 else clock for clock in clocks]).encode()
-        if raw.translate(_CLOCK_SHAPE) != shape:
-            return None
+        if raw.translate(_CLOCK_SHAPE) != shape:   # '9:5:7' as '09:05:07'
+            padded = {} if padded is None else padded
+            get = padded.get
+            raw = " ".join([clock if len(clock) == 8 else get(clock) or _padded_clock(clock, padded)
+                            for clock in clocks]).encode()
+            if raw.translate(_CLOCK_SHAPE) != shape:
+                return None
     x = int.from_bytes(raw, "little") - zeros               # every byte 0-9, ':' and ' ' to 0
     x = (x * 10 + (x >> 8)) & fields                        # tens * 10 + units, no carries
     if (x + limits) & high:
@@ -257,7 +277,7 @@ def parse_ticks(source: Union[TextIO, Iterable[str]], spec: ContractSpec) -> Tic
     that line's error with its number.
     """
     cols = TickColumns(spec)
-    caches = ({}, {}, {}, {})      # days, clocks, grid, sizes
+    caches = ({}, {}, {}, {}, {})      # days, clocks, grid, sizes, padded clocks
     lines = iter(source)
     line_no = 1
     while block := list(islice(lines, _BLOCK_LINES)):
@@ -275,7 +295,7 @@ def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
     no condition, so a line's NUL token cannot shift the cut unseen (any other
     column refuses it).  Any other block is split line by line, skipping
     blank and '#' lines."""
-    days, clock_of, grid, size_of = caches
+    days, clock_of, grid, size_of, padded = caches
     count = len(block)
     text = " \0 ".join(block)
     tokens = text.split() if text.isascii() and "#" not in text else ()
@@ -300,8 +320,8 @@ def _parse_block(block: list[str], cols: TickColumns, caches: tuple) -> bool:
         # each distinct text converted once; a failure means a bad line
         one_day = dates.count(dates[0]) == len(dates)
         day = _cached(days, dates[:1], _day_micros)[0] if one_day else 0
-        times = _clock_lanes(clocks, day)
-        if times is None:       # a clock of another shape, such as '17:5:07', converts whole
+        times = _clock_lanes(clocks, day, padded)
+        if times is None:       # a clock of another shape, such as '17:005:07', converts whole
             times = map(day.__add__, _cached(clock_of, clocks, _clock_micros))
         if not one_day:
             times = map(add, _cached(days, dates, _day_micros), times)

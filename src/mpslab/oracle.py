@@ -20,7 +20,7 @@ from .numeric import (BudgetExceeded, Rational, as_fraction, as_fractions, money
                       scaled_ints)
 
 DEFAULT_BUDGET = 10 ** 7
-_CHUNK_ROWS = 1 << 14  # one chunk's float arrays stay cache-sized
+_CHUNK_ROWS = 1 << 13  # one chunk's float arrays fit a 2 MB L2 together
 
 
 def _check_budget(p: UniverseParams, budget: int) -> None:
@@ -117,15 +117,19 @@ def _chunks(p: UniverseParams, budget: int, rows: int,
         yield block
 
 
-def _actions_of(positions: np.ndarray, limit: int) -> np.ndarray:
-    """Actions of position rows, in the smallest dtype holding -4W..4W.
+def _actions_of(positions: np.ndarray, limit: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Actions of position rows, in the smallest dtype holding -4W..4W,
+    written into ``out`` (a fresh array by default).
 
     Every row ends at position 0, so one difference along the flattened
     array gives each row's first action as its first position.
     """
-    u = positions.astype(_int_dtype(4 * limit))
-    u.reshape(-1)[1:] -= positions.reshape(-1)[:-1]
-    return u
+    if out is None:
+        out = np.empty(positions.shape, _int_dtype(4 * limit))
+    np.copyto(out, positions)
+    out.reshape(-1)[1:] -= positions.reshape(-1)[:-1]
+    return out
 
 
 class UniverseSums(NamedTuple):
@@ -198,8 +202,16 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     ``np.unique`` adds each chunk's counts into one (4W+1)-entry table.  The
     action Gram is not formed per chunk: U = DW row by row, with D the
     first difference and W_0 = 0, so sum UU' = D (sum WW') D', read off the
-    position Gram in exact int64.  Each chunk's float positions are freed
-    right after their Gram, before the action copies are built.
+    position Gram in exact int64.
+
+    The chunks have at most 2^13 rows, so one chunk's float positions and
+    |actions| fit a 2 MB L2 together.  Every chunk is written into one set
+    of buffers, allocated for the first chunk, the largest: float positions,
+    which become the float actions once their Gram is taken, float
+    |actions|, integer and shifted uint8 actions, row sums and a ones
+    vector.  Arrays allocated per chunk are handed back to the kernel and
+    zeroed again for the next chunk: at W = 1, n = 13 they cost about 15,700
+    minor page faults a sweep, the buffers about 500.
     """
     _check_budget(p, budget)
     n, w = p.n, p.limit
@@ -219,24 +231,34 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     max_row_count = 0
     dtype = _sum_dtype(p)
     ones = np.ones(width, dtype)
+    floats = None
     for block in position_chunks(p, budget, width=width):
-        assert block.shape[0] * per_row < 1 << (np.finfo(dtype).nmant + 1)
-        wf = block.astype(dtype)
+        r = block.shape[0]
+        assert r * per_row < 1 << (np.finfo(dtype).nmant + 1)
+        if floats is None:
+            # one set of buffers for every chunk, sized by the first, the largest
+            floats = np.empty((r, width), dtype)  # positions, then actions
+            abs_floats = np.empty((r, width), dtype)
+            actions = np.empty((r, width), _int_dtype(4 * w))
+            shifted = np.empty((r, width), np.uint8) if paired else None
+            row_sums = np.empty(r, dtype)
+            row_ones = np.ones(r, dtype)
+        wf, af, rows = floats[:r], abs_floats[:r], row_sums[:r]
+        np.copyto(wf, block, casting="unsafe")
         gw += (wf.T @ wf).astype(np.int64)
-        del wf
-        u = _actions_of(block, w)
+        u = _actions_of(block, w, out=actions[:r])
         if paired:
-            shifted = u.astype(np.uint8)
-            shifted += 2 * w
-            counts += np.bincount(shifted.view(np.uint16).ravel(), minlength=256 * values)
-            del shifted
+            sh = shifted[:r]
+            np.add(u, 2 * w, out=sh, casting="unsafe")
+            counts += np.bincount(sh.view(np.uint16).ravel(), minlength=256 * values)
         else:
             seen, times = np.unique(u, return_counts=True)
             counts[seen.astype(np.int64) + 2 * w] += times
-        uf = u.astype(dtype)
-        af = np.abs(uf)
-        rows = np.dot(af, ones)
-        slice_abs += np.dot(np.ones(len(af), dtype), af).astype(np.int64)
+        uf = wf  # the float positions are spent once their Gram is taken
+        np.copyto(uf, u, casting="unsafe")
+        np.abs(uf, out=af)
+        np.dot(af, ones, out=rows)
+        slice_abs += np.dot(row_ones[:r], af).astype(np.int64)
         slice_row_abs += np.dot(rows, uf).astype(np.int64)
         ga += (af.T @ af).astype(np.int64)
         row_max = int(rows.max())
@@ -244,9 +266,6 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
             max_row, max_row_count = row_max, 0
         if row_max == max_row:
             max_row_count += int((rows == row_max).sum())
-        # free this chunk's float copies before the next chunk's are built;
-        # held across iterations they add about 2 MB to verify's peak RSS
-        del uf, af, rows
 
     if paired:
         # bin a + 256*b counts a pair (a, b) of shifted actions, in either byte order

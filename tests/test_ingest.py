@@ -363,9 +363,9 @@ _REFUSED_BY_LANES = (
     + [f"{h}:00:00" for h in range(24, 100)]
     + [f"12:{t}{u}:00" for t in "6789" for u in "09"]
     + [f"12:00:{t}{u}" for t in "6789" for u in "09"]
-    # clocks int() reads that are not ASCII 'DD:DD:DD'
+    # clocks int() reads that are not ASCII 'DD:DD:DD', padded or not
     + ["+9:05:07", "12:34:56".translate(_ARABIC_INDIC), "12:34:" + "5".translate(_ARABIC_INDIC)
-       + "6", "12:34:056", "09:5:07", "9:5:07", "0:00:00:0"]
+       + "6", "12:34:056", "09:5:007", "9:5:+7", "0:00:00:0"]
     # no hour at all, a bad timestamp however it is padded
     + [":05:07", ":00:00"])
 
@@ -475,10 +475,10 @@ def _counting(monkeypatch, name):
 
 
 def test_each_clock_the_lanes_refuse_converts_once_per_parse(es, monkeypatch):
-    # clocks with an unpadded minute ('17:5:07') leave their block to the
+    # clocks with a three-digit minute ('17:005:07') leave their block to the
     # whole-clock path; the second half of the file repeats the clocks of
     # the first on other days, and the clock cache is shared across blocks
-    lines = [re.sub(r"\t(\d\d):0(\d):", r"\t\1:\2:", line)
+    lines = [re.sub(r"\t(\d\d):0(\d):", r"\t\1:00\2:", line)
              for line in _tick_lines(random.Random(7), 3000)]
     lines += [line.replace("2017/04/", "2017/05/") for line in lines]
     expected = _reference_parse_ticks(lines, es)
@@ -488,8 +488,8 @@ def test_each_clock_the_lanes_refuse_converts_once_per_parse(es, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_LINES", size)
         assert _parsed(lines, es) == expected
         assert calls and max(calls.values()) == 1, size
-        if size == 1:           # one clock a block: only the unpadded ones convert whole
-            assert all(len(clock) == 7 for clock in calls)
+        if size == 1:           # one clock a block: only the three-digit ones convert whole
+            assert all(len(clock) == 9 for clock in calls)
 
 
 def test_new_prices_and_sizes_after_the_caches_are_warm_parse_like_reference(es, monkeypatch):
@@ -522,7 +522,7 @@ def test_bad_price_or_negative_size_in_a_later_block_appends_nothing(es, field, 
     _assert_parses_like_reference(lines, es)
     # the block that holds the bad line is refused after a warm block, and
     # appends nothing to any column
-    cols, caches = TickColumns(es), ({}, {}, {}, {})
+    cols, caches = TickColumns(es), ({}, {}, {}, {}, {})
     assert ingest._parse_block(lines[:1000], cols, caches)
     before = [list(column) for column in (cols.times, cols.deltas, cols.sizes, cols.conditions)]
     assert not ingest._parse_block(lines[1000:2000], cols, caches)
@@ -551,6 +551,27 @@ def test_canonical_clocks_never_reach_the_whole_clock_path(es, monkeypatch, unpa
 
     monkeypatch.setattr(ingest, "_clock_micros", refuse)
     assert _parsed(lines, es) == expected
+
+
+def test_clocks_with_one_digit_fields_are_padded_once_per_parse(es, monkeypatch):
+    # '0:5:7' and '23:4:59' are padded into the lanes, each distinct text
+    # once per parse, and never reach the whole-clock path
+    lines = [re.sub(r"\t0?(\d+):0?(\d+):0?(\d+)\t", r"\t\1:\2:\3\t", line)
+             for line in _tick_lines(random.Random(31), 5000)]
+    assert sum(len(line.split()[1]) < 8 for line in lines) > 1000
+    expected = _reference_parse_ticks(lines, es)
+
+    def refuse(text):
+        raise AssertionError(f"clock {text!r} converted alone")
+
+    monkeypatch.setattr(ingest, "_clock_micros", refuse)
+    calls = _counting(monkeypatch, "_padded_clock")
+    for size in _BLOCK_SIZES:
+        calls.clear()
+        monkeypatch.setattr(ingest, "_BLOCK_LINES", size)
+        assert _parsed(lines, es) == expected
+        assert calls and max(calls.values()) == 1, size
+        assert all(len(clock) < 8 for clock in calls)
 
 
 def test_irregular_lines_in_later_blocks_parse_like_reference(es):

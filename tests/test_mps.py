@@ -445,10 +445,17 @@ def _certify(prices, cost, limit, spec, result):
     every strategy in the universe makes -sum(P_i U_i + c|U_i|) <= W TV(q).
     Here q = P + c at each trade-chain minimum and P - c at each maximum,
     constant before the first of these and clamped into the tube after it;
-    W TV(q) must equal the reported P&L, which the reported strategy makes."""
+    W TV(q) must equal the reported P&L, which the reported strategy makes,
+    and the strategy's actions must be its trades': +direction*W at each
+    start and -direction*W at each end."""
     scale = lcm(cost.denominator, spec.delta_dollars.denominator)
     step, c = int(spec.delta_dollars * scale), int(cost * scale)
     p = [step * n for n in spec.grid_counts(prices)]
+    actions = [0] * len(p)
+    for t in result.trades:
+        actions[t.start] += t.direction * limit
+        actions[t.end] -= t.direction * limit
+    assert tuple(actions) == result.strategy.actions
     anchors = {}
     for t in result.trades:
         for i, side in ((t.start, t.direction), (t.end, -t.direction)):

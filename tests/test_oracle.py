@@ -1,6 +1,7 @@
 """Enumeration oracle: decode, sweeps, brute-force extrema, budget guard."""
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -434,6 +435,21 @@ def test_sweep_matches_frozen_int64_sweep_in_either_dtype(monkeypatch):
             assert _fields(sweep(p)) == _fields(_reference_sweep(p, chunk_rows=rows)), (p, rows)
 
 
+def test_sweep_fills_one_set_of_chunk_buffers_per_universe():
+    # W = 1, n = 13: 6,561-row chunks 16 columns wide.  Fresh float, action
+    # and row-sum arrays in every chunk peaked at about 2.5 MB traced
+    p = UniverseParams(1, 13)
+    sweep(p)                        # numpy's lazily built state, untraced
+    tracemalloc.start()
+    try:
+        sums = sweep(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert _fields(sums) == _fields(_reference_sweep(p))
+
+
 def test_large_limits_are_exact_or_refused():
     # W = 3*10**6, n = 2 is inside the default budget; its sums would pass
     # 2^63 (sum W_1^2 alone is about 1.8e19), so the sweep refuses it up front
@@ -479,10 +495,10 @@ def test_brute_force_chunks_are_not_sized_by_the_float_bound(monkeypatch):
     monkeypatch.setattr(oracle, "_actions_of", counting)
     p = UniverseParams(3 * 10 ** 6, 2)
     assert brute_force_mps([1, 2], [0, 0], p).best_pl == 3 * 10 ** 6
-    assert len(calls) == -(-p.size // oracle._CHUNK_ROWS) == 367
+    assert len(calls) == -(-p.size // oracle._CHUNK_ROWS) == 733
     assert sum(calls) == p.size
     calls.clear()
     assert brute_force_mls([1, 2], [0, 0], UniverseParams(10 ** 6, 2)).worst_pl == -10 ** 6
-    assert len(calls) == -(-UniverseParams(10 ** 6, 2).size // oracle._CHUNK_ROWS) == 123
+    assert len(calls) == -(-UniverseParams(10 ** 6, 2).size // oracle._CHUNK_ROWS) == 245
     # sweep keeps the float64 bound
     assert len(next(position_chunks(p))) * 4 * p.n * p.limit ** 2 < 2 ** 53
