@@ -9,7 +9,9 @@ W = 1 the optimum is the trade chain of the trailing-extreme scan below,
 with the birth threshold floor(2c/(delta k)) + 1 deltas, the least move
 that pays the round trip 2c.  Trades start and end at first occurrences
 of extremes, which breaks ties toward fewer traded contracts, then
-earlier transactions.
+earlier transactions.  The scan keeps the live trade's close level, the
+threshold back from its extreme, and moves it only with a new extreme, so
+a tick costs one list read and at most two integer comparisons.
 """
 
 from __future__ import annotations
@@ -50,10 +52,12 @@ def scan_trades(deltas: Sequence[int], threshold: int, state: tuple,
     the trailing extreme, the first occurrence of the live trade's best
     price or, before the first birth, of the minimum or maximum so far.
     The birth closes the live trade at that extreme and starts the opposite
-    one there.  Returns the trades closed, as (direction, start, birth,
-    end) with direction +1 long and -1 short, and the state to resume
-    from: (direction, start, birth, extreme) of the live trade, or
-    (0, minimum, 0, maximum) before the first birth.
+    one there.  Each tick of a born trade is tested against its extreme,
+    then against its close level (extreme - threshold long, + threshold
+    short), which moves only when the extreme does.  Returns the trades
+    closed, as (direction, start, birth, end) with direction +1 long and -1
+    short, and the state to resume from: (direction, start, birth, extreme)
+    of the live trade, or (0, minimum, 0, maximum) before the first birth.
     """
     direction, start, birth, ext_i = state
     stop = len(deltas)
@@ -77,16 +81,25 @@ def scan_trades(deltas: Sequence[int], threshold: int, state: tuple,
         birth = ext_i = i
         i += 1
     ext = deltas[ext_i]
+    up = direction > 0
+    close = ext - threshold if up else ext + threshold
     for i in range(i, stop):
         n = deltas[i]
-        if (n - ext) * direction > 0:
-            ext, ext_i = n, i
-        elif (ext - n) * direction >= threshold:
-            trades.append((direction, start, birth, ext_i))
-            # the opposite trade starts at the extreme and is born here
-            direction, start, birth = -direction, ext_i, i
-            ext, ext_i = n, i
-    return trades, (direction, start, birth, ext_i)
+        if up:
+            if n > ext:
+                ext, ext_i, close = n, i, n - threshold
+            elif n <= close:
+                trades.append((1, start, birth, ext_i))
+                # the opposite trade starts at the extreme and is born here
+                start, birth, up = ext_i, i, False
+                ext, ext_i, close = n, i, n + threshold
+        elif n < ext:
+            ext, ext_i, close = n, i, n + threshold
+        elif n >= close:
+            trades.append((-1, start, birth, ext_i))
+            start, birth, up = ext_i, i, True
+            ext, ext_i, close = n, i, n - threshold
+    return trades, (1 if up else -1, start, birth, ext_i)
 
 
 def birth_threshold(filtering_cost: Rational, spec: ContractSpec) -> int:

@@ -393,6 +393,81 @@ def test_scan_matches_two_pass_on_seeded_walks(es):
         assert got == _slope_runs_mps0(prices, cost, limit, es)
 
 
+def _reference_scan_trades(deltas, threshold, state, i):
+    """``mps.scan_trades`` as it was before its close bound: each tick of a
+    born trade multiplies both tests by the direction.  The judge of the
+    differential tests below."""
+    direction, start, birth, ext_i = state
+    stop = len(deltas)
+    trades = []
+    if direction == 0:
+        lo_i, hi_i = start, ext_i
+        for i in range(i, stop):
+            n = deltas[i]
+            if n < deltas[lo_i]:
+                lo_i = i
+            elif n > deltas[hi_i]:
+                hi_i = i
+            if n - deltas[lo_i] >= threshold:
+                direction, start = 1, lo_i
+                break
+            if deltas[hi_i] - n >= threshold:
+                direction, start = -1, hi_i
+                break
+        else:
+            return trades, (0, lo_i, 0, hi_i)
+        birth = ext_i = i
+        i += 1
+    ext = deltas[ext_i]
+    for i in range(i, stop):
+        n = deltas[i]
+        if (n - ext) * direction > 0:
+            ext, ext_i = n, i
+        elif (ext - n) * direction >= threshold:
+            trades.append((direction, start, birth, ext_i))
+            direction, start, birth = -direction, ext_i, i
+            ext, ext_i = n, i
+    return trades, (direction, start, birth, ext_i)
+
+
+def _assert_scans_agree(levels, threshold, split):
+    """The scan and its reference give the same trades and state over all of
+    ``levels``, and again when resumed at ``split`` from the state of the
+    first ``split`` levels, as ``OteExtractor.push`` resumes it."""
+    scan, start = mps_module.scan_trades, mps_module.SCAN_START
+    whole = scan(levels, threshold, start, 0)
+    assert whole == _reference_scan_trades(levels, threshold, start, 0)
+    head = scan(levels[:split], threshold, start, 0)
+    assert head == _reference_scan_trades(levels[:split], threshold, start, 0)
+    tail = scan(levels, threshold, head[1], split)
+    assert tail == _reference_scan_trades(levels, threshold, head[1], split)
+    assert (head[0] + tail[0], tail[1]) == whole
+
+
+# grid-count levels: walks of -6..6 steps with flat runs, and two-level
+# chains whose gap is near the thresholds drawn
+_scan_walks = st.lists(st.sampled_from([0, 0, 0, *range(-6, 7)]), min_size=1,
+                       max_size=300).map(lambda steps: list(accumulate(steps)))
+_scan_two_levels = st.integers(1, 21).flatmap(
+    lambda gap: st.lists(st.sampled_from([0, gap]), min_size=1, max_size=300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.one_of(_scan_walks, _scan_two_levels), st.integers(1, 20))
+def test_scan_matches_reference_scan(data, levels, threshold):
+    split = data.draw(st.integers(0, len(levels)), label="split")
+    _assert_scans_agree(levels, threshold, split)
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 17])
+def test_scan_matches_reference_scan_on_a_long_walk(threshold):
+    # the birth thresholds of the mps_w20, pattern_es and ote_es benchmarks
+    rng = random.Random(32)
+    levels = list(accumulate(rng.choice((0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(10 ** 5)))
+    for split in (0, 1, 4_999, 50_000, 10 ** 5):
+        _assert_scans_agree(levels, threshold, split)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_walks, _two_levels), _costs, st.sampled_from([2, 3, 7, 50]))
 def test_limit_w_is_w_times_the_limit_one_trades(steps, cost, limit):

@@ -774,19 +774,21 @@ def test_batch_on_columns_matches_batch_on_ticks(es):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=300),
-       st.lists(st.integers(1, 40), min_size=1, max_size=20))
-def test_streaming_matches_batch_under_random_chunking(steps, chunks):
+       st.lists(st.integers(1, 40), min_size=1, max_size=20),
+       st.sampled_from(["4.99", "12.49", "24.99", "100"]))
+def test_streaming_matches_batch_under_random_chunking(steps, chunks, fc):
+    # birth thresholds 1, 2, 4 and 17: short trades and long ones
     es = PRESETS["ES"]
     levels = list(accumulate(steps))
     ticks = ticks_from_deltas(levels, es, step_seconds=3)
-    extractor = OteExtractor("24.99", C, es)
+    extractor = OteExtractor(fc, C, es)
     streamed, pos, j = [], 0, 0
     while pos < len(ticks):
         chunk = ticks[pos:pos + chunks[j % len(chunks)]]
         pos, j = pos + len(chunk), j + 1
         for tick in chunk:
             streamed.extend(extractor.push(tick))
-        batch = extract_otes(ticks[:pos], "24.99", C, es)
+        batch = extract_otes(ticks[:pos], fc, C, es)
         assert streamed == [r for r in batch if r.closed]
         live = extractor.current()
         if batch and not batch[-1].closed:
@@ -799,7 +801,7 @@ def test_streaming_matches_batch_under_random_chunking(steps, chunks):
         else:
             assert live is None
     streamed.extend(extractor.finish())
-    assert streamed == extract_otes(ticks, "24.99", C, es)
+    assert streamed == extract_otes(ticks, fc, C, es)
 
 
 class OteStreamMachine(RuleBasedStateMachine):
