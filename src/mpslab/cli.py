@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 # each subcommand imports the modules it runs, so only `verify` loads numpy
 from . import __version__
-from .model import ContractSpec, GridError
+from .model import ContractSpec
 from .numeric import BudgetExceeded, ExponentError, as_fraction, fmt_dollars, fmt_price
 
 CONFIG_ENV = "MPSLAB_CONFIG"
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, GridError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .model import PositionSeries, Strategy, _checked_make, positions_to_strategy
 from .numeric import Rational, as_fraction, as_fractions
@@ -55,26 +55,6 @@ class UniverseCounts(NamedTuple):
     actions_total: int
     do_nothing: int
     transactions: int
-
-
-class _ActionFields(NamedTuple):
-    counts: Mapping[int, int]
-    total: int
-
-
-class ActionDistribution(_ActionFields):
-    """Exact action-type counts over the universe; total = n(2W+1)^(n-1)."""
-
-    __slots__ = ()
-    _make = classmethod(_checked_make)
-
-    def __new__(cls, counts: Mapping[int, int], total: int):
-        if sum(counts.values()) != total:
-            raise ValueError("action counts must sum to the total")
-        return super().__new__(cls, counts, total)
-
-    def pmf(self) -> dict[int, Fraction]:
-        return {m: Fraction(c, self.total) for m, c in sorted(self.counts.items())}
 
 
 def universe_counts(p: UniverseParams) -> UniverseCounts:

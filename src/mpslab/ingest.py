@@ -162,7 +162,10 @@ class TickColumns(Sequence[Tick]):
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, i: int) -> Tick:
+    def __getitem__(self, i):
+        """The tick at ``i``, or for a slice the span's ticks as new columns."""
+        if isinstance(i, slice):
+            return self._columns(lambda column: column[i])
         return Tick(from_micros(self.times[i]), self.price(i), self.sizes[i], self.conditions[i])
 
 

@@ -244,10 +244,6 @@ class CostModel(Record):
         return cls((as_fraction(c),) * n)
 
     @classmethod
-    def of(cls, costs: Sequence[Rational]) -> "CostModel":
-        return cls(as_fractions(costs))
-
-    @classmethod
     def equity(cls, fraction: Rational, prices: Sequence[Rational],
                spec: ContractSpec) -> "CostModel":
         """Equity case: C_i = f * k * P_i, cost as a fixed fraction of price."""

@@ -338,9 +338,9 @@ def _scan_extremum(prices, costs, p, k, budget, sign):
     p_int = np.array(p_ints, dtype=dtype)
     c_int = np.array(c_ints, dtype=dtype)
     best = None
-    witnesses: list[int] = []
-    row_base = 0
-    # per-row int64 or Python-int values: no float bound on the chunk size
+    witnesses: list[Strategy] = []
+    # per-row int64 or Python-int values: no float bound on the chunk size;
+    # chunks come in index order, so the witnesses do too
     for block in _chunks(p, budget, _CHUNK_ROWS):
         u = _actions_of(block, p.limit).astype(dtype)
         value = sign * (-(u @ p_int) - np.abs(u) @ c_int)
@@ -349,10 +349,8 @@ def _scan_extremum(prices, costs, p, k, budget, sign):
             best = top
             witnesses = []
         if top == best:
-            witnesses.extend(int(j) + row_base for j in np.flatnonzero(value == best))
-        row_base += block.shape[0]
-    strategies = tuple(positions_to_strategy(decode(j, p)) for j in sorted(witnesses))
-    return Fraction(sign * best, scale), strategies
+            witnesses.extend(map(Strategy, u[value == best].tolist()))
+    return Fraction(sign * best, scale), tuple(witnesses)
 
 
 def brute_force_mps(prices: Sequence[Rational], costs, p: UniverseParams,

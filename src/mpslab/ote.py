@@ -62,7 +62,8 @@ def permitted_profit_grid(filtering_cost: Rational, cost: Rational,
 def on_permitted_grid(pl_value: Rational, filtering_cost: Rational, cost: Rational,
                       spec: ContractSpec) -> bool:
     """True iff the profit sits exactly on the permitted lattice."""
-    pl_min = mps.trade_pl(birth_threshold(filtering_cost, spec), as_fraction(cost), spec)
+    fc, c = _costs(filtering_cost, cost)
+    pl_min = mps.trade_pl(birth_threshold(fc, spec), c, spec)
     steps = (as_fraction(pl_value) - pl_min) / spec.delta_dollars
     return steps.denominator == 1 and steps >= 0
 

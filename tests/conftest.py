@@ -1,4 +1,5 @@
-"""Shared fixtures, synthetic tick builders and action-law helpers."""
+"""Shared fixtures, synthetic tick builders, action-law helpers and the
+reference trade scan."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ from datetime import datetime, timedelta
 import pytest
 
 from mpslab import PRESETS, Tick, action_count, char_fn
-from mpslab.distribution import ActionDistribution
 
 
 @pytest.fixture
@@ -42,12 +42,48 @@ def zigzag_levels(swings):
 
 
 def action_distribution(p):
-    """The closed-form action counts of a universe as an ActionDistribution."""
-    counts = {m: action_count(m, p) for m in range(-2 * p.limit, 2 * p.limit + 1)}
-    return ActionDistribution(counts, p.n * p.size)
+    """The closed-form action counts of a universe, m -> count."""
+    return {m: action_count(m, p) for m in range(-2 * p.limit, 2 * p.limit + 1)}
 
 
 def char_fn_curvature(p, h=1e-3):
     """-f''(0) by a fourth-order central stencil; approximates moment(2)."""
     f = lambda t: char_fn(t, p)
     return -(-f(2 * h) + 16 * f(h) - 30.0 + 16 * f(-h) - f(-2 * h)) / (12 * h * h)
+
+
+def _reference_scan_trades(deltas, threshold, state, i):
+    """``mps.scan_trades`` as it was before its close bound: each tick of a
+    born trade multiplies both tests by the direction.  The judge of the
+    scan's differential tests and of streaming extraction."""
+    direction, start, birth, ext_i = state
+    stop = len(deltas)
+    trades = []
+    if direction == 0:
+        lo_i, hi_i = start, ext_i
+        for i in range(i, stop):
+            n = deltas[i]
+            if n < deltas[lo_i]:
+                lo_i = i
+            elif n > deltas[hi_i]:
+                hi_i = i
+            if n - deltas[lo_i] >= threshold:
+                direction, start = 1, lo_i
+                break
+            if deltas[hi_i] - n >= threshold:
+                direction, start = -1, hi_i
+                break
+        else:
+            return trades, (0, lo_i, 0, hi_i)
+        birth = ext_i = i
+        i += 1
+    ext = deltas[ext_i]
+    for i in range(i, stop):
+        n = deltas[i]
+        if (n - ext) * direction > 0:
+            ext, ext_i = n, i
+        elif (ext - n) * direction >= threshold:
+            trades.append((direction, start, birth, ext_i))
+            direction, start, birth = -direction, ext_i, i
+            ext, ext_i = n, i
+    return trades, (direction, start, birth, ext_i)

@@ -61,7 +61,7 @@ def test_action_count_total_identity():
 def test_action_distribution_symmetry():
     d = action_distribution(UniverseParams(3, 6))
     for m in range(-6, 7):
-        assert d.counts[m] == d.counts[-m]
+        assert d[m] == d[-m]
 
 
 def test_pmf_mass_and_center():
@@ -77,7 +77,9 @@ def test_action_pmf_matches_exact_counts():
     for w in range(1, 5):
         for n in range(2, 13):
             p = UniverseParams(w, n)
-            assert action_pmf(p) == action_distribution(p).pmf()
+            total = p.n * p.size
+            assert action_pmf(p) == {m: Fraction(c, total)
+                                     for m, c in action_distribution(p).items()}
 
 
 def _uniform_moment(k, w):

@@ -698,6 +698,18 @@ def test_columns_round_trip_and_index(es):
     assert trade_ticks(traded) is traded
 
 
+def test_columns_slice_is_columns(es):
+    lines = [f"2017/04/10 11:18:{s:02d} {2342 + s / 4} {s}{' E' * (s % 3 == 0)}"
+             for s in range(7)]
+    cols = parse_ticks(lines, es)
+    fields = lambda c: (c.spec, c.times, c.deltas, c.sizes, c.conditions)
+    for s in (slice(1, 3), slice(-4, -1), slice(None, None, 2), slice(5, 0, -2)):
+        span = cols[s]
+        assert isinstance(span, TickColumns)
+        assert fields(span) == fields(TickColumns.of(list(cols)[s], es))
+        assert list(span) == list(cols)[s]
+
+
 # ES economics with an overnight and a daytime session window
 _WINDOWS = [_windowed(time(17, 0), time(15, 15)), _windowed(time(9, 30), time(16, 0))]
 

@@ -74,7 +74,7 @@ def test_cost_model():
     assert cm.per_contract == (Fraction(117, 25),) * 3
     assert cm.is_constant
     with pytest.raises(ValueError):
-        CostModel.of([-1])
+        CostModel([-1])
     es = ContractSpec("ES", 50, "0.25")
     eq = CostModel.equity("0.001", ["100", "200"], es)
     assert eq.per_contract == (Fraction(5), Fraction(10))

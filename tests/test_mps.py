@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _reference_scan_trades
 from mpslab import (PRESETS, BudgetExceeded, ContractSpec, CostModel, MpsResult,
                     Strategy, brute_force_mps, mps0, pl, validate_membership)
 from mpslab import mps as mps_module
@@ -391,43 +392,6 @@ def test_scan_matches_two_pass_on_seeded_walks(es):
         got = mps0(prices, cost, limit, es)
         assert got == _two_pass_mps0(prices, cost, limit, es)
         assert got == _slope_runs_mps0(prices, cost, limit, es)
-
-
-def _reference_scan_trades(deltas, threshold, state, i):
-    """``mps.scan_trades`` as it was before its close bound: each tick of a
-    born trade multiplies both tests by the direction.  The judge of the
-    differential tests below."""
-    direction, start, birth, ext_i = state
-    stop = len(deltas)
-    trades = []
-    if direction == 0:
-        lo_i, hi_i = start, ext_i
-        for i in range(i, stop):
-            n = deltas[i]
-            if n < deltas[lo_i]:
-                lo_i = i
-            elif n > deltas[hi_i]:
-                hi_i = i
-            if n - deltas[lo_i] >= threshold:
-                direction, start = 1, lo_i
-                break
-            if deltas[hi_i] - n >= threshold:
-                direction, start = -1, hi_i
-                break
-        else:
-            return trades, (0, lo_i, 0, hi_i)
-        birth = ext_i = i
-        i += 1
-    ext = deltas[ext_i]
-    for i in range(i, stop):
-        n = deltas[i]
-        if (n - ext) * direction > 0:
-            ext, ext_i = n, i
-        elif (ext - n) * direction >= threshold:
-            trades.append((direction, start, birth, ext_i))
-            direction, start, birth = -direction, ext_i, i
-            ext, ext_i = n, i
-    return trades, (direction, start, birth, ext_i)
 
 
 def _assert_scans_agree(levels, threshold, split):

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpslab import (CostModel, Strategy, brute_force_mls, brute_force_mps,
-                    decode, iter_strategies, iter_universe, oracle,
+                    decode, iter_strategies, iter_universe, oracle, pl,
                     validate_membership, verify)
-from mpslab.distribution import ActionDistribution, UniverseParams, pl_variance
+from mpslab.distribution import UniverseParams, pl_variance
 from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
 from mpslab.oracle import (BudgetExceeded, EmpiricalPlVariance, UniverseSums,
                            empirical_pl_variance, position_chunks, sweep)
@@ -47,16 +47,18 @@ def test_every_member_validates():
 
 
 def _empirical_action_counts(p, budget=oracle.DEFAULT_BUDGET):
-    """Exact action-type counts by full sweep."""
-    return ActionDistribution(sweep(p, budget).action_counts, p.n * p.size)
+    """Exact action-type counts by full sweep, m -> count; they sum to n(2W+1)^(n-1)."""
+    counts = sweep(p, budget).action_counts
+    assert sum(counts.values()) == p.n * p.size
+    return counts
 
 
 def test_empirical_counts_goldens():
     d = _empirical_action_counts(UniverseParams(3, 5))
-    assert d.counts[-3] == 1274
+    assert d[-3] == 1274
     d13 = _empirical_action_counts(UniverseParams(1, 3))
-    assert [d13.counts[m] for m in range(-2, 3)] == [1, 8, 9, 8, 1]
-    assert sum(d13.counts.values()) == 27
+    assert [d13[m] for m in range(-2, 3)] == [1, 8, 9, 8, 1]
+    assert sum(d13.values()) == 27
 
 
 def test_budget_guard():
@@ -99,6 +101,29 @@ def test_brute_force_mls_zero_cost():
     result = brute_force_mls(["100.00"] * 3, CostModel.constant(0, 3),
                              UniverseParams(1, 3), k=1)
     assert result.worst_pl == 0
+
+
+def test_brute_force_witnesses_span_chunks_in_index_order(es):
+    # W = 1, n = 10: 19,683 strategies in three chunks of 6,561
+    p = UniverseParams(1, 10)
+    assert [len(c) for c in oracle._chunks(p, oracle.DEFAULT_BUDGET, oracle._CHUNK_ROWS)] \
+        == [6561] * 3
+    strategies = tuple(iter_strategies(p))
+    # flat prices at zero cost: every strategy ties for best and for worst
+    flat, free = ["2370.00"] * p.n, CostModel.constant(0, p.n)
+    assert brute_force_mps(flat, free, p, k=50).witnesses == strategies
+    assert brute_force_mls(flat, free, p, k=50).witnesses == strategies
+    # one delta up and down at $6.25 a contract: a round trip costs one move
+    prices = ["2370.00", "2370.25"] * (p.n // 2)
+    costs = CostModel.constant("6.25", p.n)
+    values = [pl(prices, s, costs, es).pl_total for s in strategies]
+    best = brute_force_mps(prices, costs, p, k=50)
+    assert best.best_pl == max(values)
+    assert best.witnesses == tuple(s for s, v in zip(strategies, values) if v == best.best_pl)
+    assert len(best.witnesses) == 1146
+    worst = brute_force_mls(prices, costs, p, k=50)
+    assert worst.worst_pl == min(values)
+    assert worst.witnesses == tuple(s for s, v in zip(strategies, values) if v == worst.worst_pl)
 
 
 def test_sweep_matches_direct_enumeration():

@@ -10,11 +10,11 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from conftest import ticks_from_deltas, zigzag_levels
+from conftest import _reference_scan_trades, ticks_from_deltas, zigzag_levels
 from test_mps import _slope_runs_mps0
 from mpslab import (PRESETS, GridError, OteExtractor, OteType, Scenario, Tick, Tolerances,
                     birth_threshold, extract_otes, mps0, on_permitted_grid, ote_stats,
@@ -54,6 +54,10 @@ def test_on_permitted_grid(es):
     assert on_permitted_grid("103.14", FC4999, C, es)
     assert not on_permitted_grid("96.64", FC4999, C, es)
     assert not on_permitted_grid("78.14", FC4999, C, es)   # below the minimum
+    # the same refusal as permitted_profit_grid: C at or above FC has no lattice
+    for fc, c in ((C, FC4999), (C, C)):
+        with pytest.raises(ValueError, match="actual cost C must be below the filtering cost FC"):
+            on_permitted_grid("90.64", fc, c, es)
 
 
 def test_triangle_wave_all_profits_on_grid_start(es):
@@ -772,10 +776,20 @@ def test_batch_on_columns_matches_batch_on_ticks(es):
         assert extract_otes(columns, fc, C, es) == extract_otes(ticks, fc, C, es)
 
 
+# walks born long that retrace exactly the birth threshold, 1 or 17 deltas
+# (negated, they are born short)
+_RETRACE_1 = [0, 1, 1, -1]
+_RETRACE_17 = [0] + [3] * 7 + [-3] * 5 + [-2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=300),
        st.lists(st.integers(1, 40), min_size=1, max_size=20),
        st.sampled_from(["4.99", "12.49", "24.99", "100"]))
+@example(_RETRACE_1, [1], "4.99")
+@example([-s for s in _RETRACE_1], [1], "4.99")
+@example(_RETRACE_17, [5], "100")
+@example([-s for s in _RETRACE_17], [5], "100")
 def test_streaming_matches_batch_under_random_chunking(steps, chunks, fc):
     # birth thresholds 1, 2, 4 and 17: short trades and long ones
     es = PRESETS["ES"]
@@ -802,6 +816,13 @@ def test_streaming_matches_batch_under_random_chunking(steps, chunks, fc):
             assert live is None
     streamed.extend(extractor.finish())
     assert streamed == extract_otes(ticks, fc, C, es)
+    # and against the reference scan, whose live trade ends at its extreme
+    trades, state = _reference_scan_trades(es.grid_counts([t.price for t in ticks]),
+                                           birth_threshold(fc, es), mps_module.SCAN_START, 0)
+    if state[0]:
+        trades.append(state)
+    assert [(1 if r.ote_type is OteType.BOTE else -1, r.start, r.birth, r.stop - 1)
+            for r in streamed] == trades
 
 
 class OteStreamMachine(RuleBasedStateMachine):

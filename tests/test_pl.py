@@ -194,8 +194,8 @@ def test_pl_matches_its_per_price_form(data, spec, n):
         st.sampled_from([Fraction(2350), Fraction(9401, 4), Fraction(7, 100)]), min_size=n,
         max_size=n))
     strategy = Strategy(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
-    costs = CostModel.of(data.draw(st.lists(st.sampled_from([0, Fraction(1, 3), 5]),
-                                            min_size=n, max_size=n)))
+    costs = CostModel(data.draw(st.lists(st.sampled_from([0, Fraction(1, 3), 5]),
+                                         min_size=n, max_size=n)))
     assert _outcome(pl, prices, strategy, costs, spec) \
         == _outcome(_frozen_pl, prices, strategy, costs, spec)
 
@@ -283,8 +283,8 @@ def test_pl_matrix_matches_its_frozen_form(data, spec, n, q, s_count, ragged, on
        st.booleans())
 def test_ote_pl_matches_its_frozen_form(data, spec, n, limit, on_grid):
     prices = data.draw(st.lists(_on_both_grids if on_grid else _priced, min_size=n, max_size=n))
-    costs = CostModel.of(data.draw(st.lists(st.sampled_from([0, Fraction(1, 3), 5, "4.68"]),
-                                            min_size=n, max_size=n)))
+    costs = CostModel(data.draw(st.lists(st.sampled_from([0, Fraction(1, 3), 5, "4.68"]),
+                                         min_size=n, max_size=n)))
     s = data.draw(st.integers(0, n - 2))
     e = data.draw(st.integers(s + 1, n - 1) | st.integers(0, s))    # the end before or at s
     assert _outcome(ote_pl, s, e, limit, prices, costs, spec) \

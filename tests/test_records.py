@@ -56,9 +56,6 @@ CASES = {
                                   [((0, 3), "position limit must be >= 1"),
                                    ((1, 1), "formulas need n >= 2 (n=1 leaves only the "
                                             "do-nothing strategy)")], True),
-    distribution.ActionDistribution: (({-1: 1, 0: 2, 1: 1}, 4), ({0: 4}, 4),
-                                      [(({0: 3}, 4), "action counts must sum to the total")],
-                                      False),
     distribution.UniverseCounts: ((9, 27, 9, 18), (9, 27, 9, 17), [], True),
     distribution.IndustryGain: ((F(3), F(-1, 3)), (F(3), F(-1, 2)), [], True),
     distribution.ExtremeGain: ((4, 2, (S, -S), 0, 1), (4, 2, (S, -S), 0, 2), [], True),
