@@ -35,7 +35,7 @@ _EXPORTS = {
     "positions_to_strategy strategy_to_positions validate_membership",
     "mps": "MpsResult mps0",
     "numeric": "BudgetExceeded",
-    "oracle": "brute_force_mls brute_force_mps decode iter_strategies iter_universe",
+    "oracle": "brute_force_mls brute_force_mps iter_strategies",
     "ote": "OteExtractor OteType Scenario Tolerances birth_threshold extract_otes "
     "on_permitted_grid ote_stats permitted_profit_grid sample_stats",
     "pl": "ote_pl pl_matrix pl_prefix price_increment_stats",

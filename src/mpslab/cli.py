@@ -111,7 +111,7 @@ def _emit(args, lines: Iterable[str], plot_stub: str | None = None) -> None:
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         while batch := list(islice(lines, _BATCH_LINES)):
             fh.write("\n".join(batch) + "\n")
-    if out and plot_stub and getattr(args, "emit_plot", False):
+    if out and plot_stub and args.emit_plot:  # only commands with a stub take --emit-plot
         with open(out + ".gp", "w") as fh:
             fh.write(plot_stub.format(data=out))
 
@@ -342,10 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mpslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, plot=False):
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--emit-plot", action="store_true",
-                       help="also write a gnuplot script next to --out")
+        if plot:
+            p.add_argument("--emit-plot", action="store_true",
+                           help="also write a gnuplot script next to --out")
 
     p = sub.add_parser("counts", help="closed-form universe counts")
     p.add_argument("--W", type=int, required=True)
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--W", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common(p)
+    common(p, plot=True)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("verify", help="formula-vs-enumeration verification matrix")
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-open", action="store_true",
                    help="include the session-terminated trade in statistics")
     p.add_argument("file", help="tick file ('-' for stdin)")
-    common(p)
+    common(p, plot=True)
     p.set_defaults(func=cmd_ote)
 
     p = sub.add_parser("stats", help="sample statistics block for numbers in a file")

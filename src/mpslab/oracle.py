@@ -1,10 +1,11 @@
 """Brute-force enumeration of the strategy universe.
 
-Ground truth for every closed form: each integer in [0, (2W+1)^(n-1)) is
-expanded in base 2W+1, the digits minus W give the positions W_1..W_{n-1}
-(W_n = 0 appended), and adjacent differences give the actions.  The sweep
-streams the universe in index chunks, sized from W and n, instead of
-materialising it, with all counting done on the chunk.
+Ground truth for every closed form.  The universe is walked one way, in
+index chunks (``_chunks``): each integer in [0, (2W+1)^(n-1)) is expanded in
+base 2W+1, the digits minus W give the positions W_1..W_{n-1} (W_n = 0
+appended), and adjacent differences give the actions.  The sweep, the
+brute-force extrema and ``iter_strategies`` all stream these chunks, sized
+from W and n, instead of materialising the universe.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .distribution import UniverseParams
-from .model import PositionSeries, Strategy, positions_to_strategy
+from .model import Strategy
 from .numeric import (BudgetExceeded, Rational, as_fraction, as_fractions, money_scale,
                       scaled_ints)
 
@@ -31,27 +32,11 @@ def _check_budget(p: UniverseParams, budget: int) -> None:
         )
 
 
-def decode(index: int, p: UniverseParams) -> PositionSeries:
-    """Position series for one universe index."""
-    if not 0 <= index < p.size:
-        raise ValueError(f"index {index} out of [0, {p.size})")
-    positions = []
-    for _ in range(p.n - 1):
-        index, digit = divmod(index, p.base)
-        positions.append(digit - p.limit)
-    positions.append(0)
-    return PositionSeries(tuple(positions))
-
-
-def iter_universe(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[PositionSeries]:
-    """Each position series of the universe once, in index order."""
-    _check_budget(p, budget)
-    return (decode(index, p) for index in range(p.size))
-
-
 def iter_strategies(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> Iterator[Strategy]:
     """Each strategy of the universe once, in index order."""
-    return map(positions_to_strategy, iter_universe(p, budget))
+    _check_budget(p, budget)  # at the call, not at the first ``next``
+    return (Strategy(row) for block in _chunks(p, budget, _CHUNK_ROWS)
+            for row in _actions_of(block, p.limit).tolist())
 
 
 def _int_dtype(bound: int) -> np.dtype:

@@ -176,12 +176,10 @@ class OteExtractor:
         return self._scan()
 
     def finish(self) -> list[OteRecord]:
-        """Finalize the session-terminated trade, if one was born."""
-        if self._state[0] == 0:
-            return []
-        records = self._close([self._state], replaced=False)
-        self._state = (0, self._seen, 0, self._seen)     # a later push starts a new chain
-        return records
+        """Finalize the session-terminated trade, if one was born.  Either
+        way a later push starts a new chain."""
+        state, self._state = self._state, (0, self._seen, 0, self._seen)
+        return self._close([state], replaced=False) if state[0] else []
 
     def current(self) -> Optional[OteRecord]:
         """Snapshot of the live trade: born, not ended, end fields None."""

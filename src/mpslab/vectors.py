@@ -158,7 +158,7 @@ def max_orthogonal_subset(n: int, budget: int = 3 ** 6) -> MaxOrthResult:
     """Largest mutually orthogonal subset of the W=1 universe for n ticks.
 
     Exhaustive branch-and-bound over the 3^(n-1) - 1 non-zero strategies in
-    decode order; the first maximum found is the lexicographically smallest.
+    index order; the first maximum found is the lexicographically smallest.
     A universe larger than ``budget`` raises ``BudgetExceeded``.
     """
     from .oracle import iter_strategies  # loads numpy, which nothing else here needs

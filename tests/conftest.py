@@ -1,5 +1,5 @@
-"""Shared fixtures, synthetic tick builders, action-law helpers and the
-reference trade scan."""
+"""Shared fixtures, synthetic tick builders, action-law helpers, the
+reference walk of the strategy universe and the reference trade scan."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from mpslab import PRESETS, Tick, action_count, char_fn
+from mpslab import (PRESETS, PositionSeries, Tick, action_count, char_fn,
+                    positions_to_strategy)
 
 
 @pytest.fixture
@@ -44,6 +45,32 @@ def zigzag_levels(swings):
 def action_distribution(p):
     """The closed-form action counts of a universe, m -> count."""
     return {m: action_count(m, p) for m in range(-2 * p.limit, 2 * p.limit + 1)}
+
+
+def decode(index, p):
+    """Position series of one universe index, one base-(2W+1) digit at a
+    time, lowest first: each digit minus W is a position, and W_n = 0."""
+    if not 0 <= index < p.size:
+        raise ValueError(f"index {index} out of [0, {p.size})")
+    positions = []
+    for _ in range(p.n - 1):
+        index, digit = divmod(index, p.base)
+        positions.append(digit - p.limit)
+    positions.append(0)
+    return PositionSeries(tuple(positions))
+
+
+def iter_universe(p):
+    """Each position series of the universe once, in index order, by
+    ``decode``.  The reference walk that every numpy walk of the universe
+    (``sweep``, the brute-force extrema, ``iter_strategies``) is judged
+    against."""
+    return (decode(index, p) for index in range(p.size))
+
+
+def reference_strategies(p):
+    """The universe's strategies in index order, by the reference walk."""
+    return [positions_to_strategy(ps) for ps in iter_universe(p)]
 
 
 def char_fn_curvature(p, h=1e-3):

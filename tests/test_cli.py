@@ -179,8 +179,9 @@ def test_a_failing_command_writes_nothing(tmp_path, capsys):
     samples, ticks, out = tmp_path / "samples.txt", tmp_path / "ticks.tsv", tmp_path / "out.txt"
     samples.write_text("1e+155\n2\n")     # a variance past the float range
     ticks.write_text("2017/04/10 09:00:00 2350.00 1\n2017/04/10 09:00:01 2350.10 1\n")
-    for argv in (["stats", str(samples)], ["ote", "--fc", "49.99", "--cost", "4.68", str(ticks)]):
-        for extra in ([], ["--out", str(out), "--emit-plot"]):
+    for argv, plot in ((["stats", str(samples)], []),
+                       (["ote", "--fc", "49.99", "--cost", "4.68", str(ticks)], ["--emit-plot"])):
+        for extra in ([], ["--out", str(out), *plot]):
             code, stdout, err = run(capsys, argv + extra)
             assert (code, stdout) == (1, "")
             assert err.startswith("error: ")
@@ -378,6 +379,18 @@ def test_out_file_and_plot_stub(tmp_path, capsys):
     assert target.exists()
     assert (tmp_path / "dist.tsv.gp").exists()
     assert "plot" in (tmp_path / "dist.tsv.gp").read_text()
+
+
+def test_emit_plot_is_refused_where_no_plot_exists(tmp_path, capsys):
+    # only dist and ote write a plot script; pattern refuses the flag
+    path, target = tmp_path / "ticks.tsv", tmp_path / "hits.tsv"
+    path.write_text(serialize_ticks(ticks_from_deltas([0, 5, 10], PRESETS["ES"])))
+    with pytest.raises(SystemExit) as exc:
+        main(["pattern", "--fc", "49.99", "--cost", "4.68", str(path),
+              "--out", str(target), "--emit-plot"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --emit-plot" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_unknown_contract(capsys):

@@ -1,4 +1,5 @@
-"""Enumeration oracle: decode, sweeps, brute-force extrema, budget guard."""
+"""Enumeration oracle: the reference walk, sweeps, brute-force extrema,
+budget guard, and ``iter_strategies`` against the reference walk."""
 
 import random
 import tracemalloc
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import decode, iter_universe, reference_strategies
 from mpslab import (CostModel, Strategy, brute_force_mls, brute_force_mps,
-                    decode, iter_strategies, iter_universe, oracle, pl,
+                    iter_strategies, oracle, pl, positions_to_strategy,
                     validate_membership, verify)
 from mpslab.distribution import UniverseParams, pl_variance
 from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
@@ -41,6 +43,12 @@ def test_decode_injective_small_universes():
         assert len(seen) == p.size
 
 
+def test_iter_strategies_matches_the_reference_walk():
+    # the universes up to 10^4 each fit one chunk; W = 1, n = 10 spans three
+    for p in [*verify.default_pairs(10 ** 4), UniverseParams(1, 10)]:
+        assert list(iter_strategies(p)) == reference_strategies(p), p
+
+
 def test_every_member_validates():
     for s in iter_strategies(UniverseParams(2, 4)):
         assert validate_membership(s, 2)
@@ -65,7 +73,7 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         _empirical_action_counts(UniverseParams(1, 20), budget=10 ** 4)
     with pytest.raises(BudgetExceeded):
-        list(iter_universe(UniverseParams(5, 12), budget=10 ** 6))
+        iter_strategies(UniverseParams(5, 12), budget=10 ** 6)
 
 
 def test_brute_force_mps_flat(es):
@@ -108,7 +116,7 @@ def test_brute_force_witnesses_span_chunks_in_index_order(es):
     p = UniverseParams(1, 10)
     assert [len(c) for c in oracle._chunks(p, oracle.DEFAULT_BUDGET, oracle._CHUNK_ROWS)] \
         == [6561] * 3
-    strategies = tuple(iter_strategies(p))
+    strategies = tuple(reference_strategies(p))
     # flat prices at zero cost: every strategy ties for best and for worst
     flat, free = ["2370.00"] * p.n, CostModel.constant(0, p.n)
     assert brute_force_mps(flat, free, p, k=50).witnesses == strategies
@@ -129,7 +137,7 @@ def test_brute_force_witnesses_span_chunks_in_index_order(es):
 def test_sweep_matches_direct_enumeration():
     p = UniverseParams(2, 4)
     sums = sweep(p)
-    strategies = list(iter_strategies(p))
+    strategies = reference_strategies(p)
     # slice sums
     for i in range(p.n):
         assert sums.slice_abs[i] == sum(abs(s.actions[i]) for s in strategies)
@@ -152,7 +160,7 @@ def test_empirical_pl_variance_cross_sum_zero():
 
 def test_sweep_slice_row_abs_matches_direct_enumeration():
     for p in (UniverseParams(1, 5), UniverseParams(2, 4), UniverseParams(3, 3)):
-        strategies = list(iter_strategies(p))
+        strategies = reference_strategies(p)
         assert sweep(p).slice_row_abs == tuple(
             sum(s.actions[i] * s.traded_contracts for s in strategies) for i in range(p.n))
 
@@ -290,7 +298,7 @@ def _fields(sums):
 def _direct_fields(p):
     """The sweep's fields by plain Python sums over every strategy."""
     n, w = p.n, p.limit
-    rows = [(ps.positions, s.actions) for ps, s in zip(iter_universe(p), iter_strategies(p))]
+    rows = [(ps.positions, positions_to_strategy(ps).actions) for ps in iter_universe(p)]
     counts = Counter(m for _, u in rows for m in u)
     slice_sq = tuple(sum(u[i] ** 2 for _, u in rows) for i in range(n))
     totals = [sum(map(abs, u)) for _, u in rows]

@@ -195,6 +195,22 @@ def test_streaming_equals_batch(es):
     assert streamed == extract_otes(ticks, FC4999, C, es)
 
 
+@pytest.mark.parametrize("first", [[0, 3, 0], zigzag_levels([0, 12, 2])])
+@pytest.mark.parametrize("later", [[6, 10, 4], zigzag_levels([6, 20, 8])])
+def test_finish_starts_a_new_chain_whether_or_not_a_trade_was_born(es, first, later):
+    # the first session is finished with a trade born or not; no record of
+    # the later one starts before that finish
+    extractor = OteExtractor(FC4999, C, es)
+    for tick in ticks_from_deltas(first, es):
+        extractor.push(tick)
+    extractor.finish()
+    ticks = ticks_from_deltas(later, es, start=datetime(2017, 4, 10, 10, 0, 0))
+    streamed = [record for tick in ticks for record in extractor.push(tick)]
+    streamed += extractor.finish()
+    assert all(r.t_start >= ticks[0].timestamp for r in streamed)
+    assert streamed == extract_otes(ticks, FC4999, C, es)
+
+
 def test_live_snapshot_has_open_end(es):
     extractor = OteExtractor(FC4999, C, es)
     assert extractor.current() is None

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpslab import (Strategy, decode, gen_bhs_basis, gen_family,
+from conftest import decode
+from mpslab import (Strategy, gen_bhs_basis, gen_family,
                     iter_strategies, max_orthogonal_subset,
                     positions_to_strategy, rank_of_universe, rotation_matrix,
                     validate_membership)
@@ -160,6 +161,23 @@ def test_max_orthogonal_published_witness_n6_is_valid():
 def test_max_orthogonal_budget():
     with pytest.raises(BudgetExceeded):
         max_orthogonal_subset(9, budget=3 ** 6)
+
+
+def test_max_orthogonal_witnesses_are_pinned():
+    # the lexicographically smallest maxima, found by walking the universe in index order
+    pinned = {
+        2: [(-1, 1)],
+        3: [(-1, 0, 1), (1, -2, 1)],
+        4: [(-1, 0, 0, 1), (1, -1, -1, 1), (0, -1, 1, 0)],
+        5: [(-1, 0, 0, 0, 1), (1, -2, 0, 0, 1), (0, 0, -1, 1, 0)],
+        6: [(-1, 0, 0, 0, 0, 1), (1, 0, -2, 0, 0, 1), (1, -1, 1, -1, -1, 1),
+            (0, -1, 0, 0, 1, 0), (0, 1, 0, -2, 1, 0)],
+        7: [(-1, 0, 0, 0, 0, 0, 1), (1, -2, 0, 0, 0, 0, 1), (0, 0, -1, 0, 0, 1, 0),
+            (0, 0, 1, -1, -1, 1, 0), (0, 0, 0, -1, 1, 0, 0)],
+    }
+    for n, witness in pinned.items():
+        result = max_orthogonal_subset(n)
+        assert (result.size, [s.actions for s in result.witness]) == (len(witness), witness)
 
 
 def test_max_orthogonal_deterministic():
