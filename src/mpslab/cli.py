@@ -66,6 +66,8 @@ def _check_args(args) -> None:
         (fc is not None and cost >= fc, "actual cost C must be below the filtering cost FC"),
         (get("eq_tol", 0) < 0 or get("lt_tol", 0) < 0, "tolerances must be non-negative"),
         (get("prices") and get("file"), "give --prices or a tick file, not both"),
+        (get("emit_plot") and not get("out"), "--emit-plot needs --out"),
+        (get("emit_plot") and get("format", "tsv") != "tsv", "--emit-plot needs --format tsv"),
     ]:
         if failed:
             raise ValueError(message)
@@ -111,7 +113,7 @@ def _emit(args, lines: Iterable[str], plot_stub: str | None = None) -> None:
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         while batch := list(islice(lines, _BATCH_LINES)):
             fh.write("\n".join(batch) + "\n")
-    if out and plot_stub and args.emit_plot:  # only commands with a stub take --emit-plot
+    if plot_stub and args.emit_plot:  # only commands with a stub take --emit-plot
         with open(out + ".gp", "w") as fh:
             fh.write(plot_stub.format(data=out))
 

@@ -75,8 +75,7 @@ class OteRecord(NamedTuple):
     and was born at tick ``birth``.  Times, prices, counts and the sample
     tuples are read off the columns when asked for, so a record copies no
     ticks.  A live (born but unfinished) snapshot has ``ended`` False: it
-    spans every tick so far and its end-side values are None.  Records
-    compare and hash by these values, not by which columns they span.
+    spans every tick so far and its end-side values are None.
     """
 
     ote_type: OteType
@@ -118,24 +117,6 @@ class OteRecord(NamedTuple):
         """Price increments between ticks."""
         n, delta = self.columns.deltas[self.start:self.stop], self.columns.spec.delta
         return tuple(delta * (b - a) for a, b in zip(n, n[1:]))
-
-    def _values(self) -> tuple:
-        cols, s, stop = self.columns, self.start, self.stop
-        return (self.ote_type, self.ended, self.pl, self.filtering_cost, self.scenario,
-                self.closed, cols.spec.delta, self.birth - s, tuple(cols.times[s:stop]),
-                tuple(cols.deltas[s:stop]), tuple(cols.sizes[s:stop]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OteRecord):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __ne__(self, other) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 class OteExtractor:

@@ -1,5 +1,6 @@
 """Shared fixtures, synthetic tick builders, action-law helpers, the
-reference walk of the strategy universe and the reference trade scan."""
+reference walk of the strategy universe, the reference trade scan and the
+values of an OTE record."""
 
 from __future__ import annotations
 
@@ -71,6 +72,22 @@ def iter_universe(p):
 def reference_strategies(p):
     """The universe's strategies in index order, by the reference walk."""
     return [positions_to_strategy(ps) for ps in iter_universe(p)]
+
+
+def record_values(r):
+    """An OTE record by the values it spans, not by which columns: type,
+    end, profit, FC, scenario, closed, delta, birth offset, and the span's
+    times, grid counts and sizes.  Streaming and batch records of one trade,
+    or prefix and full ones, span different columns but share these."""
+    cols, s, stop = r.columns, r.start, r.stop
+    return (r.ote_type, r.ended, r.pl, r.filtering_cost, r.scenario, r.closed,
+            cols.spec.delta, r.birth - s, tuple(cols.times[s:stop]),
+            tuple(cols.deltas[s:stop]), tuple(cols.sizes[s:stop]))
+
+
+def records_values(records):
+    """``record_values`` of each record, in order."""
+    return [record_values(r) for r in records]
 
 
 def char_fn_curvature(p, h=1e-3):

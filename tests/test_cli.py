@@ -393,6 +393,19 @@ def test_emit_plot_is_refused_where_no_plot_exists(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_emit_plot_needs_out_and_tsv(tmp_path, capsys):
+    # refused before any input is read: the ote tick file does not exist
+    dist = ["dist", "--W", "1", "--n", "3"]
+    ote = ["ote", "--fc", "49.99", "--cost", "4.68", str(tmp_path / "missing.tsv")]
+    for argv, message in (
+            (dist + ["--format", "json", "--out", str(tmp_path / "x"), "--emit-plot"],
+             "--emit-plot needs --format tsv"),
+            (dist + ["--emit-plot"], "--emit-plot needs --out"),
+            (ote + ["--emit-plot"], "--emit-plot needs --out")):
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_contract(capsys):
     code, _, err = run(capsys, ["mps", "--contract", "ZZ", "--cost", "1",
                                 "--prices", "1,2"])

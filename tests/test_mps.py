@@ -546,6 +546,40 @@ def test_mirror_negates_and_translation_keeps_the_strategy(steps, cost, limit, s
     assert mps0([p + shift * es.delta for p in prices], cost, limit, es) == got
 
 
+# ES walks of up to 60 ticks in steps of up to 6 deltas, costs on the cent up to $15.00
+_es_walks = st.lists(st.integers(-6, 6), min_size=1, max_size=60)
+_cent_costs = st.integers(0, 1500).map(lambda c: Fraction(c, 100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_es_walks, _cent_costs, st.integers(1, 5))
+def test_time_reversal_keeps_the_mps_value(steps, cost, limit):
+    # the reversed actions make the same P&L on the reversed prices; their
+    # positions are the old ones reversed and negated, so in the universe
+    es = PRESETS["ES"]
+    prices = _chain(steps)
+    got = mps0(prices, cost, limit, es)
+    backwards = prices[::-1]
+    assert mps0(backwards, cost, limit, es).pl == got.pl
+    reversed_actions = Strategy(got.strategy.actions[::-1])
+    assert validate_membership(reversed_actions, limit)
+    assert pl(backwards, reversed_actions, CostModel.constant(cost, len(prices)),
+              es).pl_total == got.pl
+
+
+@settings(max_examples=200, deadline=None)
+@given(_es_walks, _cent_costs, st.integers(1, 5))
+def test_doubling_k_and_the_cost_doubles_the_mps_value(steps, cost, limit):
+    # every strategy's P&L doubles and the birth threshold stays, so the
+    # strategy does too
+    es = PRESETS["ES"]
+    prices = _chain(steps)
+    got = mps0(prices, cost, limit, es)
+    doubled = mps0(prices, 2 * cost, limit, es._replace(k=2 * es.k))
+    assert doubled.pl == 2 * got.pl
+    assert doubled.strategy == got.strategy
+
+
 def test_memory_does_not_grow_with_the_limit(es):
     tracemalloc.start()
     try:

@@ -14,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from conftest import _reference_scan_trades, ticks_from_deltas, zigzag_levels
+from conftest import (_reference_scan_trades, record_values, records_values, ticks_from_deltas,
+                      zigzag_levels)
 from test_mps import _slope_runs_mps0
 from mpslab import (PRESETS, GridError, OteExtractor, OteType, Scenario, Tick, Tolerances,
                     birth_threshold, extract_otes, mps0, on_permitted_grid, ote_stats,
                     permitted_profit_grid, sample_stats, serialize_ticks)
-from mpslab.ingest import parse_ticks
+from mpslab.ingest import TickColumns, parse_ticks
 from mpslab import mps as mps_module
 from mpslab import ote as ote_module
 from mpslab.numeric import as_fraction
@@ -176,12 +177,14 @@ def test_closed_records_immutable_under_appended_ticks(es):
     full_records = extract_otes(ticks, FC4999, C, es)
     prefix_records = extract_otes(prefix, FC4999, C, es)
     closed_prefix = [r for r in prefix_records if r.closed]
-    assert full_records[:len(closed_prefix)] == closed_prefix
-    # records span different columns and compare and hash by value
+    assert records_values(full_records[:len(closed_prefix)]) == records_values(closed_prefix)
+    # records span different columns and share their values
     assert full_records[0].columns is not prefix_records[0].columns
-    assert {hash(r) for r in closed_prefix} == {hash(r) for r in full_records[:len(closed_prefix)]}
-    assert full_records[0] != full_records[2]
-    assert full_records[0]._replace(birth=full_records[0].birth + 1) != full_records[0]
+    assert set(records_values(closed_prefix)) == \
+        set(records_values(full_records[:len(closed_prefix)]))
+    assert record_values(full_records[0]) != record_values(full_records[2])
+    assert record_values(full_records[0]._replace(birth=full_records[0].birth + 1)) != \
+        record_values(full_records[0])
 
 
 def test_streaming_equals_batch(es):
@@ -192,7 +195,7 @@ def test_streaming_equals_batch(es):
     for t in ticks:
         streamed.extend(extractor.push(t))
     streamed.extend(extractor.finish())
-    assert streamed == extract_otes(ticks, FC4999, C, es)
+    assert records_values(streamed) == records_values(extract_otes(ticks, FC4999, C, es))
 
 
 @pytest.mark.parametrize("first", [[0, 3, 0], zigzag_levels([0, 12, 2])])
@@ -208,7 +211,7 @@ def test_finish_starts_a_new_chain_whether_or_not_a_trade_was_born(es, first, la
     streamed = [record for tick in ticks for record in extractor.push(tick)]
     streamed += extractor.finish()
     assert all(r.t_start >= ticks[0].timestamp for r in streamed)
-    assert streamed == extract_otes(ticks, FC4999, C, es)
+    assert records_values(streamed) == records_values(extract_otes(ticks, FC4999, C, es))
 
 
 def test_live_snapshot_has_open_end(es):
@@ -232,7 +235,8 @@ def test_indicative_ticks_excluded(es):
     ticks = ticks_from_deltas(levels, es)
     spoiler = Tick(ticks[3].timestamp + timedelta(seconds=1), es.delta * 9100, 0)
     with_indicative = sorted(ticks + [spoiler], key=lambda t: t.timestamp)
-    assert extract_otes(with_indicative, FC4999, C, es) == extract_otes(ticks, FC4999, C, es)
+    assert records_values(extract_otes(with_indicative, FC4999, C, es)) == \
+        records_values(extract_otes(ticks, FC4999, C, es))
 
 
 def test_off_grid_indicative_tick_refused(es):
@@ -258,18 +262,38 @@ def test_unordered_ticks_rejected(es):
 @pytest.mark.parametrize("seed", range(4))
 def test_push_refuses_a_tick_earlier_than_the_last_and_keeps_streaming(es, seed):
     # a seeded walk pushed in order, interrupted by a trade tick one second
-    # earlier than the last one pushed: it is refused, and the rest of the
-    # walk still streams to the batch records
+    # earlier than the last one pushed and off the grid: it is refused for its
+    # time, an in-order off-grid tick for its price, and the rest of the walk
+    # still streams to the batch records
     rng = random.Random(seed)
     ticks = ticks_from_deltas(zigzag_levels([0] + [rng.randrange(-25, 26) for _ in range(6)]), es)
     cut = rng.randrange(1, len(ticks))
     extractor = OteExtractor(FC4999, C, es)
     streamed = [record for tick in ticks[:cut] for record in extractor.push(tick)]
     late = ticks[cut - 1]
+    off_grid = late.price + Fraction("0.10")
     with pytest.raises(ValueError, match="^ticks must be time-ordered$"):
-        extractor.push(Tick(late.timestamp - timedelta(seconds=1), late.price, 1))
+        extractor.push(Tick(late.timestamp - timedelta(seconds=1), off_grid, 1))
+    with pytest.raises(GridError, match="not a multiple of delta"):
+        extractor.push(Tick(late.timestamp, off_grid, 1))
     streamed += [record for tick in ticks[cut:] for record in extractor.push(tick)]
-    assert streamed + extractor.finish() == extract_otes(ticks, FC4999, C, es)
+    assert records_values(streamed + extractor.finish()) == \
+        records_values(extract_otes(ticks, FC4999, C, es))
+
+
+def test_records_are_equal_over_the_same_columns_only(es):
+    # records compare field by field, and columns by identity: over two
+    # columns of the same ticks they differ but share their values
+    ticks = ticks_from_deltas(zigzag_levels([0, 15, 3, 20, 5, 17]), es)
+    one, two = TickColumns.of(ticks, es), TickColumns.of(ticks, es)
+    records = extract_otes(one, FC4999, C, es)
+    others = extract_otes(two, FC4999, C, es)
+    assert len(records) == len(others) == 5
+    assert all(a != b and not a == b for a, b in zip(records, others))
+    assert records_values(records) == records_values(others)
+    again = extract_otes(one, FC4999, C, es)
+    assert again == records and all(a is not b for a, b in zip(again, records))
+    assert [hash(r) for r in again] == [hash(r) for r in records]
 
 
 def test_cost_must_be_below_filtering_cost(es):
@@ -789,7 +813,8 @@ def test_batch_on_columns_matches_batch_on_ticks(es):
     ticks = ticks_from_deltas(levels, es, sizes=[rng.choice([0, 1, 2]) for _ in levels])
     columns = parse_ticks(serialize_ticks(ticks).splitlines(), es)
     for fc in (FC4999, "12.49"):
-        assert extract_otes(columns, fc, C, es) == extract_otes(ticks, fc, C, es)
+        assert records_values(extract_otes(columns, fc, C, es)) == \
+            records_values(extract_otes(ticks, fc, C, es))
 
 
 # walks born long that retrace exactly the birth threshold, 1 or 17 deltas
@@ -819,7 +844,7 @@ def test_streaming_matches_batch_under_random_chunking(steps, chunks, fc):
         for tick in chunk:
             streamed.extend(extractor.push(tick))
         batch = extract_otes(ticks[:pos], fc, C, es)
-        assert streamed == [r for r in batch if r.closed]
+        assert records_values(streamed) == records_values(r for r in batch if r.closed)
         live = extractor.current()
         if batch and not batch[-1].closed:
             assert live is not None
@@ -831,7 +856,7 @@ def test_streaming_matches_batch_under_random_chunking(steps, chunks, fc):
         else:
             assert live is None
     streamed.extend(extractor.finish())
-    assert streamed == extract_otes(ticks, fc, C, es)
+    assert records_values(streamed) == records_values(extract_otes(ticks, fc, C, es))
     # and against the reference scan, whose live trade ends at its extreme
     trades, state = _reference_scan_trades(es.grid_counts([t.price for t in ticks]),
                                            birth_threshold(fc, es), mps_module.SCAN_START, 0)
@@ -872,15 +897,15 @@ class OteStreamMachine(RuleBasedStateMachine):
     @rule()
     def finish(self):
         self.streamed.extend(self.extractor.finish())
-        assert self.streamed == self._batch()
+        assert records_values(self.streamed) == records_values(self._batch())
         self._start_session()
 
     @invariant()
     def records_and_live_trade_match_batch(self):
         live, batch = self.extractor.current(), self._batch()
         closed = [r for r in batch if r.closed]
-        assert self.streamed == closed
-        assert self.extractor.records == closed
+        assert records_values(self.streamed) == records_values(closed)
+        assert records_values(self.extractor.records) == records_values(closed)
         if len(closed) == len(batch):
             assert live is None
             return

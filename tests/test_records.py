@@ -21,12 +21,11 @@ S = Strategy((1, -1))
 T = Tick(datetime(2017, 4, 10, 9, 0), F(9001, 4), 3)
 ES = ContractSpec("ES", F(50), F(1, 4), time(17, 0), time(15, 15))
 COLS = ingest.TickColumns.of([T], ES)
+OTE_COLS = ingest.TickColumns.of(ticks_from_deltas(zigzag_levels([0, 8, 0, 8]), ES), ES)
 
 
 def _ote_record(birth_shift=0):
-    """A record over fresh columns each call: equal records need not share them."""
-    ticks = ticks_from_deltas(zigzag_levels([0, 8, 0, 8]), ES)
-    record = ote.extract_otes(ticks, F(4999, 100), F(117, 25), ES)[0]
+    record = ote.extract_otes(OTE_COLS, F(4999, 100), F(117, 25), ES)[0]
     return tuple(record._replace(birth=record.birth + birth_shift))
 
 
