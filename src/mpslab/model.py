@@ -93,12 +93,13 @@ class ContractSpec(_ContractFields):
     def to_deltas(self, price: Rational) -> int:
         """Price -> integer delta count N, failing off-grid."""
         p = as_fraction(price)
-        n = p / self.delta
-        if n.denominator != 1:
+        n, off = divmod(p.numerator * self.delta.denominator,
+                        p.denominator * self.delta.numerator)
+        if off:
             raise GridError(
                 f"price {p} is not a multiple of delta={self.delta} ({self.symbol})"
             )
-        return n.numerator
+        return n
 
     def grid_counts(self, prices: Sequence[Rational]) -> list[int]:
         """``to_deltas`` of each price, refusing the first one off the grid.

@@ -5,13 +5,11 @@ its rank is n - 1; the buy-hold-sell strategies (buy one at tick i, sell at
 tick n) form a basis of that hyperplane.  Four families of mutually
 orthogonal strategies and a budget-guarded search for the largest mutually
 orthogonal subset round out the toolkit.  Rank and determinant are read off
-one exact rational elimination, never floating point.
+one fraction-free integer elimination, never floating point.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .distribution import UniverseParams
@@ -88,44 +86,45 @@ def gen_bhs_basis(n: int) -> OrthFamily:
     return OrthFamily("bhs", n, tuple(members))
 
 
-def _pivots(rows: Sequence[Sequence[int]]) -> tuple[list[Fraction], int]:
-    """Exact forward elimination of ``rows``: the pivots in order, and the
-    number of row swaps made."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[Fraction] = []
-    swaps = 0
-    for col in range(len(m[0]) if m else 0):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Integer (Bareiss) forward elimination: the rows' rank, the row swaps
+    made, and the last pivot, the determinant of square rows of full rank up
+    to the swaps' sign.  ``(a*p - f*b) // prev`` is exact (Sylvester's identity)."""
+    m = [list(row) for row in rows]
+    width = len(m[0]) if m else 0
+    if any(len(row) != width for row in m):
+        raise ValueError("rows of different lengths")
+    rank, swaps, prev = 0, 0, 1
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        if pivot != top:
-            m[top], m[pivot] = m[pivot], m[top]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
             swaps += 1
-        p = m[top][col]
-        for r in range(top + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] / p
-                m[r] = [a - f * b for a, b in zip(m[r], m[top])]
-        pivots.append(p)
-    return pivots, swaps
+        top, p = m[rank], m[rank][col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            if f or p != prev:
+                m[r] = [(a * p - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
+        rank += 1
+    return rank, swaps, prev
 
 
 def rank_of_vectors(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank: the number of pivots of the rows' elimination."""
-    return len(_pivots(rows)[0])
+    return _eliminate(rows)[0]
 
 
-def det(matrix: Sequence[Sequence[int]]) -> Fraction:
-    """Exact determinant: the signed product of the pivots, or zero when a
-    column has none."""
+def det(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant: the last pivot with the sign of the row swaps, or
+    zero when a column has no pivot."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    pivots, swaps = _pivots(matrix)
-    if len(pivots) < n:
-        return Fraction(0)
-    return (-1) ** swaps * math.prod(pivots, start=Fraction(1))
+    rank, swaps, last = _eliminate(matrix)
+    return (-1) ** swaps * last if rank == n else 0
 
 
 def rank_of_universe(n: int, limit: int = 1) -> int:

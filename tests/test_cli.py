@@ -121,7 +121,7 @@ def test_rank(capsys):
 
 
 def test_rank_over_its_bound_is_refused_before_the_basis_is_built(capsys, monkeypatch):
-    # the exact rank costs n^2 Fractions; the bound itself still runs
+    # the exact rank copies the n^2 basis entries; the bound itself still runs
     from mpslab import vectors
     calls = []
     monkeypatch.setattr(vectors, "rank_of_universe", lambda n: calls.append(n) or n - 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpslab import (ContractSpec, CostModel, GridError, PositionSeries,
                     Strategy, Tick, positions_to_strategy,
                     strategy_to_positions, validate_membership)
+from mpslab.numeric import as_fraction
 
 
 def test_positions_to_strategy_known_pairs():
@@ -52,6 +53,40 @@ def test_contract_grid():
     assert not es.on_grid("2342.10")
     with pytest.raises(GridError):
         es.to_deltas("2342.10")
+
+
+def _frozen_to_deltas(spec, price):
+    """``ContractSpec.to_deltas`` as a Fraction quotient, before it became one
+    integer divmod."""
+    p = as_fraction(price)
+    n = p / spec.delta
+    if n.denominator != 1:
+        raise GridError(f"price {p} is not a multiple of delta={spec.delta} ({spec.symbol})")
+    return n.numerator
+
+
+def _grid_outcome(to_deltas, spec, price):
+    try:
+        return to_deltas(spec, price)
+    except GridError as exc:
+        return str(exc)
+
+
+_deltas = st.builds(Fraction, st.integers(1, 400), st.integers(1, 400))
+
+
+@given(_deltas, st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(lambda n: ("on grid", n)),
+    st.fractions(max_denominator=10 ** 4).map(lambda p: ("anywhere", p))),
+    st.sampled_from([Fraction, str]))
+def test_to_deltas_matches_the_fraction_quotient(delta, drawn, form):
+    spec = ContractSpec("X", 50, delta)
+    shape, value = drawn
+    price = value * delta if shape == "on grid" else value
+    expected = _grid_outcome(_frozen_to_deltas, spec, form(price))
+    assert _grid_outcome(ContractSpec.to_deltas, spec, form(price)) == expected
+    if shape == "on grid":
+        assert expected == value
 
 
 def test_contract_validation():

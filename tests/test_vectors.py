@@ -277,26 +277,63 @@ def _frozen_rank(rows):
     return rank
 
 
+def _frozen_det(matrix):
+    """``det`` as the signed product of the pivots of a forward elimination on
+    Fractions, before it became an integer elimination."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    swaps = 0
+    for col in range(len(m)):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != top:
+            m[top], m[pivot] = m[pivot], m[top]
+            swaps += 1
+        p = m[top][col]
+        for r in range(top + 1, len(m)):
+            if m[r][col]:
+                f = m[r][col] / p
+                m[r] = [a - f * b for a, b in zip(m[r], m[top])]
+        pivots.append(p)
+    return (-1) ** swaps * prod(pivots, start=Fraction(1))
+
+
 def _matrices(rows, cols):
     return st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
 
 
-# a zero top-left entry forces a row swap; a repeated row makes it singular
-_square = st.tuples(st.integers(0, 5).flatmap(lambda n: _matrices(n, n)),
-                    st.sampled_from(["as drawn", "zero corner", "repeated row"]))
+def _square(max_n):
+    """Square matrices up to ``max_n``: a zero top-left entry forces a row
+    swap, a repeated row makes the matrix singular."""
+    return st.tuples(st.integers(0, max_n).flatmap(lambda n: _matrices(n, n)),
+                     st.sampled_from(["as drawn", "zero corner", "repeated row"]))
 
 
-@settings(max_examples=400, deadline=None)
-@given(_square)
-def test_det_is_the_leibniz_expansion(drawn):
+def _shaped(drawn):
     m, shape = drawn
     if m and shape == "zero corner":
         m[0][0] = 0
     elif len(m) > 1 and shape == "repeated row":
         m[-1] = list(m[0])
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square(5))
+def test_det_is_the_leibniz_expansion(drawn):
+    m = _shaped(drawn)
     result = det(m)
-    assert isinstance(result, Fraction) and result == _leibniz(m)
+    assert type(result) is int and result == _leibniz(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square(7))
+def test_det_matches_its_fraction_elimination(drawn):
+    m = _shaped(drawn)
+    assert det(m) == _frozen_det(m)
 
 
 @pytest.mark.parametrize("m, expected", [
@@ -314,6 +351,12 @@ def test_det_refuses_a_non_square_matrix(m):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(lambda rc: _matrices(*rc)))
+@given(st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(lambda rc: _matrices(*rc)))
 def test_rank_matches_its_gauss_jordan_form(m):
     assert rank_of_vectors(m) == _frozen_rank(m)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [0]], [[0, 0], [1, 0], [1]]])
+def test_rank_refuses_rows_of_different_lengths(rows):
+    with pytest.raises(ValueError, match="rows of different lengths"):
+        rank_of_vectors(rows)
