@@ -52,23 +52,6 @@ def _sum_dtype(p: UniverseParams) -> type:
     return np.float32 if _CHUNK_ROWS * 4 * p.n * p.limit ** 2 < 1 << 24 else np.float64
 
 
-def position_chunks(p: UniverseParams, budget: int = DEFAULT_BUDGET,
-                    width: int | None = None) -> Iterator[np.ndarray]:
-    """Stream the universe as integer position arrays of shape (rows, n).
-
-    The dtype is the smallest that holds +-W.  A chunk has at most
-    ``_CHUNK_ROWS`` rows, and few enough that its sums of one product per
-    strategy, each at most 4nW^2, stay below the exact-integer bound of
-    ``_sum_dtype(p)``: 2^24 for float32, 2^53 for float64 (see ``sweep``).
-    With ``width`` (at least n) the rows are (rows, width): the first n
-    columns are the unpadded block and the rest are zero, so they add
-    nothing to any sum and ``_actions_of`` still reads each row's first
-    action as its first position.
-    """
-    exact = 1 << (np.finfo(_sum_dtype(p)).nmant + 1)
-    return _chunks(p, budget, min(_CHUNK_ROWS, (exact - 1) // (4 * p.n * p.limit ** 2)), width)
-
-
 def _chunks(p: UniverseParams, budget: int, rows: int,
             width: int | None = None) -> Iterator[np.ndarray]:
     """The universe in position chunks of at most ``rows`` rows (at least
@@ -170,9 +153,9 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     A strategy adds at most 4nW^2 to any sum (|U_i| <= 2W, T_j <= 2nW).  Each
     chunk's products and reductions run through BLAS on ``_sum_dtype(p)``
     operands: float32 when a full chunk's sums stay below 2^24, else
-    float64.  ``position_chunks`` keeps a chunk's sums below that dtype's
-    exact-integer bound (2^24 or 2^53), so they are exact integers in any
-    summation order and are cast back to int64 before they are accumulated.
+    float64.  A chunk has few enough rows that its sums stay below that
+    dtype's exact-integer bound (2^24 or 2^53): exact integers in any
+    summation order, cast back to int64 before they are accumulated.
     A universe whose sums could reach 2^63 is refused with ``BudgetExceeded``.
 
     The chunks are n rounded up to a multiple of 4 columns wide.  OpenBLAS
@@ -215,11 +198,12 @@ def sweep(p: UniverseParams, budget: int = DEFAULT_BUDGET) -> UniverseSums:
     max_row = -1
     max_row_count = 0
     dtype = _sum_dtype(p)
+    exact = 1 << (np.finfo(dtype).nmant + 1)
     ones = np.ones(width, dtype)
     floats = None
-    for block in position_chunks(p, budget, width=width):
+    for block in _chunks(p, budget, min(_CHUNK_ROWS, (exact - 1) // per_row), width):
         r = block.shape[0]
-        assert r * per_row < 1 << (np.finfo(dtype).nmant + 1)
+        assert r * per_row < exact
         if floats is None:
             # one set of buffers for every chunk, sized by the first, the largest
             floats = np.empty((r, width), dtype)  # positions, then actions

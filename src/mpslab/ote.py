@@ -44,8 +44,10 @@ birth_threshold = mps.birth_threshold
 
 
 def _costs(filtering_cost: Rational, cost: Rational) -> tuple[Fraction, Fraction]:
-    """FC and C as exact numbers, refusing C >= FC."""
+    """FC and C as exact numbers, refusing C < 0 and C >= FC."""
     fc, c = as_fraction(filtering_cost), as_fraction(cost)
+    if c < 0:
+        raise ValueError("cost must be non-negative")
     if c >= fc:
         raise ValueError("actual cost C must be below the filtering cost FC")
     return fc, c
@@ -141,7 +143,7 @@ class OteExtractor:
 
     @property
     def records(self) -> list[OteRecord]:
-        """Records finished so far (closed by replacement)."""
+        """Records finished so far: closed by replacement, or ended by ``finish``."""
         return list(self._records)
 
     def push(self, tick: Tick) -> list[OteRecord]:

@@ -580,6 +580,20 @@ def test_doubling_k_and_the_cost_doubles_the_mps_value(steps, cost, limit):
     assert doubled.strategy == got.strategy
 
 
+@settings(max_examples=200, deadline=None)
+@given(_es_walks, _cent_costs, st.integers(1, 5))
+def test_a_finer_grid_keeps_the_mps_value_and_strategy(steps, cost, limit):
+    # every grid count and the birth threshold change on a 1/16-point grid,
+    # but every move is a multiple of 0.25 points, and on either grid the
+    # threshold is the smallest move in points above 2c/k, so the strategy stays
+    es = PRESETS["ES"]
+    prices = _chain(steps)
+    got = mps0(prices, cost, limit, es)
+    fine = mps0(prices, cost, limit, es._replace(delta=Fraction(1, 16)))
+    assert fine.pl == got.pl
+    assert fine.strategy == got.strategy
+
+
 def test_memory_does_not_grow_with_the_limit(es):
     tracemalloc.start()
     try:

@@ -18,7 +18,7 @@ from mpslab import (CostModel, Strategy, brute_force_mls, brute_force_mps,
 from mpslab.distribution import UniverseParams, pl_variance
 from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
 from mpslab.oracle import (BudgetExceeded, EmpiricalPlVariance, UniverseSums,
-                           empirical_pl_variance, position_chunks, sweep)
+                           empirical_pl_variance, sweep)
 
 
 def test_decode_reference_rows():
@@ -41,6 +41,21 @@ def test_decode_injective_small_universes():
         p = UniverseParams(w, n)
         seen = {tuple(decode(i, p).positions) for i in range(p.size)}
         assert len(seen) == p.size
+
+
+def _swept_chunks(p):
+    """``sweep(p)`` and the lengths of the chunks that sweep walked."""
+    lengths, real = [], oracle._chunks
+
+    def spy(*args):
+        for block in real(*args):
+            lengths.append(len(block))
+            yield block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_chunks", spy)
+        swept = sweep(p)
+    return swept, lengths
 
 
 def test_iter_strategies_matches_the_reference_walk():
@@ -176,7 +191,7 @@ def _reference_empirical_pl_variance(prices, cost, p, k):
     n_rel = np.array(scaled_ints(rel, scale), dtype=np.int64)
     s = p.size
     sum_d2 = sum_t = sum_t2 = sum_dt = 0
-    for block in position_chunks(p):
+    for block in oracle._chunks(p, oracle.DEFAULT_BUDGET, oracle._CHUNK_ROWS):
         u = block.astype(np.int64)
         u[:, 1:] -= block[:, :-1]
         d = u @ n_rel
@@ -220,13 +235,13 @@ def test_empirical_pl_variance_exact_where_int64_wraps():
 
 def test_verify_pair_walks_each_universe_once(monkeypatch):
     walked = []
-    real = oracle.position_chunks
+    real = oracle._chunks
 
-    def counting(p, *args, **kwargs):
+    def counting(p, *args):
         walked.append(p)
-        return real(p, *args, **kwargs)
+        return real(p, *args)
 
-    monkeypatch.setattr(oracle, "position_chunks", counting)
+    monkeypatch.setattr(oracle, "_chunks", counting)
     pairs = verify.default_pairs(2000)
     for p in pairs:
         assert all(r.ok for r in verify.verify_pair(p, budget=2000))
@@ -338,8 +353,7 @@ def test_sweep_matches_frozen_int64_sweep_for_any_chunk_rows(data):
     rows = data.draw(st.integers(1, p.size + 10))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CHUNK_ROWS", rows)
-        chunks = [len(block) for block in position_chunks(p)]
-        swept = sweep(p)
+        swept, chunks = _swept_chunks(p)
     assert sum(chunks) == p.size and max(chunks) <= rows
     assert _fields(swept) == _fields(_reference_sweep(p, chunk_rows=rows))
 
@@ -366,8 +380,7 @@ def test_padded_sweep_is_exact_on_both_counting_paths_with_a_short_last_chunk(da
         [2 * p.base ** k for k in range(n - 1) if p.size <= 512 * p.base ** k]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CHUNK_ROWS", rows)
-        chunks = [len(block) for block in position_chunks(p)]
-        swept = sweep(p)
+        swept, chunks = _swept_chunks(p)
     assert sum(chunks) == p.size and 0 < chunks[-1] < chunks[0] == rows
     expected = _fields(_reference_sweep(p, chunk_rows=rows)) if w <= 63 else _direct_fields(p)
     assert _fields(swept) == expected
@@ -383,10 +396,8 @@ def test_position_chunks_pad_to_width_with_zero_columns(data):
     p = UniverseParams(w, data.draw(st.integers(2, max_n)))
     rows = data.draw(st.integers(1, p.size + 10))
     width = data.draw(st.integers(p.n, p.n + 6))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_CHUNK_ROWS", rows)
-        plain = list(position_chunks(p))
-        padded = list(position_chunks(p, width=width))
+    plain = list(oracle._chunks(p, oracle.DEFAULT_BUDGET, rows))
+    padded = list(oracle._chunks(p, oracle.DEFAULT_BUDGET, rows, width))
     # without width the blocks stay (rows, n): the per-row references rely on it
     assert all(block.shape[1] == p.n for block in plain)
     assert [block.shape for block in padded] == [(len(block), width) for block in plain]
@@ -406,19 +417,30 @@ def test_sweep_exact_past_int8_positions():
     assert brute_force_mps([1, 2], [0, 0], p).best_pl == 200   # used to read 127
 
 
+def _first_chunk(p):
+    return next(oracle._chunks(p, oracle.DEFAULT_BUDGET, oracle._CHUNK_ROWS))
+
+
 def test_chunk_dtypes_follow_the_limit():
-    assert next(position_chunks(UniverseParams(127, 2))).dtype == np.int8
-    assert next(position_chunks(UniverseParams(128, 2))).dtype == np.int16
-    assert next(position_chunks(UniverseParams(40000, 2))).dtype == np.int32
-    assert oracle._actions_of(next(position_chunks(UniverseParams(31, 2))), 31).dtype == np.int8
-    assert oracle._actions_of(next(position_chunks(UniverseParams(32, 2))), 32).dtype == np.int16
+    assert _first_chunk(UniverseParams(127, 2)).dtype == np.int8
+    assert _first_chunk(UniverseParams(128, 2)).dtype == np.int16
+    assert _first_chunk(UniverseParams(40000, 2)).dtype == np.int32
+    assert oracle._actions_of(_first_chunk(UniverseParams(31, 2)), 31).dtype == np.int8
+    assert oracle._actions_of(_first_chunk(UniverseParams(32, 2)), 32).dtype == np.int16
 
 
-def test_chunks_keep_float64_sums_exact():
+def test_chunks_keep_float64_sums_exact(monkeypatch):
     # a chunk of R rows sums at most R*4nW^2, which must stay below 2^53
-    for p in (UniverseParams(10 ** 5, 2), UniverseParams(10 ** 6, 2), UniverseParams(1000, 3)):
-        rows = len(next(position_chunks(p)))
+    for p in (UniverseParams(10 ** 5, 2), UniverseParams(1000, 3)):
+        rows = max(_swept_chunks(p)[1])
         assert 1 <= rows and rows * 4 * p.n * p.limit ** 2 < 2 ** 53
+    # under a larger row cap that bound binds: at 8*10^10 a row, W = 10^5,
+    # n = 2 sweeps its 200,001 rows in (2^53 - 1) // (8*10^10) = 112,589
+    p = UniverseParams(10 ** 5, 2)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 1 << 20)
+    swept, chunks = _swept_chunks(p)
+    assert chunks == [112589, 87412]
+    assert swept.gram_positions[0][0] == 10 ** 5 * (10 ** 5 + 1) * (2 * 10 ** 5 + 1) // 3
 
 
 def test_verify_universes_sum_in_float32():
@@ -447,10 +469,9 @@ def test_sweep_chunks_stay_below_their_dtype_bound(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CHUNK_ROWS", rows)
         mp.setattr(oracle, "_sum_dtype", spy)
-        sweep(p)
+        chunks = _swept_chunks(p)[1]
         dtype = used[-1]
-        chunks = [len(block) for block in position_chunks(p)]
-    assert set(used) == {dtype}
+    assert used == [dtype]
     assert (dtype is np.float32) == (rows * per_row < 2 ** 24)
     assert sum(chunks) == p.size
     assert all(r * per_row < 2 ** (np.finfo(dtype).nmant + 1) for r in chunks)
@@ -495,7 +516,7 @@ def test_large_limits_are_exact_or_refused():
     assert result.witnesses == (Strategy((10 ** 6, -10 ** 6)),)
     # universes whose row indices or actions leave int64
     with pytest.raises(BudgetExceeded, match="past int64"):
-        next(position_chunks(UniverseParams(2 ** 62, 2), budget=2 ** 64))
+        next(oracle._chunks(UniverseParams(2 ** 62, 2), 2 ** 64, oracle._CHUNK_ROWS))
     with pytest.raises(BudgetExceeded, match="64-bit"):
         brute_force_mps([1, 2], [0, 0], UniverseParams(2 ** 61, 2), budget=2 ** 64)
 
@@ -533,5 +554,3 @@ def test_brute_force_chunks_are_not_sized_by_the_float_bound(monkeypatch):
     calls.clear()
     assert brute_force_mls([1, 2], [0, 0], UniverseParams(10 ** 6, 2)).worst_pl == -10 ** 6
     assert len(calls) == -(-UniverseParams(10 ** 6, 2).size // oracle._CHUNK_ROWS) == 245
-    # sweep keeps the float64 bound
-    assert len(next(position_chunks(p))) * 4 * p.n * p.limit ** 2 < 2 ** 53

@@ -61,6 +61,21 @@ def test_on_permitted_grid(es):
             on_permitted_grid("90.64", fc, c, es)
 
 
+@pytest.mark.parametrize("cost", ["-5", "-0.01", Fraction(-1, 3)])
+def test_the_ote_api_refuses_a_negative_cost(es, cost):
+    # with C < 0 below FC, the extractor used to build and the grid read
+    # (222.50, 235, 247.50) at FC = 100, C = -5; the text is the CLI's and mps0's
+    message = "cost must be non-negative"
+    with pytest.raises(ValueError, match=message):
+        mps0(["2370.00", "2371.00"], cost, 1, es)
+    for call in (lambda: OteExtractor(FC100, cost, es),
+                 lambda: extract_otes(ticks_from_deltas([0, 20, 0], es), FC100, cost, es),
+                 lambda: permitted_profit_grid(FC100, cost, es, 2),
+                 lambda: on_permitted_grid("235", FC100, cost, es)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_triangle_wave_all_profits_on_grid_start(es):
     # amplitude exactly equal to the 8-delta threshold of FC=49.99
     levels = zigzag_levels([0, 8, 0, 8, 0, 8, 0])
