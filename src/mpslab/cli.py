@@ -66,6 +66,7 @@ def _check_args(args) -> None:
         (fc is not None and cost >= fc, "actual cost C must be below the filtering cost FC"),
         (get("eq_tol", 0) < 0 or get("lt_tol", 0) < 0, "tolerances must be non-negative"),
         (get("prices") and get("file"), "give --prices or a tick file, not both"),
+        ("prices" in args and not (args.prices or args.file), "provide --prices or a tick file"),
         (get("emit_plot") and not get("out"), "--emit-plot needs --out"),
         (get("emit_plot") and get("format", "tsv") != "tsv", "--emit-plot needs --format tsv"),
     ]:
@@ -229,8 +230,6 @@ def cmd_mps(args) -> int:
     if args.prices:
         prices = [_number(tok) for tok in args.prices.split(",")]
     else:
-        if not args.file:
-            raise ValueError("provide --prices or a tick file")
         # the traded ticks in time order, priced in grid counts: the same
         # contract quoted in deltas, so P&L and trades come out the same
         prices = ingest.in_time_order(_read_ticks(args, spec)).deltas
@@ -344,82 +343,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mpslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, plot=False):
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        if plot:
-            p.add_argument("--emit-plot", action="store_true",
-                           help="also write a gnuplot script next to --out")
+    def shared(*flags, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser: what is added to it is declared once for every subcommand."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kwargs)
+        return p
 
-    p = sub.add_parser("counts", help="closed-form universe counts")
-    p.add_argument("--W", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common(p)
-    p.set_defaults(func=cmd_counts)
+    W, n = (shared(flag, type=int, required=True) for flag in ("--W", "--n"))
+    fmt = shared("--format", choices=("tsv", "json"), default="tsv")
+    contract = shared("--contract", default="ES")
+    contract.add_argument("--config", help=f"contract config file (or ${CONFIG_ENV})")
+    costs = shared("--fc", required=True, help="filtering cost, dollars")
+    costs.add_argument("--cost", required=True, help="actual cost, dollars")
+    bins = shared("--bins", type=int, default=None)
+    ticks = shared("file", help="tick file ('-' for stdin)")
+    plot = shared("--emit-plot", action="store_true",
+                  help="also write a gnuplot script next to --out")
+    out = shared("--out", help="write output to this path instead of stdout")
 
-    p = sub.add_parser("dist", help="action distribution table (PMF/CDF)")
-    p.add_argument("--W", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common(p, plot=True)
-    p.set_defaults(func=cmd_dist)
+    def command(name, func, summary, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[*parents, out])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="formula-vs-enumeration verification matrix")
+    command("counts", cmd_counts, "closed-form universe counts", W, n, fmt)
+    command("dist", cmd_dist, "action distribution table (PMF/CDF)", W, n, fmt, plot)
+    p = command("verify", cmd_verify, "formula-vs-enumeration verification matrix")
     p.add_argument("--max-universe", type=int)  # None: verify.DEFAULT_MAX_UNIVERSE
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("magma-table", help="Cayley table of the capped algebra")
-    p.add_argument("--W", type=int, required=True)
+    p = command("magma-table", cmd_magma_table, "Cayley table of the capped algebra", W)
     p.add_argument("--op", choices=("plus", "minus"), default="plus")
-    common(p)
-    p.set_defaults(func=cmd_magma_table)
-
-    p = sub.add_parser("rank", help="rank of the strategy universe")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("mps", help="maximum-profit strategy over prices or ticks")
-    p.add_argument("--contract", default="ES")
-    p.add_argument("--config", help=f"contract config file (or ${CONFIG_ENV})")
+    command("rank", cmd_rank, "rank of the strategy universe", n)
+    p = command("mps", cmd_mps, "maximum-profit strategy over prices or ticks", contract)
     p.add_argument("--cost", required=True, help="per-contract transaction cost, dollars")
     p.add_argument("--W", type=int, default=1)
     p.add_argument("--prices", help="comma-separated price chain")
     p.add_argument("file", nargs="?", help="tick file ('-' for stdin)")
-    common(p)
-    p.set_defaults(func=cmd_mps)
-
-    p = sub.add_parser("ote", help="optimal trading elements of tick sessions")
-    p.add_argument("--contract", default="ES")
-    p.add_argument("--config")
-    p.add_argument("--fc", required=True, help="filtering cost, dollars")
-    p.add_argument("--cost", required=True, help="actual cost, dollars")
-    p.add_argument("--bins", type=int, default=None)
+    p = command("ote", cmd_ote, "optimal trading elements of tick sessions",
+                contract, costs, bins, ticks, plot)
     p.add_argument("--include-open", action="store_true",
                    help="include the session-terminated trade in statistics")
-    p.add_argument("file", help="tick file ('-' for stdin)")
-    common(p, plot=True)
-    p.set_defaults(func=cmd_ote)
-
-    p = sub.add_parser("stats", help="sample statistics block for numbers in a file")
+    p = command("stats", cmd_stats, "sample statistics block for numbers in a file", bins)
     p.add_argument("--metric", default="profit")
-    p.add_argument("--bins", type=int, default=None)
     p.add_argument("file", help="one sample per line ('-' for stdin)")
-    common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("pattern", help="head-and-shoulders scan over tick sessions")
-    p.add_argument("--contract", default="ES")
-    p.add_argument("--config")
-    p.add_argument("--fc", required=True)
-    p.add_argument("--cost", required=True)
+    p = command("pattern", cmd_pattern, "head-and-shoulders scan over tick sessions",
+                contract, costs, ticks)
     p.add_argument("--eq-tol", type=int, default=0, help="equality slack, deltas")
     p.add_argument("--lt-tol", type=int, default=0, help="strictness slack, deltas")
-    p.add_argument("file", help="tick file ('-' for stdin)")
-    common(p)
-    p.set_defaults(func=cmd_pattern)
-
     return parser
 
 

@@ -37,7 +37,8 @@ def load_contract_config(path: str) -> dict[str, ContractSpec]:
     """Contract specs from an INI file, one [SYMBOL] section each.
 
     Keys: k, delta (both positive), session_open, session_close (H:M or
-    H:M:S); bad input is a ValueError that names the contract and the key.
+    H:M:S, both or neither); symbols must differ in more than case.  Bad
+    input is a ValueError that names the contract and the key.
     """
     import configparser                 # only a --config needs it
 
@@ -49,6 +50,9 @@ def load_contract_config(path: str) -> dict[str, ContractSpec]:
             raise ValueError(f"bad config: {' '.join(exc.message.split())}") from None
     specs = {}
     for symbol in parser.sections():
+        twins = ", ".join(repr(s) for s in parser.sections() if s.upper() == symbol.upper())
+        if twins != repr(symbol):
+            raise ValueError(f"bad config: sections {twins} differ only in case")
         section, fields = parser[symbol], {}
         for key, parse in (("k", as_fraction), ("delta", as_fraction),
                            ("session_open", _parse_time), ("session_close", _parse_time)):
@@ -60,19 +64,17 @@ def load_contract_config(path: str) -> dict[str, ContractSpec]:
                 raise ValueError(f"contract {symbol}: bad {key} {section[key]!r}: {exc}") from None
         try:
             specs[symbol] = ContractSpec(symbol, **fields)
-        except ValueError as exc:                   # k or delta not positive
+        except ValueError as exc:       # k or delta not positive, or a bad session window
             raise ValueError(f"contract {symbol}: {exc}") from None
     return specs
 
 
 def contract_for(name: str, config_path: Optional[str] = None) -> ContractSpec:
-    """Resolve a preset name or a symbol defined in a config file."""
-    if config_path:
-        specs = load_contract_config(config_path)
-        if name in specs:
-            return specs[name]
-    if name.upper() in PRESETS:
-        return PRESETS[name.upper()]
+    """Resolve a symbol in any case: one a config file defines, else a preset."""
+    configured = load_contract_config(config_path) if config_path else {}
+    for specs in ({symbol.upper(): spec for symbol, spec in configured.items()}, PRESETS):
+        if name.upper() in specs:
+            return specs[name.upper()]
     raise ValueError(f"unknown contract {name!r}; presets: {sorted(set(PRESETS))}")
 
 
@@ -416,14 +418,16 @@ def _exact_text(x: Fraction) -> str:
 
 def serialize_ticks(ticks: Sequence[Tick]) -> str:
     """Canonical TSV tick format (date, time, price, size[, condition]).
-    Prices are written exactly, so ``parse_ticks`` reads back the same ticks."""
+    Prices are written exactly, so ``parse_ticks`` reads back the same ticks;
+    a tick with microseconds, or a condition not one word, is a ValueError."""
     lines = []
     for t in ticks:
-        fields = [t.timestamp.strftime("%Y/%m/%d"), t.timestamp.strftime("%H:%M:%S"),
-                  _exact_text(t.price), str(t.size)]
-        if t.condition is not None:
-            fields.append(t.condition)
-        lines.append("\t".join(fields))
+        condition = [] if t.condition is None else [t.condition]
+        if t.timestamp.microsecond or condition and t.condition.split() != condition:
+            raise ValueError(f"{t!r} cannot be read back: a tick file holds whole "
+                             "seconds and one-word conditions")
+        lines.append("\t".join([t.timestamp.strftime("%Y/%m/%d\t%H:%M:%S"),
+                                _exact_text(t.price), str(t.size), *condition]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -447,13 +451,7 @@ def sessionize(ticks: TickColumns) -> SessionizeResult:
     The ticks are put ``in_time_order`` first, and each session is a slice
     of the ordered columns.
     """
-    spec = ticks.spec
-    opens, closes = spec.session_open, spec.session_close
-    if (opens is None) != (closes is None):
-        missing = "session_open" if opens is None else "session_close"
-        raise ValueError(f"contract {spec.symbol} has no {missing} for its session window")
-    if opens is not None and opens == closes:
-        raise ValueError("session open and close must differ")
+    opens, closes = ticks.spec.session_open, ticks.spec.session_close
     ticks = in_time_order(ticks)
     times = ticks.times
     if opens is None:

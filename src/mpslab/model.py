@@ -71,7 +71,7 @@ class _ContractFields(NamedTuple):
 
 
 class ContractSpec(_ContractFields):
-    """Contract economics: dollars per full point and the price grid."""
+    """Contract economics: dollars per full point, the price grid, the session window."""
 
     __slots__ = ()
     _make = classmethod(_checked_make)
@@ -83,6 +83,11 @@ class ContractSpec(_ContractFields):
             raise ValueError("k must be positive")
         if delta <= 0:
             raise ValueError("delta must be positive")
+        if (session_open is None) != (session_close is None):
+            missing = "session_open" if session_open is None else "session_close"
+            raise ValueError(f"session window has no {missing}")
+        if session_open is not None and session_open == session_close:
+            raise ValueError("session open and close must differ")
         return super().__new__(cls, symbol, k, delta, session_open, session_close)
 
     @property

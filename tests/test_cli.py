@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import random
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import ticks_from_deltas, zigzag_levels
 from mpslab import (PRESETS, Tick, Tolerances, extract_otes, serialize_ticks,
                     sessionize)
-from mpslab.cli import MAX_TABLE_ENTRIES, main
+from mpslab.cli import MAX_TABLE_ENTRIES, build_parser, main
 from mpslab.ingest import TickColumns
 from mpslab.numeric import fmt_price
 from mpslab.ote import HeadShouldersMonitor
@@ -197,10 +198,11 @@ def test_mps_inline_prices(capsys):
     assert "trade\t0\t2\tlong" in out
 
 
-def test_mps_requires_input(capsys):
-    code, _, err = run(capsys, ["mps", "--cost", "5"])
-    assert code == 1
-    assert "prices" in err
+def test_mps_requires_input(tmp_path, capsys):
+    # refused before a --config file is read, so a missing one goes unnamed
+    for config in ([], ["--config", str(tmp_path / "missing.ini")]):
+        assert run(capsys, ["mps", "--cost", "5", *config]) == \
+            (1, "", "error: provide --prices or a tick file\n")
 
 
 def _ordered_and_shuffled(tmp_path, rng, n=400):
@@ -250,26 +252,29 @@ def test_contract_without_session_window_sorts_ticks(tmp_path, capsys):
 
 
 def _run_with_window(tmp_path, capsys, window: str):
-    """``ote`` and ``pattern`` results on a two-tick file for a config
-    contract HALF with the given session keys."""
+    """``ote``, ``pattern`` and ``mps`` results for a config contract HALF
+    with the given session keys, on a two-tick file and on a tick path that
+    does not exist: six runs."""
     path, config = tmp_path / "ticks.tsv", tmp_path / "contracts.ini"
     path.write_text("2017/04/10 09:30:00 2350.00 1\n2017/04/10 09:30:01 2350.25 1\n")
     config.write_text("[HALF]\nk = 50\ndelta = 0.25\n" + window)
-    return [run(capsys, [command, "--fc", "1", "--cost", "0.5", "--contract", "HALF",
-                         "--config", str(config), str(path)])
-            for command in ("ote", "pattern")]
+    return [run(capsys, [*argv, "--contract", "HALF", "--config", str(config), str(ticks)])
+            for argv in (["ote", "--fc", "1", "--cost", "0.5"],
+                         ["pattern", "--fc", "1", "--cost", "0.5"], ["mps", "--cost", "0.5"])
+            for ticks in (path, tmp_path / "missing.tsv")]
 
 
 def test_session_window_that_opens_at_its_close_is_refused(tmp_path, capsys):
     results = _run_with_window(tmp_path, capsys, "session_open = 09:30\nsession_close = 09:30\n")
-    assert results == [(1, "", "error: session open and close must differ\n")] * 2
+    # refused as the config is read, before any tick: no "No such file"
+    assert results == [(1, "", "error: contract HALF: session open and close must differ\n")] * 6
 
 
 def test_session_window_with_one_end_is_refused(tmp_path, capsys):
     for key, other in (("session_open", "session_close"), ("session_close", "session_open")):
         results = _run_with_window(tmp_path, capsys, f"{key} = 09:30\n")
-        message = f"error: contract HALF has no {other} for its session window\n"
-        assert results == [(1, "", message)] * 2
+        message = f"error: contract HALF: session window has no {other}\n"
+        assert results == [(1, "", message)] * 6
 
 
 def test_malformed_config_is_one_error_line(tmp_path, capsys):
@@ -294,6 +299,9 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys):
             "contract NK: bad session_open '9:30:00:5': a clock is H:M or H:M:S",
         "[NK]\nk = 500\ndelta = 5\nsession_open = 17:00\nsession_close = 15\n":
             "contract NK: bad session_close '15': a clock is H:M or H:M:S",
+        # symbols match in any case, so these two would be one contract
+        "[NK]\nk = 500\ndelta = 5\n[nk]\nk = 5\ndelta = 5\n":
+            "bad config: sections 'NK', 'nk' differ only in case",
     }
     for text, message in cases.items():
         config.write_text(text)
@@ -301,6 +309,16 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys):
                      ["pattern", "--fc", "1", "--cost", "0.5"], ["mps", "--cost", "0.5"]):
             argv += ["--contract", "NK", "--config", str(config), str(path)]
             assert run(capsys, argv) == (1, "", f"error: {message}\n"), argv
+
+
+def test_config_symbols_match_in_any_case(tmp_path, capsys):
+    config = tmp_path / "contracts.ini"
+    config.write_text("[ES]\nk = 5\ndelta = 0.25\n")
+    # the config's [ES] wins over the preset (k = 50) however the symbol is written
+    for symbol in ("ES", "es", "Es"):
+        argv = ["mps", "--config", str(config), "--contract", symbol, "--cost", "0",
+                "--prices", "2350,2351"]
+        assert run(capsys, argv)[:2] == (0, "pl=5.00\nstrategy=1,-1\ntrade\t0\t1\tlong\n")
 
 
 def test_ote_pipeline(tmp_path, capsys):
@@ -612,3 +630,82 @@ def test_session_past_year_9999_is_one_error_line(tmp_path, capsys):
     # the same day before the open is still a session
     path.write_text("9999/12/31 09:00:00 2350 1\n9999/12/31 10:00:00 2351 1\n")
     assert run(capsys, ["ote", "--fc", "1", "--cost", "0.5", str(path)])[0] == 0
+
+
+# each subcommand's arguments as (option strings, dest, default, required,
+# type, choices, nargs), frozen from the parser that declared every option
+# once per subcommand
+_ARGUMENTS = {
+    "counts": {
+        (("--W",), "W", None, True, int, None, None),
+        (("--format",), "format", "tsv", False, None, ("tsv", "json"), None),
+        (("--n",), "n", None, True, int, None, None),
+        (("--out",), "out", None, False, None, None, None),
+    },
+    "dist": {
+        (("--W",), "W", None, True, int, None, None),
+        (("--emit-plot",), "emit_plot", False, False, None, None, 0),
+        (("--format",), "format", "tsv", False, None, ("tsv", "json"), None),
+        (("--n",), "n", None, True, int, None, None),
+        (("--out",), "out", None, False, None, None, None),
+    },
+    "verify": {
+        (("--max-universe",), "max_universe", None, False, int, None, None),
+        (("--out",), "out", None, False, None, None, None),
+    },
+    "magma-table": {
+        (("--W",), "W", None, True, int, None, None),
+        (("--op",), "op", "plus", False, None, ("plus", "minus"), None),
+        (("--out",), "out", None, False, None, None, None),
+    },
+    "rank": {
+        (("--n",), "n", None, True, int, None, None),
+        (("--out",), "out", None, False, None, None, None),
+    },
+    "mps": {
+        ((), "file", None, False, None, None, "?"),
+        (("--W",), "W", 1, False, int, None, None),
+        (("--config",), "config", None, False, None, None, None),
+        (("--contract",), "contract", "ES", False, None, None, None),
+        (("--cost",), "cost", None, True, None, None, None),
+        (("--out",), "out", None, False, None, None, None),
+        (("--prices",), "prices", None, False, None, None, None),
+    },
+    "ote": {
+        ((), "file", None, True, None, None, None),
+        (("--bins",), "bins", None, False, int, None, None),
+        (("--config",), "config", None, False, None, None, None),
+        (("--contract",), "contract", "ES", False, None, None, None),
+        (("--cost",), "cost", None, True, None, None, None),
+        (("--emit-plot",), "emit_plot", False, False, None, None, 0),
+        (("--fc",), "fc", None, True, None, None, None),
+        (("--include-open",), "include_open", False, False, None, None, 0),
+        (("--out",), "out", None, False, None, None, None),
+    },
+    "stats": {
+        ((), "file", None, True, None, None, None),
+        (("--bins",), "bins", None, False, int, None, None),
+        (("--metric",), "metric", "profit", False, None, None, None),
+        (("--out",), "out", None, False, None, None, None),
+    },
+    "pattern": {
+        ((), "file", None, True, None, None, None),
+        (("--config",), "config", None, False, None, None, None),
+        (("--contract",), "contract", "ES", False, None, None, None),
+        (("--cost",), "cost", None, True, None, None, None),
+        (("--eq-tol",), "eq_tol", 0, False, int, None, None),
+        (("--fc",), "fc", None, True, None, None, None),
+        (("--lt-tol",), "lt_tol", 0, False, int, None, None),
+        (("--out",), "out", None, False, None, None, None),
+    },
+}
+
+
+def test_each_subcommand_keeps_its_arguments():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(_ARGUMENTS)
+    for name, sub in commands.choices.items():
+        got = {(tuple(a.option_strings), a.dest, a.default, a.required, a.type, a.choices,
+                a.nargs) for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert got == _ARGUMENTS[name], name

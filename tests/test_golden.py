@@ -12,10 +12,11 @@ from fractions import Fraction
 from itertools import accumulate
 
 from test_mps import _certify
-from mpslab import ContractSpec, MpsResult, OteType, Strategy, extract_otes
+from mpslab import ContractSpec, MpsResult, OteType, Strategy, extract_otes, serialize_ticks
 from mpslab.cli import main
 from mpslab.ingest import TickColumns, parse_ticks, sessionize, trade_ticks
 from mpslab.mps import MpsTrade
+from mpslab.numeric import fmt_price
 
 DAY = 86_400
 OPEN = 17 * 3600                  # ES session open, the calendar day before
@@ -236,3 +237,48 @@ def test_ote_chains_of_the_golden_sessions_are_certified(es):
             pl = sum(t.direction * (deltas[t.end] - deltas[t.start]) * es.delta_dollars - 2 * fc
                      for t in trades)
             _certify(deltas, fc, 1, quoted, MpsResult(Strategy(actions), pl, tuple(trades)))
+
+
+def _stdout(argv, capsys) -> list[str]:
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out.splitlines()
+
+
+def test_mirrored_golden_ticks_swap_the_ote_types_and_keep_the_mps_profit(tmp_path, capsys, es):
+    # every price P -> 4700 - P, the mirror about 2350, with the same times and sizes
+    path, mirror = tmp_path / "ticks.txt", tmp_path / "mirrored.txt"
+    path.write_text(_tick_text())
+    ticks = parse_ticks(_tick_text().splitlines(), es)
+    mirror.write_text(serialize_ticks([t._replace(price=4700 - t.price) for t in ticks]))
+    swap = {"BOTE": "SOTE", "SOTE": "BOTE"}
+
+    def mapped_back(line: str) -> str:
+        fields = line.split("\t")
+        if len(fields) != 8 or fields[0] == "#":        # not a row of the OTE table
+            return line
+        fields[2], fields[4] = (fmt_price(4700 - Fraction(p), es.delta) for p in fields[2:5:2])
+        return "\t".join([*fields[:7], swap[fields[7]]])
+
+    argv = ("ote", "--fc", "49.99", "--cost", "4.68")
+    original, mirrored = (_stdout(argv + (str(p),), capsys) for p in (path, mirror))
+    assert list(map(mapped_back, mirrored)) == original
+    assert sum(line != mapped_back(line) for line in mirrored) >= 20     # the 22 OTE rows
+    argv = ("mps", "--cost", "4.68", "--W", "3")
+    assert [_stdout(argv + (str(p),), capsys)[0] for p in (path, mirror)] == ["pl=32457.78"] * 2
+
+
+def test_golden_ticks_reversed_in_time_keep_the_mps_profit(tmp_path, capsys, es):
+    # t -> t_first + t_last - t, the lines in reverse order: the traded
+    # prices come in reverse, and mps0's profit does not change
+    ticks = list(parse_ticks(_tick_text().splitlines(), es))
+    first, last = ticks[0].timestamp, ticks[-1].timestamp
+    path, reversed_path = tmp_path / "ticks.txt", tmp_path / "reversed.txt"
+    path.write_text(_tick_text())
+    reversed_path.write_text(serialize_ticks([t._replace(timestamp=first + (last - t.timestamp))
+                                              for t in reversed(ticks)]))
+    for limit, pl in (("1", "10819.26"), ("3", "32457.78"), ("20", "216385.20")):
+        argv = ("mps", "--cost", "4.68", "--W", limit)
+        assert [_stdout(argv + (str(p),), capsys)[0] for p in (path, reversed_path)] == \
+            [f"pl={pl}"] * 2

@@ -117,6 +117,17 @@ def test_serialize_read_round_trip(spec, rows):
             assert line.split("\t")[2] == old
 
 
+def test_serialize_refuses_ticks_it_could_not_read_back():
+    at = datetime(2017, 4, 10, 9)
+    # a condition of two words or none would read back as other fields, and
+    # the tick file's clock has no fraction of a second
+    for bad in [Tick(at, "2350", 1, condition) for condition in ("A B", "A\tB", "", " A")] + \
+            [Tick(at.replace(microsecond=500000), "2350", 1)]:
+        with pytest.raises(ValueError, match="cannot be read back") as err:
+            serialize_ticks([Tick(at, "2350", 1, "A"), bad])
+        assert str(err.value).startswith(repr(bad))
+
+
 def test_sessionize_overnight_window(es):
     assert es.session_open > es.session_close
     ticks = parse_ticks([
@@ -163,13 +174,15 @@ def test_daytime_window():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        sessionize(TickColumns(_windowed(time(9, 0), time(9, 0))))
+    # the contract refuses its window, so no TickColumns, and no sessionize, meets one
+    with pytest.raises(ValueError, match="session open and close must differ"):
+        _windowed(time(9, 0), time(9, 0))
     # a window with one end is refused, not taken as no window
     for key in ("session_open", "session_close"):
-        half = _windowed(time(9, 0), time(16, 0))._replace(symbol="HALF", **{key: None})
-        with pytest.raises(ValueError, match=f"contract HALF has no {key}"):
-            sessionize(TickColumns(half))
+        with pytest.raises(ValueError, match=f"session window has no {key}"):
+            _windowed(time(9, 0), time(16, 0))._replace(symbol="HALF", **{key: None})
+    with pytest.raises(ValueError, match="session window has no session_close"):
+        ContractSpec("X", 50, "0.25", time(9))
 
 
 def test_sessionize_without_window_keeps_every_tick_in_one_session():

@@ -405,6 +405,41 @@ def test_mirror_swaps_and_translation_keeps_the_records(steps, fc, shift):
     assert [(r.ote_type, span(r)) for r in shifted] == [(r.ote_type, span(r)) for r in records]
 
 
+
+def _seeded_moves(seed, n=200):
+    """(price step in deltas, size) pairs of a seeded walk; size 0 one time in twenty."""
+    rng = random.Random(seed)
+    return [(rng.randint(-3, 3), rng.randrange(20)) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 19)), min_size=1, max_size=200),
+       st.sampled_from(["4.99", "12.49", "24.99", "100"]))
+@example(_seeded_moves("mirror"), "4.99")
+def test_streamed_mirror_swaps_the_records_and_keeps_their_stats(moves, fc):
+    """Prices N -> 2M - N, pushed tick by tick with the same times and
+    sizes (size 0, one tick in twenty, is indicative): BOTE and SOTE swap,
+    and every span, profit, scenario and statistic stays."""
+    es = PRESETS["ES"]
+    levels, sizes = list(accumulate(step for step, _ in moves)), [size for _, size in moves]
+
+    def streamed(levels):
+        extractor = OteExtractor(fc, C, es)
+        found = [r for tick in ticks_from_deltas(levels, es, sizes=sizes)
+                 for r in extractor.push(tick)]
+        return found + extractor.finish()
+
+    records, mirrored = streamed(levels), streamed([-n for n in levels])
+    swap = {OteType.BOTE: OteType.SOTE, OteType.SOTE: OteType.BOTE}
+    span = lambda r: (r.start, r.birth, r.stop, r.pl, r.scenario, r.closed)
+    assert [(swap[r.ote_type], span(r)) for r in mirrored] == \
+        [(r.ote_type, span(r)) for r in records]
+    for include_open in (False, True):
+        if sum(r.closed or include_open for r in records) >= 2:
+            for metric in ("profit", "duration"):
+                assert ote_stats(mirrored, metric, include_open) == \
+                    ote_stats(records, metric, include_open)
+
 def _classify_scenario(current, subsequent, spec):
     """First thing that happens to a born trade: growth, replacement, or end.
 
