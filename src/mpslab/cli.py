@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 # each subcommand imports the modules it runs, so only `verify` loads numpy
 from . import __version__
 from .model import ContractSpec
-from .numeric import BudgetExceeded, ExponentError, as_fraction, fmt_dollars, fmt_price
+from .numeric import BudgetExceeded, as_fraction, fmt_dollars, fmt_price
 
 CONFIG_ENV = "MPSLAB_CONFIG"
 
@@ -38,21 +38,10 @@ MAX_TABLE_ENTRIES = 10 ** 6
 _BATCH_LINES = 256      # lines per write; a write per line is ~25 % slower at dist's bound
 
 
-def _number(text: str) -> Fraction:
-    """An exact number from the command line or a samples file; bad text is
-    a ValueError that names it, not a raw Fraction message."""
-    try:
-        return as_fraction(text)
-    except ExponentError:
-        raise
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a number: {text!r}") from None
-
-
 def _check_args(args) -> None:
     """Cross-field validation of the parsed command line, before dispatch."""
     get = lambda name, default=None: getattr(args, name, default)
-    fc, cost = (_number(get(name)) if get(name) is not None else None
+    fc, cost = (as_fraction(get(name)) if get(name) is not None else None
                 for name in ("fc", "cost"))
     for failed, message in [
         (get("max_universe") is not None and args.max_universe <= 0, "budget must be positive"),
@@ -228,7 +217,7 @@ def cmd_mps(args) -> int:
     from . import ingest, mps as mps_mod
     spec = _contract(args)
     if args.prices:
-        prices = [_number(tok) for tok in args.prices.split(",")]
+        prices = [as_fraction(tok) for tok in args.prices.split(",")]
     else:
         # the traded ticks in time order, priced in grid counts: the same
         # contract quoted in deltas, so P&L and trades come out the same
@@ -308,7 +297,7 @@ def _samples(lines) -> list[Fraction]:
     for line_no, line in enumerate(lines, start=1):
         for tok in line.split():
             try:
-                values.append(_number(tok))
+                values.append(as_fraction(tok))
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
     return values

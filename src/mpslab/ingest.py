@@ -20,7 +20,7 @@ from operator import add, itemgetter
 from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence, TextIO, Union
 
 from .model import ContractSpec, GridError, Tick
-from .numeric import as_fraction
+from .numeric import as_fraction, exact_text
 
 
 PRESETS = {
@@ -79,10 +79,13 @@ def contract_for(name: str, config_path: Optional[str] = None) -> ContractSpec:
 
 
 def _parse_time(text: str) -> time:
-    parts = text.strip().split(":")
-    if len(parts) not in (2, 3):
+    try:
+        fields = [int(part) for part in text.strip().split(":")]
+    except ValueError:
+        fields = []
+    if len(fields) not in (2, 3):
         raise ValueError("a clock is H:M or H:M:S")
-    return time(*map(int, parts))
+    return time(*fields)
 
 
 _DAY_US = 86_400_000_000
@@ -249,8 +252,8 @@ def _grid_deltas(price_text: str, size_text: str, spec: ContractSpec, line_no: i
         raise ParseError(f"line {line_no}: exponent notation in price {price_text!r}")
     try:
         price = as_fraction(price_text)
-        int(size_text)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        _size(size_text, signed=True)        # the sign is checked last
+    except ValueError as exc:
         raise ParseError(f"line {line_no}: {exc}") from exc
     try:
         n = spec.to_deltas(price)
@@ -353,8 +356,14 @@ def _cached(cache: dict, texts: list[str], convert) -> tuple:
         return get(cache)
 
 
-def _size(text: str) -> int:
-    if (size := int(text)) < 0:
+def _size(text: str, signed: bool = False) -> int:
+    """A size's int: text that is not a whole number is refused by name, and
+    a negative size unless ``signed``."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise ValueError(f"not a whole number: {text!r}") from None
+    if size < 0 and not signed:
         raise ValueError(f"negative size {text!r}")
     return size
 
@@ -405,17 +414,6 @@ def in_time_order(ticks: TickColumns) -> TickColumns:
     return ticks.take(sorted(range(len(times)), key=times.__getitem__))
 
 
-def _exact_text(x: Fraction) -> str:
-    """Plain text of a positive ``x`` that parses back exactly: every decimal
-    digit when the expansion ends ('2350.25', '2350'), else 'numerator/denominator'."""
-    den = x.denominator
-    places = next((k for k in range(den.bit_length()) if 10 ** k % den == 0), None)
-    if places is None:
-        return f"{x.numerator}/{den}"
-    whole, part = divmod(x.numerator * 10 ** places // den, 10 ** places)
-    return f"{whole}.{part:0{places}d}" if places else str(whole)
-
-
 def serialize_ticks(ticks: Sequence[Tick]) -> str:
     """Canonical TSV tick format (date, time, price, size[, condition]).
     Prices are written exactly, so ``parse_ticks`` reads back the same ticks;
@@ -427,7 +425,7 @@ def serialize_ticks(ticks: Sequence[Tick]) -> str:
             raise ValueError(f"{t!r} cannot be read back: a tick file holds whole "
                              "seconds and one-word conditions")
         lines.append("\t".join([t.timestamp.strftime("%Y/%m/%d\t%H:%M:%S"),
-                                _exact_text(t.price), str(t.size), *condition]))
+                                exact_text(t.price), str(t.size), *condition]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

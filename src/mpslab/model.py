@@ -142,6 +142,8 @@ class Tick(_TickFields):
 
     def __new__(cls, timestamp: datetime, price: Rational, size: int,
                 condition: Optional[str] = None):
+        if timestamp.tzinfo is not None:
+            raise ValueError("tick timestamps are naive exchange-local clock times")
         price = as_fraction(price)
         if price <= 0:
             raise ValueError("tick price must be positive")

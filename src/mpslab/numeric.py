@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Union
 
 Rational = Union[int, str, float, Decimal, Fraction]
 
@@ -29,19 +29,23 @@ class BudgetExceeded(RuntimeError):
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Convert a number-like value to an exact Fraction."""
+    """An exact Fraction of a number-like value; text, or a float's repr, that
+    no Fraction reads ('abc', '1/0', 'nan') is a ValueError naming it."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(str(x))
+        x = str(x)
     if isinstance(x, str):
         _, e, exponent = x.lower().partition("e")
         digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
         if e and digits.isdecimal() and (len(digits) > 9 or int(digits) > MAX_EXPONENT):
             raise ExponentError(f"exponent out of range in {x!r} (limit {MAX_EXPONENT})")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"not a number: {x!r}") from None
     if isinstance(x, Decimal):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact number")
@@ -51,42 +55,44 @@ def as_fractions(xs: Iterable[Rational]) -> tuple[Fraction, ...]:
     return tuple(as_fraction(x) for x in xs)
 
 
-def money_scale(values: Iterable[Fraction]) -> int:
-    """Least common denominator, turning the values into exact integers."""
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return scale
+def scaled(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values as exact integers over their least common denominator,
+    and that denominator."""
+    values = list(values)
+    scale = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def scaled_ints(values: Sequence[Fraction], scale: int) -> list[int]:
-    out = []
-    for v in values:
-        num = v.numerator * scale
-        if num % v.denominator:
-            raise ValueError(f"{v} does not scale to an integer by {scale}")
-        out.append(num // v.denominator)
-    return out
+def _decimal(x: Fraction, den: int, limit: int) -> Optional[str]:
+    """``x`` in decimal with the fewest places, at most ``limit``, that write
+    every multiple of 1/den; None past ``limit`` or if ``x`` is not one."""
+    for places in range(limit + 1):
+        if 10 ** places % den == 0:
+            digits, rest = divmod(x.numerator * 10 ** places, x.denominator)
+            if rest:
+                return None
+            whole, part = divmod(abs(digits), 10 ** places)
+            text = f"{whole}.{part:0{places}d}" if places else str(whole)
+            return "-" + text if digits < 0 else text
+    return None
+
+
+_CENT = Fraction(1, 100)
 
 
 def fmt_dollars(x: Fraction) -> str:
     """Render a dollar amount, exact to the cent when it is one."""
-    return fmt_price(x, Fraction(1, 100))
+    return fmt_price(x, _CENT)
 
 
 def fmt_price(x: Fraction, delta: Fraction) -> str:
-    """Quote-style price text with the decimals the grid needs (0.25 -> 2)."""
-    for places in range(13):
-        if 10 ** places % delta.denominator == 0:
-            break
-    else:
-        return repr(float(x))
-    scale = 10 ** places
-    scaled, rest = divmod(x.numerator * scale, x.denominator)
-    if rest:
-        return repr(float(x))
-    sign = "-" if scaled < 0 else ""
-    if places == 0:
-        return f"{sign}{abs(scaled)}"
-    whole, part = divmod(abs(scaled), scale)
-    return f"{sign}{whole}.{part:0{places}d}"
+    """Quote-style price text with the decimals the grid needs (0.25 -> 2),
+    or the float repr past 12 places or off the grid's decimals."""
+    return _decimal(x, delta.denominator, 12) or repr(float(x))
+
+
+def exact_text(x: Fraction) -> str:
+    """Text of ``x`` that reads back exactly: every decimal digit when the
+    expansion ends ('2350.25', '-0.5', '2350'), else 'numerator/denominator'."""
+    den = x.denominator
+    return _decimal(x, den, den.bit_length()) or f"{x.numerator}/{den}"

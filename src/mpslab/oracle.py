@@ -17,8 +17,7 @@ import numpy as np
 
 from .distribution import UniverseParams
 from .model import Strategy
-from .numeric import (BudgetExceeded, Rational, as_fraction, as_fractions, money_scale,
-                      scaled_ints)
+from .numeric import BudgetExceeded, Rational, as_fraction, as_fractions, scaled
 
 DEFAULT_BUDGET = 10 ** 7
 _CHUNK_ROWS = 1 << 13  # one chunk's float arrays fit a 2 MB L2 together
@@ -129,11 +128,8 @@ class UniverseSums(NamedTuple):
         ps = as_fractions(prices)
         if len(ps) != p.n:
             raise ValueError(f"expected {p.n} prices")
-        c = as_fraction(cost)
-        kf = as_fraction(k)
-        rel = [x - ps[0] for x in ps]
-        scale = money_scale(rel)
-        r = scaled_ints(rel, scale)  # P_i - P_1, scaled
+        c, kf = as_fraction(cost), as_fraction(k)
+        r, scale = scaled(x - ps[0] for x in ps)  # P_i - P_1, scaled
         s = p.size
         sum_d2 = sum(ri * gi * rl for ri, row in zip(r, self.gram_actions.tolist())
                      for gi, rl in zip(row, r))
@@ -297,10 +293,8 @@ def _scan_extremum(prices, costs, p, k, budget, sign):
         raise ValueError(f"expected {p.n} prices")
     cs = _cost_vector(costs, p.n)
     kf = as_fraction(k)
-    dollar_prices = [kf * x for x in ps]
-    scale = money_scale(list(dollar_prices) + list(cs))
-    p_ints = scaled_ints(dollar_prices, scale)
-    c_ints = scaled_ints(cs, scale)
+    ints, scale = scaled([kf * x for x in ps] + list(cs))
+    p_ints, c_ints = ints[:p.n], ints[p.n:]
     # a strategy's value is at most 2W*n*max(|p_i| + |c_i|); past int64, Python ints
     bound = 2 * p.limit * p.n * max(abs(a) + abs(b) for a, b in zip(p_ints, c_ints))
     dtype = np.int64 if bound < 1 << 63 else object

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from . import mps
 from .ingest import TickColumns, from_micros, time_ordered, to_micros, trade_ticks
 from .model import ContractSpec, Tick
-from .numeric import Rational, as_fraction, money_scale
+from .numeric import Rational, as_fraction, scaled
 
 
 class OteType(enum.Enum):
@@ -264,9 +264,8 @@ def sample_stats(values: Sequence[Rational], bins: Optional[int] = None) -> OteS
     n = len(values)
     if n < 2:
         raise ValueError("need at least 2 samples")
-    fs = [as_fraction(v) for v in values]
-    d = money_scale(fs)
-    xs = sorted([f.numerator * (d // f.denominator) for f in fs])
+    xs, d = scaled(map(as_fraction, values))
+    xs.sort()
     k = _bin_count(n, bins)
     s = sum(xs)
     p2 = p3 = p4 = 0

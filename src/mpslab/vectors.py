@@ -182,8 +182,6 @@ def max_orthogonal_subset(n: int, budget: int = 3 ** 6) -> MaxOrthResult:
                 best_size = len(chosen)
                 best = chosen.copy()
             return
-        if len(chosen) + candidates.bit_count() <= best_size:
-            return
         while candidates:
             low = candidates & -candidates
             i = low.bit_length() - 1

@@ -289,7 +289,8 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys):
         "[NK]\nk = 500\ndelta = 5\nsession_open = 25:00\nsession_close = 15:15\n":
             "contract NK: bad session_open '25:00': hour must be in 0..23",
         "[NK]\nk = 500%\ndelta = 5\n":
-            "contract NK: bad k '500%': Invalid literal for Fraction: '500%'",
+            "contract NK: bad k '500%': not a number: '500%'",
+        "[NK]\nk = 1/0\ndelta = 5\n": "contract NK: bad k '1/0': not a number: '1/0'",
         "[NK]\nk = 0\ndelta = 5\n": "contract NK: k must be positive",
         "[NK]\nk = 500\ndelta = -1/4\n": "contract NK: delta must be positive",
         "[NK]\nk = 500\ndelta = 5\nsession_open = 1:2:3:4:5\nsession_close = 15:15\n":
@@ -297,6 +298,9 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys):
         # four fields were read as microseconds, 09:30:00.000005
         "[NK]\nk = 500\ndelta = 5\nsession_open = 9:30:00:5\nsession_close = 15:15\n":
             "contract NK: bad session_open '9:30:00:5': a clock is H:M or H:M:S",
+        # a field that is not an integer is refused like a wrong field count
+        "[NK]\nk = 500\ndelta = 5\nsession_open = 9:xx\nsession_close = 15:15\n":
+            "contract NK: bad session_open '9:xx': a clock is H:M or H:M:S",
         "[NK]\nk = 500\ndelta = 5\nsession_open = 17:00\nsession_close = 15\n":
             "contract NK: bad session_close '15': a clock is H:M or H:M:S",
         # symbols match in any case, so these two would be one contract
@@ -309,6 +313,23 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys):
                      ["pattern", "--fc", "1", "--cost", "0.5"], ["mps", "--cost", "0.5"]):
             argv += ["--contract", "NK", "--config", str(config), str(path)]
             assert run(capsys, argv) == (1, "", f"error: {message}\n"), argv
+
+
+def test_bad_number_text_in_a_tick_file_is_named(tmp_path, capsys):
+    # no raw Fraction or int() message: each refusal names the text it could not read
+    path, config = tmp_path / "ticks.tsv", tmp_path / "contracts.ini"
+    good = "2017/04/10 09:00:00 2342 1\n"
+    config.write_text("[NK]\nk = 500\ndelta = 1\n")
+    for line, message in [("2017/04/10 09:00:01 1/0 1", "line 2: not a number: '1/0'"),
+                          ("2017/04/10 09:00:01 23x 1", "line 2: not a number: '23x'"),
+                          ("2017/04/10 09:00:01 2342 y", "line 2: not a whole number: 'y'"),
+                          # the size's syntax comes before the grid
+                          ("2017/04/10 09:00:01 2342.5 y", "line 2: not a whole number: 'y'")]:
+        path.write_text(good + line + "\n")
+        for argv in (["ote", "--fc", "1", "--cost", "0.5"],
+                     ["pattern", "--fc", "1", "--cost", "0.5"], ["mps", "--cost", "0.5"]):
+            argv += ["--contract", "NK", "--config", str(config), str(path)]
+            assert run(capsys, argv) == (1, "", f"error: {message}\n"), (line, argv)
 
 
 def test_config_symbols_match_in_any_case(tmp_path, capsys):

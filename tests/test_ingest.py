@@ -5,7 +5,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 from itertools import groupby
 
@@ -128,6 +128,21 @@ def test_serialize_refuses_ticks_it_could_not_read_back():
         assert str(err.value).startswith(repr(bad))
 
 
+def test_timezone_aware_ticks_are_refused(es):
+    from mpslab.ote import OteExtractor
+    aware = datetime(2017, 4, 10, 9, tzinfo=timezone.utc)
+    naive = Tick(aware.replace(tzinfo=None), "2350", 1)
+    message = "tick timestamps are naive exchange-local clock times"
+    # a tick file's clock is naive: written aware, it would read back as another tick
+    for call in (lambda: serialize_ticks([Tick(aware, "2350", 1)]),
+                 lambda: TickColumns.of([Tick(aware, "2350", 1)], es),
+                 lambda: OteExtractor(100, "4.68", es).push(Tick(aware, "2350", 1)),
+                 lambda: Tick._make([aware, "2350", 1, None]),
+                 lambda: naive._replace(timestamp=aware)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_sessionize_overnight_window(es):
     assert es.session_open > es.session_close
     ticks = parse_ticks([
@@ -223,9 +238,11 @@ def test_config_file(tmp_path):
 
 def _reference_parse_ticks(source, spec):
     """The Fraction-per-tick parser the column reader replaced, kept as the
-    oracle for ticks, error types and messages.  One deliberate change: a
-    zero denominator ('1/0') is a ParseError here too; it used to escape as
-    a raw ZeroDivisionError."""
+    oracle for ticks, error types and messages.  Deliberate changes: a zero
+    denominator ('1/0') is a ParseError here too, where it used to escape as
+    a raw ZeroDivisionError; and a price or size it cannot read is named as
+    'not a number' or 'not a whole number', where the raw Fraction or int()
+    message used to be passed on."""
     def timestamp(date_text, time_text, line_no):
         for sep in ("/", "-"):
             if sep in date_text:
@@ -248,9 +265,12 @@ def _reference_parse_ticks(source, spec):
         ts = timestamp(fields[0], fields[1], line_no)
         try:
             price = Fraction(fields[2])
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"line {line_no}: not a number: {fields[2]!r}") from None
+        try:
             size = int(fields[3])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
+        except ValueError:
+            raise ParseError(f"line {line_no}: not a whole number: {fields[3]!r}") from None
         try:
             spec.to_deltas(price)
         except GridError as exc:

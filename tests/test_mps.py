@@ -18,7 +18,7 @@ from mpslab import mps as mps_module
 from mpslab.distribution import UniverseParams
 from mpslab.model import strategy_to_positions
 from mpslab.mps import MpsTrade
-from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
+from mpslab.numeric import as_fraction, as_fractions, scaled
 
 
 def test_flat_prices_do_nothing(es):
@@ -143,8 +143,7 @@ def _reference_mps0(prices, cost_per_transaction, limit, spec):
     deltas = [spec.to_deltas(x) for x in ps]
     c = as_fraction(cost_per_transaction)
     kd = spec.delta_dollars
-    scale = money_scale([kd, c])
-    kd_i, c_i = scaled_ints([kd, c], scale)
+    (kd_i, c_i), scale = scaled([kd, c])
 
     width = 2 * limit + 1
     neg_inf = None
@@ -272,8 +271,7 @@ def _two_pass_mps0(prices, cost_per_transaction, limit, spec):
     deltas = [spec.to_deltas(x) for x in as_fractions(prices)]
     c = as_fraction(cost_per_transaction)
     kd = spec.delta_dollars
-    scale = money_scale([kd, c])
-    kd_i, c_i = scaled_ints([kd, c], scale)
+    (kd_i, c_i), scale = scaled([kd, c])
 
     width = 2 * limit + 1
     values: list = [None] * width
@@ -332,8 +330,7 @@ def _slope_runs_mps0(prices, cost_per_transaction, limit, spec):
     deltas = [spec.to_deltas(x) for x in as_fractions(prices)]
     c = as_fraction(cost_per_transaction)
     kd = spec.delta_dollars
-    scale = money_scale([kd, c])
-    kd_i, c_i = scaled_ints([kd, c], scale)
+    (kd_i, c_i), scale = scaled([kd, c])
 
     # runs (P&L slope, count) of V over w = 0..2W, starting as the one
     # reachable state w = W; the infinite slopes are clamped at tick 0

@@ -16,7 +16,7 @@ from mpslab import (CostModel, Strategy, brute_force_mls, brute_force_mps,
                     iter_strategies, oracle, pl, positions_to_strategy,
                     validate_membership, verify)
 from mpslab.distribution import UniverseParams, pl_variance
-from mpslab.numeric import as_fraction, as_fractions, money_scale, scaled_ints
+from mpslab.numeric import as_fraction, as_fractions, scaled
 from mpslab.oracle import (BudgetExceeded, EmpiricalPlVariance, UniverseSums,
                            empirical_pl_variance, sweep)
 
@@ -186,9 +186,8 @@ def _reference_empirical_pl_variance(prices, cost, p, k):
     ps = as_fractions(prices)
     c = as_fraction(cost)
     kf = as_fraction(k)
-    rel = [x - ps[0] for x in ps]
-    scale = money_scale(rel)
-    n_rel = np.array(scaled_ints(rel, scale), dtype=np.int64)
+    rel, scale = scaled(x - ps[0] for x in ps)
+    n_rel = np.array(rel, dtype=np.int64)
     s = p.size
     sum_d2 = sum_t = sum_t2 = sum_dt = 0
     for block in oracle._chunks(p, oracle.DEFAULT_BUDGET, oracle._CHUNK_ROWS):
