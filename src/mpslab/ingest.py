@@ -85,7 +85,8 @@ def _parse_time(text: str) -> time:
         fields = []
     if len(fields) not in (2, 3):
         raise ValueError("a clock is H:M or H:M:S")
-    return time(*fields)
+    # clamped to -1..60 a field stays in or out of range and fits datetime's C long
+    return time(*[min(max(field, -1), 60) for field in fields])
 
 
 _DAY_US = 86_400_000_000
@@ -206,34 +207,29 @@ def _padded_clock(clock: str, padded: dict) -> str:
     '09:05:07'), stored in ``padded``.  Zeros are only inserted, so a clock
     that is not three fields of one or two ASCII digits keeps a character
     or a width that the lanes' shape refuses."""
-    text = padded[clock] = ":".join([field.zfill(2) if field else field
-                                     for field in clock.split(":")])
+    text = padded[clock] = ":".join([field and field.zfill(2) for field in clock.split(":")])
     return text
 
 
-def _clock_lanes(clocks: list[str], day: int,
-                 padded: Optional[dict] = None) -> Optional[tuple[int, ...]]:
+def _clock_lanes(clocks: list[str], day: int, padded: dict) -> Optional[tuple[int, ...]]:
     """``day`` plus the time of each clock in microseconds, or None unless
     every clock is 'H:M:S' with one or two ASCII digits a field and a time
     of day.  The clocks, which hold no space, are joined by spaces, and a
     shape that pins every space proves each 8 characters.  If it does not,
-    the 7-character clocks get a leading zero, the cheap fix for 'H:MM:SS'
-    and all a block of them needs; if the shape still fails, the clocks of
-    another length than 8 are padded field by field (``_padded_clock``,
-    cached in ``padded``) and checked again.  The text is read as one int of
-    9-byte lanes, converted by whole-int operations in every lane at once (SWAR)."""
+    the shape is checked once more with each other clock padded: 'H:MM:SS',
+    the one 7-character clock padding can mend, by a leading zero, and any
+    other field by field (``_padded_clock``, cached in ``padded``).  The text
+    is read as one int of 9-byte lanes, converted in every lane at once (SWAR)."""
     shape, zeros, ones, fields, limits, high, seconds, lanes = _lane_constants(len(clocks))
     if not (text := " ".join(clocks)).isascii():
         return None
-    if (raw := text.encode()).translate(_CLOCK_SHAPE) != shape:   # '9:05:07' as '09:05:07'
-        raw = " ".join(["0" + clock if len(clock) == 7 else clock for clock in clocks]).encode()
-        if raw.translate(_CLOCK_SHAPE) != shape:   # '9:5:7' as '09:05:07'
-            padded = {} if padded is None else padded
-            get = padded.get
-            raw = " ".join([clock if len(clock) == 8 else get(clock) or _padded_clock(clock, padded)
-                            for clock in clocks]).encode()
-            if raw.translate(_CLOCK_SHAPE) != shape:
-                return None
+    if (raw := text.encode()).translate(_CLOCK_SHAPE) != shape:   # '9:5:7' as '09:05:07'
+        get = padded.get
+        raw = " ".join([clock if len(clock) == 8 else
+                        "0" + clock if len(clock) == 7 and clock[1] == ":" else
+                        get(clock) or _padded_clock(clock, padded) for clock in clocks]).encode()
+        if raw.translate(_CLOCK_SHAPE) != shape:
+            return None
     x = int.from_bytes(raw, "little") - zeros               # every byte 0-9, ':' and ' ' to 0
     x = (x * 10 + (x >> 8)) & fields                        # tens * 10 + units, no carries
     if (x + limits) & high:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from datetime import datetime, time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -108,16 +109,13 @@ class ContractSpec(_ContractFields):
 
     def grid_counts(self, prices: Sequence[Rational]) -> list[int]:
         """``to_deltas`` of each price, refusing the first one off the grid.
-        Each distinct price is converted once; it is keyed on its type too,
-        since a float reads as its repr and need not convert like an equal
+        Each distinct price is converted once by a per-call cache keyed on its
+        type too: a float reads as its repr and need not convert like an equal
         price of another type (0.07 is on a cent grid, Fraction(0.07) is not)."""
-        keys = list(zip(map(type, prices), prices))
         try:
-            distinct = dict.fromkeys(keys)
+            return list(map(lru_cache(maxsize=None, typed=True)(self.to_deltas), prices))
         except TypeError:       # a price with no hash, Decimal('sNaN'), is refused one by one
             return list(map(self.to_deltas, prices))
-        grid = {key: self.to_deltas(key[1]) for key in distinct}
-        return list(map(grid.__getitem__, keys))
 
     def on_grid(self, price: Rational) -> bool:
         try:

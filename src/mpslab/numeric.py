@@ -9,6 +9,8 @@ what a user typing 4.68 means.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -45,6 +47,9 @@ def as_fraction(x: Rational) -> Fraction:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
+            limit = sys.get_int_max_str_digits()    # 0 is no limit
+            if 0 < limit < max(map(len, re.findall(r"\d+", x.replace("_", ""))), default=0):
+                raise ValueError(f"over Python's {limit}-digit int limit: {x[:20]!r}...") from None
             raise ValueError(f"not a number: {x!r}") from None
     if isinstance(x, Decimal):
         return Fraction(x)

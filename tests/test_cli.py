@@ -301,6 +301,11 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys):
         # a field that is not an integer is refused like a wrong field count
         "[NK]\nk = 500\ndelta = 5\nsession_open = 9:xx\nsession_close = 15:15\n":
             "contract NK: bad session_open '9:xx': a clock is H:M or H:M:S",
+        # a field past a C long gets datetime's range message, not an overflow
+        "[NK]\nk = 500\ndelta = 5\nsession_open = 99999999999999999999:00\nsession_close = 15:15\n":
+            "contract NK: bad session_open '99999999999999999999:00': hour must be in 0..23",
+        "[NK]\nk = 500\ndelta = 5\nsession_open = 9:00\nsession_close = 15:-99999999999999999999\n":
+            "contract NK: bad session_close '15:-99999999999999999999': minute must be in 0..59",
         "[NK]\nk = 500\ndelta = 5\nsession_open = 17:00\nsession_close = 15\n":
             "contract NK: bad session_close '15': a clock is H:M or H:M:S",
         # symbols match in any case, so these two would be one contract
@@ -315,6 +320,9 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys):
             assert run(capsys, argv) == (1, "", f"error: {message}\n"), argv
 
 
+_DIGITS = "line 2: over Python's 4300-digit int limit: '11111111111111111111'..."
+
+
 def test_bad_number_text_in_a_tick_file_is_named(tmp_path, capsys):
     # no raw Fraction or int() message: each refusal names the text it could not read
     path, config = tmp_path / "ticks.tsv", tmp_path / "contracts.ini"
@@ -322,6 +330,8 @@ def test_bad_number_text_in_a_tick_file_is_named(tmp_path, capsys):
     config.write_text("[NK]\nk = 500\ndelta = 1\n")
     for line, message in [("2017/04/10 09:00:01 1/0 1", "line 2: not a number: '1/0'"),
                           ("2017/04/10 09:00:01 23x 1", "line 2: not a number: '23x'"),
+                          # a number past Python's int digit limit, echoed in part
+                          ("2017/04/10 09:00:01 " + "1" * 5000 + " 1", _DIGITS),
                           ("2017/04/10 09:00:01 2342 y", "line 2: not a whole number: 'y'"),
                           # the size's syntax comes before the grid
                           ("2017/04/10 09:00:01 2342.5 y", "line 2: not a whole number: 'y'")]:

@@ -378,9 +378,9 @@ def test_lanes_convert_every_clock_of_a_day_in_one_block(es, monkeypatch, hour):
     clocks = [f"{hour.format(x // 3600)}:{x // 60 % 60:02d}:{x % 60:02d}" for x in range(86400)]
     day = ingest._day_micros("2017/04/10")
     expected = [day + ingest._clock_micros(clock) for clock in clocks]
-    assert list(ingest._clock_lanes(clocks, day)) == expected
+    assert list(ingest._clock_lanes(clocks, day, {})) == expected
     # a block of clocks before 10:00 only, all unpadded in the second case
-    assert list(ingest._clock_lanes(clocks[:36000], day)) == expected[:36000]
+    assert list(ingest._clock_lanes(clocks[:36000], day, {})) == expected[:36000]
     monkeypatch.setattr(ingest, "_BLOCK_LINES", len(clocks))
     assert parse_ticks([f"2017/04/10 {clock} 2350.25 1" for clock in clocks], es).times \
         == expected
@@ -407,7 +407,7 @@ _REFUSED_BY_LANES = (
 def test_clocks_the_lanes_refuse_parse_like_reference(es, clock):
     # each such clock leaves its block to the whole-clock path, which gives
     # the reference parser's ticks or error
-    assert ingest._clock_lanes(["23:59:59", clock, "00:00:00"], 0) is None
+    assert ingest._clock_lanes(["23:59:59", clock, "00:00:00"], 0, {}) is None
     fill = [f"2017/04/10 09:00:{s:02d} 2350.00 1" for s in range(3)]
     _assert_parses_like_reference(fill + [f"2017/04/10 {clock} 2350.25 1"] + fill, es)
     _assert_parses_like_reference([f"2017/04/10 {clock} 2350.25 1"], es)
@@ -440,26 +440,30 @@ def test_misaligned_clocks_are_refused_by_their_lengths(es):
     # clocks would read as two well-shaped lanes; both clocks of the second
     # pair are valid, and such lanes would read its first one as 12:34:05
     for pair in (["12:34:561", "2:34:56"], ["12:34:051", "2:34:56"]):
-        assert ingest._clock_lanes(pair, 0) is None
+        assert ingest._clock_lanes(pair, 0, {}) is None
         _assert_parses_like_reference([f"2017/04/10 {clock} 2350.25 1" for clock in pair], es)
 
 
 _MISALIGNED = [("12:34:561", "2:34:56"), ("1:23:45", "123:45:6")]
+# clocks the one retry pads beside an 8-character one; '1:2:345' stays 9 wide
+_PADDED = [pair for clock in ("9:05:0", "17:5:07", "9:5:7", "1:2:345")
+           for pair in ((clock, "10:05:07"), ("10:05:07", clock))]
 
 
 @pytest.mark.parametrize("size", [1, 2, 999, 1000])
 @pytest.mark.parametrize("pair", _MISALIGNED + [pair[::-1] for pair in _MISALIGNED]
-                         + [("9:05:07", "10:05:07"), ("10:05:07", "9:05:07")])
+                         + [("9:05:07", "10:05:07"), ("10:05:07", "9:05:07")] + _PADDED)
 def test_lanes_prove_clock_widths_beside_misaligned_neighbours(es, size, pair):
-    # a pair of clocks of 9 and 7 or of 7 and 8 characters, in a block of
-    # 'HH:MM:SS' clocks and across a block boundary: the lanes refuse the
-    # misaligned pairs and read a 7-character clock as 0H:MM:SS
+    # a pair of clocks of 9 and 7 or of 7 and 8 characters, or of 8 and one
+    # with a one-digit field, in a block of 'HH:MM:SS' clocks and across a
+    # block boundary: the lanes refuse the misaligned pairs and read a clock
+    # of one or two digits a field as its zero-padded form
     day = ingest._day_micros("2017/04/10")
     fill = [f"{10 + x // 3600:02d}:{x // 60 % 60:02d}:{x % 60:02d}" for x in range(size)]
     if size > 1:
         clocks = fill[:size - 2] + list(pair)
-        valid = "9:05:07" in pair
-        assert ingest._clock_lanes(clocks, day) == (
+        valid = all(len(field) <= 2 for clock in pair for field in clock.split(":"))
+        assert ingest._clock_lanes(clocks, day, {}) == (
             tuple(day + ingest._clock_micros(clock) for clock in clocks) if valid else None)
     for at in {max(size - 2, 0), size - 1}:
         clocks = fill[:at] + list(pair) + fill[at:]
@@ -473,7 +477,7 @@ def test_lanes_on_the_last_day_stay_below_2_to_64(es):
     day = ingest._day_micros(f"{date.max:%Y/%m/%d}")
     last = day + ingest._clock_micros("23:59:59")
     assert last < 1 << 64
-    assert ingest._clock_lanes(["23:59:59", "00:00:00", "23:59:59"], day) == (last, day, last)
+    assert ingest._clock_lanes(["23:59:59", "00:00:00", "23:59:59"], day, {}) == (last, day, last)
     _assert_parses_like_reference([f"{date.max:%Y/%m/%d} {clock} 2350.25 1"
                                    for clock in ("00:00:00", "23:59:59")], es)
 
@@ -491,7 +495,7 @@ def test_one_product_per_lane_never_carries_into_the_next_lane():
     clocks = [f"{x // 3600:02d}:{x // 60 % 60:02d}:{x % 60:02d}" for x in range(86400)]
     for i in range(0, len(clocks), 500):
         block = [clock for x in clocks[i:i + 500] for clock in ("23:59:59", x)]
-        assert ingest._clock_lanes(block, day) == tuple(
+        assert ingest._clock_lanes(block, day, {}) == tuple(
             day + ingest._clock_micros(clock) for clock in block)
 
 

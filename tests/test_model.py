@@ -1,5 +1,8 @@
 """Strategy/position bijection and membership checks."""
 
+import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -87,6 +90,24 @@ def test_to_deltas_matches_the_fraction_quotient(delta, drawn, form):
     assert _grid_outcome(ContractSpec.to_deltas, spec, form(price)) == expected
     if shape == "on grid":
         assert expected == value
+
+
+def test_grid_counts_allocates_little_beyond_its_result():
+    # a walk of 10^5 int prices over a few hundred levels: each distinct
+    # price converts once, and no key or copy is built per price
+    rng, level, prices = random.Random(40), 9400, []
+    for _ in range(10 ** 5):
+        level += rng.choice((-1, 0, 1))
+        prices.append(level)
+    spec = ContractSpec("X", 50, 1)
+    tracemalloc.start()
+    try:
+        counts = spec.grid_counts(prices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == prices
+    assert peak < sys.getsizeof(counts) + (256 << 10)
 
 
 def test_contract_validation():

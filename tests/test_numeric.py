@@ -78,6 +78,12 @@ def test_number_text_no_fraction_reads_is_named():
         with pytest.raises(ValueError) as info:
             as_fraction(x)
         assert type(info.value) is ValueError and str(info.value) == f"not a number: {text!r}"
+    # a digit run past Python's int limit is named as such, the text cut short
+    for text in ("1" * 5000, "0." + "1" * 4301, "1/" + "2_" * 4300 + "2"):
+        with pytest.raises(ValueError) as info:
+            as_fraction(text)
+        assert type(info.value) is ValueError and \
+            str(info.value) == f"over Python's 4300-digit int limit: {text[:20]!r}..."
     # the exponent is checked first, with its own message
     with pytest.raises(ExponentError, match=r"exponent out of range in '1e401' \(limit 400\)"):
         as_fraction("1e401")
